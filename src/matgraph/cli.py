@@ -12,7 +12,11 @@ Subcommands:
   count          graphlet counts for a graph
   embed          model embeddings of a graph over several runs
 
-Exit codes: 0 success, 1 golden/acceptance failure, 2 usage error.
+`distinguish --config FILE` reads `key = value` lines; a flag given on
+the command line overrides the file, and the file overrides the default.
+
+Exit codes: 0 success, 1 golden failure or a model that raised in
+`distinguish` (the report is still printed), 2 usage error.
 """
 
 from __future__ import annotations
@@ -80,22 +84,35 @@ def cmd_lambda_census(args) -> int:
     return 0
 
 
+# distinguish flag -> ExperimentConfig field; a flag given on the command
+# line overrides the config file, which overrides the field's default
+_CONFIG_FLAGS = {
+    "dataset_format": "format",
+    "models": "models",
+    "runs": "runs",
+    "threshold": "threshold",
+    "seed": "base_seed",
+    "format": "output_format",
+}
+
+
 def cmd_distinguish(args) -> int:
-    overrides = dict(
-        dataset=args.dataset,
-        format=args.dataset_format,
-        runs=args.runs,
-        threshold=args.threshold,
-        base_seed=args.seed,
-    )
-    if args.models:
-        overrides["models"] = tuple(args.models.split(","))
+    overrides = {"dataset": args.dataset}
+    for flag, key in _CONFIG_FLAGS.items():
+        if flag in args.given:
+            overrides[key] = getattr(args, flag)
+    if "models" in overrides:
+        overrides["models"] = tuple(overrides["models"].split(","))
     if args.config:
         config = ExperimentConfig.from_file(args.config, **overrides)
     else:
         config = ExperimentConfig(**overrides)
-    _report(args, distinguishability_run(config))
-    return 0
+    report = distinguishability_run(config)
+    _emit(args, report_render(report, config.output_format))
+    failed = [k for k in config.models if f"error:{k}" in report.extras]
+    for kind in failed:
+        print(f"error: {kind}: {report.extras[f'error:{kind}']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_golden(args) -> int:
@@ -190,20 +207,26 @@ _PATTERN_ALIASES = {
 }
 
 
+# Global options a config file can also set parse to None when absent, so
+# that `distinguish` can tell a given flag from a default; main then fills
+# in these defaults.
+_DEFAULTS = {"seed": 0, "format": "text", "dataset_format": "graph6"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matgraph", description="Graph expressiveness testbench"
     )
-    parser.add_argument("--config", help="key-value config file")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    parser.add_argument("--config", help="key-value config file (distinguish)")
+    parser.add_argument("--seed", type=int, help="base random seed (default 0)")
     parser.add_argument("--out", help="write output to file instead of stdout")
     parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="report output format",
+        "--format", choices=("text", "json", "csv"),
+        help="report output format (default text)",
     )
     parser.add_argument(
-        "--dataset-format", choices=("graph6", "edgelist-json"), default="graph6"
+        "--dataset-format", choices=("graph6", "edgelist-json"),
+        help="input format (default graph6)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -218,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distinguish", help="random-weight distinguishability")
     p.add_argument("dataset")
     p.add_argument("--models", help="comma-separated model kinds")
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=1e-3)
+    p.add_argument("--runs", type=int, help="random-weight runs (default 100)")
+    p.add_argument("--threshold", type=float, help="L1 distance (default 1e-3)")
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("golden", help="built-in appendix pair suite")
@@ -267,6 +290,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.given = {k for k, v in vars(args).items() if v is not None}
+    for k, v in _DEFAULTS.items():
+        if getattr(args, k) is None:
+            setattr(args, k, v)
     if getattr(args, "pattern", None) in _PATTERN_ALIASES:
         args.pattern = _PATTERN_ALIASES[args.pattern]
     try:

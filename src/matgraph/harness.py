@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -24,9 +24,9 @@ from matgraph.graphcore import Graph, degree_vector, laplacian, load_dataset
 from matgraph.graphlets import custom_sentence
 from matgraph.matlang import eval_sentence, parse
 from matgraph.models import (
+    MODEL_KINDS,
     DatasetBatch,
     ModelSpec,
-    embed_prepared,
     prepare,
     run_seeds,
     static_supports,
@@ -40,23 +40,11 @@ from matgraph.wl import (
     wl2_equivalent,
 )
 
-DEFAULT_MODELS = (
-    "mlp",
-    "gcn",
-    "graphsage",
-    "gin",
-    "gat",
-    "chebnet",
-    "gnnml1",
-    "gnnml3",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
     format: str = "graph6"
-    models: tuple[str, ...] = DEFAULT_MODELS
+    models: tuple[str, ...] = MODEL_KINDS
     runs: int = 100
     threshold: float = 1e-3
     base_seed: int = 0
@@ -67,18 +55,27 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be > 0")
+        unknown = [m for m in self.models if m not in MODEL_KINDS]
+        if unknown:
+            raise ValueError(f"unknown model kind {unknown[0]!r}")
+        if self.output_format not in ("text", "json", "csv"):
+            raise ValueError(f"unknown output format {self.output_format!r}")
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        """Key-value text config: one `key = value` per line, # comments."""
+        """Key-value text config: one `key = value` per line, # comments.
+        `overrides` take precedence over the file's values."""
+        known = {f.name for f in fields(cls)}
         values: dict = {}
         with open(path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
                 key, _, raw = line.partition("=")
                 key, raw = key.strip(), raw.strip()
+                if key not in known:
+                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 if key in ("runs", "base_seed"):
                     values[key] = int(raw)
                 elif key == "threshold":
@@ -216,11 +213,11 @@ def naive_undistinguished_pairs(
     """All-pairs oracle for the bucketed engine (small datasets only)."""
     if len(graphs) > 500:
         raise ValueError("naive oracle limited to 500 graphs")
-    prepared = [prepare(spec, G) for G in graphs]
+    batch = DatasetBatch(spec, [prepare(spec, G) for G in graphs])
     n = len(graphs)
     alive = {(i, j) for i in range(n) for j in range(i + 1, n)}
     for seed in seeds:
-        emb = embed_prepared(spec, prepared, seed)
+        emb = batch.embed_all(seed)
         alive = {
             (i, j)
             for i, j in alive

@@ -7,6 +7,11 @@ GraphSage, GIN, Chebnet), attention computed from the running
 representation (GAT), an explicit Hadamard term (GNNML1), or learned
 sparse spectral supports (GNNML3).
 
+Each kind is declared once, as a `Model` entry of `MODELS`: its support
+builder, its per-layer weight schema and its layer update. `make_weights`
+draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
+runs the update, so adding a model kind means adding one table entry.
+
 Weights are never trained; they are drawn once per seed (scaled uniform,
 half-width sqrt(6/(fan_in+fan_out))) and the resulting 10-dimensional
 sum-readout embeddings are compared across graphs. Determinism: the
@@ -18,36 +23,21 @@ support tensors and pushed through the layers batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
+from math import prod
+from typing import Callable
 
 import numpy as np
 
 from matgraph.graphcore import Graph, degree_vector, laplacian
 from matgraph.spectral import SupportSet, SupportSpec, build_supports, eig_sym
 
-MODEL_KINDS = (
-    "mlp",
-    "gcn",
-    "graphsage",
-    "gin",
-    "gat",
-    "chebnet",
-    "gnnml1",
-    "gnnml3",
-)
-
 PARAM_BUDGET = 30_000
 EMBED_DIM = 10
 
-# Per-model uniform-init half-width multipliers.  The stochastic
-# distinguishability counts depend on embedding scale relative to the
-# comparison threshold; these values put each model's count in the
-# reference band on the 8-node census.
-DEFAULT_INIT_GAIN = {
-    "gcn": 0.57,
-    "graphsage": 0.345,
-    "gat": 0.64,
-}
+# (name, shape, fan_in, fan_out) of one weight array
+Entry = tuple[str, tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -57,7 +47,7 @@ class ModelSpec:
     width: int | None = None  # None: largest width fitting the budget
     cheb_k: int = 3
     gin_eps: float = 0.1
-    init_gain: float | None = None  # None: DEFAULT_INIT_GAIN.get(kind, 1.0)
+    init_gain: float | None = None  # None: the kind's gain in MODELS
     support_spec: SupportSpec = field(default_factory=SupportSpec)
     readout: str = "sum-linear10"
 
@@ -74,60 +64,52 @@ class ModelSpec:
             raise ValueError(f"unknown readout {self.readout!r}")
 
     def resolved_width(self) -> int:
-        if self.width is not None:
-            return self.width
-        w = 1
-        while parameter_count(replace(self, width=w + 1)) <= PARAM_BUDGET:
-            w += 1
-        return w
+        """Hidden width: `width`, or the largest that fits PARAM_BUDGET."""
+        return self.width if self.width is not None else _budget_width(self)
 
 
-def _num_static_supports(spec: ModelSpec) -> int:
-    return {
-        "mlp": 1,
-        "gcn": 1,
-        "graphsage": 2,
-        "gin": 1,
-        "gat": 1,
-        "chebnet": spec.cheb_k,
-        "gnnml1": 1,
-        "gnnml3": spec.support_spec.S,
-    }[spec.kind]
+@dataclass(frozen=True)
+class Model:
+    """One model kind: its supports, its weights and its layer update."""
+
+    supports: Callable  # (spec, G) -> static n x n supports, or GNNML3's SupportSet
+    layer: Callable  # (spec, l, d_in, width) -> schema of layer l, in draw order
+    update: Callable  # (weights, l, H (B,n,d), C (B,S,n,n)) -> H after layer l
+    emits: int = 1  # width of a layer's output, in multiples of `width`
+    head: Callable = lambda spec: []  # schema of the weights drawn after the layers
+    # Uniform-init half-width multiplier. The stochastic distinguishability
+    # counts depend on embedding scale relative to the comparison threshold;
+    # the gains in MODELS put each model's count in the reference band on
+    # the 8-node census.
+    gain: float = 1.0
 
 
-def _layer_dims(spec: ModelSpec, width: int) -> list[int]:
-    """Representation width entering each layer (input features are 1-dim)."""
-    if spec.kind == "gnnml3":
-        # each layer emits width (conv part) + width (Hadamard part)
-        return [1] + [2 * width] * spec.layers
-    return [1] + [width] * spec.layers
+def _schema(spec: ModelSpec, width: int) -> list[Entry]:
+    """Every weight of the model, in RNG draw order (final linear last)."""
+    model = MODELS[spec.kind]
+    entries, d = [], 1  # input features are 1-dim
+    for l in range(spec.layers):
+        entries += model.layer(spec, l, d, width)
+        d = model.emits * width
+    return entries + model.head(spec) + [("final", (d, EMBED_DIM), d, EMBED_DIM)]
+
+
+def _count(spec: ModelSpec, width: int) -> int:
+    return sum(prod(shape) for _, shape, _, _ in _schema(spec, width))
+
+
+@cache  # a pure function of the spec's fields: one entry per distinct spec
+def _budget_width(spec: ModelSpec) -> int:
+    """Largest width whose parameter count fits PARAM_BUDGET."""
+    w = 1
+    while _count(spec, w + 1) <= PARAM_BUDGET:
+        w += 1
+    return w
 
 
 def parameter_count(spec: ModelSpec) -> int:
     """Total trainable scalars for the given spec (final linear included)."""
-    if spec.width is None:
-        spec = replace(spec, width=spec.resolved_width())
-    w = spec.width
-    dims = _layer_dims(spec, w)
-    S = _num_static_supports(spec)
-    total = 0
-    for l in range(spec.layers):
-        d_in, d_out = dims[l], dims[l + 1]
-        if spec.kind == "gin":
-            total += d_in * d_out + d_out * d_out + 2 * d_out  # biased 2-layer MLP
-        elif spec.kind == "gat":
-            total += d_in * d_out + 2 * d_out + d_out  # W, attention vector, bias
-        elif spec.kind == "gnnml1":
-            total += 4 * d_in * d_out + d_out
-        elif spec.kind == "gnnml3":
-            total += (S + 2) * d_in * w + 3 * w  # conv Ws + bias, mlp5/6 biased
-        else:
-            total += S * d_in * d_out + d_out
-    if spec.kind == "gnnml3":
-        Sn = spec.support_spec.S
-        total += 3 * (Sn * 2 * Sn + 2 * Sn) + (4 * Sn * Sn + Sn)  # mlp1..4
-    total += dims[-1] * EMBED_DIM
-    return total
+    return _count(spec, spec.resolved_width())
 
 
 @dataclass(frozen=True)
@@ -141,51 +123,11 @@ class WeightSet:
 
 def make_weights(spec: ModelSpec, seed: int) -> WeightSet:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def _glorot(r, fan_in, fan_out, shape):
-        # scaled uniform init, half-width gain * sqrt(6 / (fan_in + fan_out))
-        gain = spec.init_gain
-        if gain is None:
-            gain = DEFAULT_INIT_GAIN.get(spec.kind, 1.0)
-        a = gain * np.sqrt(6.0 / (fan_in + fan_out))
-        return r.uniform(-a, a, size=shape)
-
-    w = spec.resolved_width()
-    dims = _layer_dims(spec, w)
-    S = _num_static_supports(spec)
+    gain = spec.init_gain if spec.init_gain is not None else MODELS[spec.kind].gain
     arrays: dict[str, np.ndarray] = {}
-    for l in range(spec.layers):
-        d_in, d_out = dims[l], dims[l + 1]
-        if spec.kind == "gin":
-            arrays[f"W{l}.0"] = _glorot(rng, d_in, d_out, (d_in, d_out))
-            arrays[f"b{l}.0"] = _glorot(rng, d_in, d_out, (d_out,))
-            arrays[f"W{l}.1"] = _glorot(rng, d_out, d_out, (d_out, d_out))
-            arrays[f"b{l}.1"] = _glorot(rng, d_out, d_out, (d_out,))
-        elif spec.kind == "gat":
-            arrays[f"W{l}"] = _glorot(rng, d_in, d_out, (d_in, d_out))
-            arrays[f"a{l}"] = _glorot(rng, 2 * d_out, 1, (2 * d_out,))
-            arrays[f"b{l}"] = _glorot(rng, d_in, d_out, (d_out,))
-        elif spec.kind == "gnnml1":
-            for t in range(4):
-                arrays[f"W{l}.{t}"] = _glorot(rng, d_in, d_out, (d_in, d_out))
-            arrays[f"b{l}"] = _glorot(rng, d_in, d_out, (d_out,))
-        elif spec.kind == "gnnml3":
-            arrays[f"W{l}"] = _glorot(rng, d_in, w, (S, d_in, w))
-            arrays[f"b{l}"] = _glorot(rng, d_in, w, (w,))
-            for t in (5, 6):
-                arrays[f"mlp{t}.{l}.W"] = _glorot(rng, d_in, w, (d_in, w))
-                arrays[f"mlp{t}.{l}.b"] = _glorot(rng, d_in, w, (w,))
-        else:
-            arrays[f"W{l}"] = _glorot(rng, d_in, d_out, (S, d_in, d_out))
-            arrays[f"b{l}"] = _glorot(rng, d_in, d_out, (d_out,))
-    if spec.kind == "gnnml3":
-        Sn = spec.support_spec.S
-        for t in (1, 2, 3):
-            arrays[f"mlp{t}.W"] = _glorot(rng, Sn, 2 * Sn, (Sn, 2 * Sn))
-            arrays[f"mlp{t}.b"] = _glorot(rng, Sn, 2 * Sn, (2 * Sn,))
-        arrays["mlp4.W"] = _glorot(rng, 4 * Sn, Sn, (4 * Sn, Sn))
-        arrays["mlp4.b"] = _glorot(rng, 4 * Sn, Sn, (Sn,))
-    arrays["final"] = _glorot(rng, dims[-1], EMBED_DIM, (dims[-1], EMBED_DIM))
+    for name, shape, fan_in, fan_out in _schema(spec, spec.resolved_width()):
+        a = gain * np.sqrt(6.0 / (fan_in + fan_out))
+        arrays[name] = rng.uniform(-a, a, size=shape)
     return WeightSet(seed=seed, arrays=arrays)
 
 
@@ -201,38 +143,11 @@ def _leaky(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
 
 
-def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
+def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray] | SupportSet:
     """Fixed convolution supports of one graph (everything except GAT's
-    attention and GNNML3's learned part, which depend on the weights)."""
-    A = G.adjacency
-    n = G.n
-    I = np.eye(n)
-    kind = spec.kind
-    if kind == "mlp":
-        return [I]
-    if kind == "gcn":
-        d = degree_vector(G).ravel()
-        s = 1.0 / np.sqrt(d + 1.0)
-        return [s[:, None] * (A + I) * s[None, :]]
-    if kind == "graphsage":
-        d = degree_vector(G).ravel()
-        inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-        return [I, inv[:, None] * A]
-    if kind == "gin":
-        return [A + (1.0 + spec.gin_eps) * I]
-    if kind == "gat":
-        return [A + I]  # attention is computed over this neighborhood
-    if kind == "chebnet":
-        lam_max = float(eig_sym(laplacian(G)).lam[-1])
-        C = [I, 2.0 / lam_max * laplacian(G) - I]
-        while len(C) < spec.cheb_k:
-            C.append(2.0 * C[1] @ C[-1] - C[-2])
-        return C
-    if kind == "gnnml1":
-        return [A]
-    if kind == "gnnml3":
-        return list(build_supports(G, spec.support_spec).dense(n))
-    raise ValueError(kind)
+    attention and GNNML3's learned part, which depend on the weights).
+    For GNNML3 this is the sparse SupportSet the learned part reads."""
+    return MODELS[spec.kind].supports(spec, G)
 
 
 def gat_support(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
@@ -251,55 +166,180 @@ def gat_support(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# --- the model table ---------------------------------------------------------
+
+
+def _gcn_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
+    s = 1.0 / np.sqrt(degree_vector(G).ravel() + 1.0)
+    return [s[:, None] * (G.adjacency + np.eye(G.n)) * s[None, :]]
+
+
+def _graphsage_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
+    d = degree_vector(G).ravel()
+    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    return [np.eye(G.n), inv[:, None] * G.adjacency]
+
+
+def _chebnet_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
+    I, L = np.eye(G.n), laplacian(G)
+    lam_max = float(eig_sym(L).lam[-1])
+    C = [I, 2.0 / lam_max * L - I]
+    while len(C) < spec.cheb_k:
+        C.append(2.0 * C[1] @ C[-1] - C[-2])
+    return C
+
+
+def _conv_layer(num_supports: Callable[[ModelSpec], int]) -> Callable:
+    """Schema of relu(sum_s C_s H W_s + b): one d_in x width block per support."""
+    return lambda spec, l, d, w: [
+        (f"W{l}", (num_supports(spec), d, w), d, w), (f"b{l}", (w,), d, w)]
+
+
+def _conv(C: np.ndarray, H: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_s C^(s) H W_s for C (B,S,n,n), H (B,n,d), W (S,d,e)."""
+    out = (C[:, 0] @ H) @ W[0]
+    for s in range(1, C.shape[1]):
+        out += (C[:, s] @ H) @ W[s]
+    return out
+
+
+def _conv_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    return _relu(_conv(C, H, w[f"W{l}"]) + w[f"b{l}"])
+
+
+def _gin_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+    """Biased 2-layer MLP after the aggregation."""
+    return [(f"W{l}.0", (d, w), d, w), (f"b{l}.0", (w,), d, w),
+            (f"W{l}.1", (w, w), w, w), (f"b{l}.1", (w,), w, w)]
+
+
+def _gin_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    inner = _relu(C[:, 0] @ H @ w[f"W{l}.0"] + w[f"b{l}.0"])
+    return _relu(inner @ w[f"W{l}.1"] + w[f"b{l}.1"])
+
+
+def _gat_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+    """Transform, attention vector over (source, target), bias."""
+    return [(f"W{l}", (d, w), d, w), (f"a{l}", (2 * w,), 2 * w, 1),
+            (f"b{l}", (w,), d, w)]
+
+
+def _gat_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    att = gat_support(H, w[f"W{l}"], w[f"a{l}"], C[:, 0])
+    return _relu(att @ H @ w[f"W{l}"] + w[f"b{l}"])
+
+
+def _gnnml1_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+    return [(f"W{l}.{t}", (d, w), d, w) for t in range(4)] + [(f"b{l}", (w,), d, w)]
+
+
+def _gnnml1_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Identity and adjacency (C_0 = A) terms plus a Hadamard product."""
+    return _relu(
+        H @ w[f"W{l}.0"]
+        + C[:, 0] @ H @ w[f"W{l}.1"]
+        + (H @ w[f"W{l}.2"]) * (H @ w[f"W{l}.3"])
+        + w[f"b{l}"]
+    )
+
+
+def _gnnml3_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+    """Learned-support convolution, then the two MLPs of the Hadamard part."""
+    S = spec.support_spec.S
+    return [(f"W{l}", (S, d, w), d, w), (f"b{l}", (w,), d, w)] + [
+        (f"mlp{t}.{l}.{p}", shape, d, w)
+        for t in (5, 6) for p, shape in (("W", (d, w)), ("b", (w,)))]
+
+
+def _gnnml3_head(spec: ModelSpec) -> list[Entry]:
+    """mlp1..3 map edge features to 2S, mlp4 maps their mix to S supports."""
+    S = spec.support_spec.S
+    return [
+        (f"mlp{t}.{p}", shape, S, 2 * S)
+        for t in (1, 2, 3) for p, shape in (("W", (S, 2 * S)), ("b", (2 * S,)))
+    ] + [("mlp4.W", (4 * S, S), 4 * S, S), ("mlp4.b", (S,), 4 * S, S)]
+
+
+def _gnnml3_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Each layer emits width (conv part) + width (Hadamard part)."""
+    conv = _conv(C, H, w[f"W{l}"]) + w[f"b{l}"]
+    h5 = H @ w[f"mlp5.{l}.W"] + w[f"mlp5.{l}.b"]
+    h6 = H @ w[f"mlp6.{l}.W"] + w[f"mlp6.{l}.b"]
+    return _relu(np.concatenate([conv, h5 * h6], axis=-1))
+
+
+MODELS: dict[str, Model] = {
+    "mlp": Model(lambda spec, G: [np.eye(G.n)], _conv_layer(lambda spec: 1),
+                 _conv_update),
+    "gcn": Model(_gcn_supports, _conv_layer(lambda spec: 1), _conv_update, gain=0.57),
+    "graphsage": Model(_graphsage_supports, _conv_layer(lambda spec: 2), _conv_update,
+                       gain=0.345),
+    "gin": Model(lambda spec, G: [G.adjacency + (1.0 + spec.gin_eps) * np.eye(G.n)],
+                 _gin_layer, _gin_update),
+    # attention is computed over the self-connected neighborhood
+    "gat": Model(lambda spec, G: [G.adjacency + np.eye(G.n)], _gat_layer, _gat_update,
+                 gain=0.64),
+    "chebnet": Model(_chebnet_supports, _conv_layer(lambda spec: spec.cheb_k),
+                     _conv_update),
+    "gnnml1": Model(lambda spec, G: [G.adjacency], _gnnml1_layer, _gnnml1_update),
+    "gnnml3": Model(lambda spec, G: build_supports(G, spec.support_spec), _gnnml3_layer,
+                    _gnnml3_update, emits=2, head=_gnnml3_head),
+}
+MODEL_KINDS = tuple(MODELS)
+
+
+# --- batched forward pass ----------------------------------------------------
+
+
 @dataclass(frozen=True)
 class PreparedGraph:
     """Per-graph precomputation shared by all random-weight runs."""
 
     n: int
     features: np.ndarray  # n x 1 degree features
-    supports: np.ndarray  # S x n x n static supports
-    adjacency: np.ndarray
-    support_set: SupportSet | None = None  # GNNML3 sparse edge features
+    supports: np.ndarray | SupportSet  # S x n x n static supports, or GNNML3's set
 
 
 def prepare(spec: ModelSpec, G: Graph) -> PreparedGraph:
     feats = G.node_features if G.node_features is not None else degree_vector(G)
-    ss = build_supports(G, spec.support_spec) if spec.kind == "gnnml3" else None
-    if spec.kind == "gnnml3":
-        supports = np.zeros((0, G.n, G.n))  # learned per run from support_set
-    else:
-        supports = np.stack(static_supports(spec, G))
-    return PreparedGraph(
-        n=G.n,
-        features=feats.astype(np.float64),
-        supports=supports,
-        adjacency=G.adjacency,
-        support_set=ss,
-    )
+    supports = static_supports(spec, G)
+    if not isinstance(supports, SupportSet):
+        supports = np.stack(supports)
+    return PreparedGraph(n=G.n, features=feats.astype(np.float64), supports=supports)
 
 
 class _StackedGroup:
     """Equal-order graphs stacked into contiguous batch arrays."""
 
-    def __init__(self, spec: ModelSpec, indices: list[int], batch):
+    def __init__(self, indices: list[int], batch: list[PreparedGraph]):
         self.indices = np.array(indices)
         self.n = batch[0].n
         self.H0 = np.stack([p.features for p in batch])
-        self.A = np.stack([p.adjacency for p in batch])
-        self.C = np.stack([p.supports for p in batch])
-        if spec.kind == "gnnml3":
-            # flat scatter indices: edge-feature row t of graph b lands at
-            # dense position (b, :, r, c)
-            self.edge_rows = np.concatenate(
-                [p.support_set.features for p in batch], axis=0
-            )
-            b_idx, r_idx, c_idx = [], [], []
-            for b, p in enumerate(batch):
-                for r, c in p.support_set.mask_index:
-                    b_idx.append(b)
-                    r_idx.append(r)
-                    c_idx.append(c)
-            self.scatter = (np.array(b_idx), np.array(r_idx), np.array(c_idx))
+        if isinstance(batch[0].supports, SupportSet):
+            # edge-feature row t of graph b lands at dense position (b, :, r, c)
+            sets = [p.supports for p in batch]
+            self.edge_rows = np.concatenate([s.features for s in sets], axis=0)
+            rc = np.concatenate([np.reshape(s.mask_index, (-1, 2)) for s in sets])
+            b_idx = np.repeat(np.arange(len(sets)), [s.m for s in sets])
+            self.scatter = (b_idx, rc[:, 0], rc[:, 1])
+            self.C = None
+        else:
+            self.C = np.stack([p.supports for p in batch])
+
+    def supports(self, weights: WeightSet) -> np.ndarray:
+        """(B, S, n, n) supports: the static ones, or GNNML3's learned
+        masked supports (Eq. 8), which depend on the weights."""
+        if self.C is not None:
+            return self.C
+        rows = self.edge_rows
+        x1, x2, x3 = (_sigmoid(rows @ weights[f"mlp{t}.W"] + weights[f"mlp{t}.b"])
+                      for t in (1, 2, 3))
+        C_vec = _relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"]
+                      + weights["mlp4.b"])
+        out = np.zeros((len(self.indices), C_vec.shape[1], self.n, self.n))
+        b_idx, r_idx, c_idx = self.scatter
+        out[b_idx, :, r_idx, c_idx] = C_vec
+        return out
 
 
 class DatasetBatch:
@@ -317,8 +357,7 @@ class DatasetBatch:
         for i, p in enumerate(prepared):
             by_n.setdefault(p.n, []).append(i)
         self.groups = [
-            _StackedGroup(spec, idx, [prepared[i] for i in idx])
-            for idx in by_n.values()
+            _StackedGroup(idx, [prepared[i] for i in idx]) for idx in by_n.values()
         ]
 
     def subset(self, indices: list[int]) -> "DatasetBatch":
@@ -328,10 +367,12 @@ class DatasetBatch:
         """Embeddings of every graph, shape (N, 10) (or (N, d) readouts)."""
         spec = self.spec
         weights = make_weights(spec, seed)
-        d_out = _layer_dims(spec, spec.resolved_width())[-1]
-        out = np.empty((self.size, d_out))
+        update = MODELS[spec.kind].update
+        out = np.empty((self.size, len(weights["final"])))
         for grp in self.groups:
-            H = _forward_stacked(spec, weights, grp)
+            H, C = grp.H0, grp.supports(weights)
+            for l in range(spec.layers):
+                H = update(weights, l, H, C)
             out[grp.indices] = (
                 H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
             )
@@ -340,78 +381,9 @@ class DatasetBatch:
         return out
 
 
-def _learned_supports(
-    spec: ModelSpec, weights: WeightSet, grp: _StackedGroup
-) -> np.ndarray:
-    """GNNML3 Eq. (8): edge features -> S learned masked supports, (B,S,n,n)."""
-    rows = grp.edge_rows
-    x1 = _sigmoid(rows @ weights["mlp1.W"] + weights["mlp1.b"])
-    x2 = _sigmoid(rows @ weights["mlp2.W"] + weights["mlp2.b"])
-    x3 = _sigmoid(rows @ weights["mlp3.W"] + weights["mlp3.b"])
-    C_vec = _relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"]
-                  + weights["mlp4.b"])
-    B, n = grp.A.shape[0], grp.n
-    out = np.zeros((B, C_vec.shape[1], n, n))
-    b_idx, r_idx, c_idx = grp.scatter
-    out[b_idx, :, r_idx, c_idx] = C_vec
-    return out
-
-
-def _conv(C: np.ndarray, H: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sum_s C^(s) H W_s for C (B,S,n,n), H (B,n,d), W (S,d,e)."""
-    out = (C[:, 0] @ H) @ W[0]
-    for s in range(1, C.shape[1]):
-        out += (C[:, s] @ H) @ W[s]
-    return out
-
-
-def _forward_stacked(
-    spec: ModelSpec, weights: WeightSet, grp: _StackedGroup
-) -> np.ndarray:
-    """Node representations H^(L) for one stacked group, shape (B,n,d)."""
-    H = grp.H0
-    C = grp.C
-    if spec.kind == "gnnml3":
-        C = _learned_supports(spec, weights, grp)
-    for l in range(spec.layers):
-        if spec.kind == "gin":
-            agg = C[:, 0] @ H
-            inner = _relu(agg @ weights[f"W{l}.0"] + weights[f"b{l}.0"])
-            H = _relu(inner @ weights[f"W{l}.1"] + weights[f"b{l}.1"])
-        elif spec.kind == "gat":
-            att = gat_support(H, weights[f"W{l}"], weights[f"a{l}"], C[:, 0])
-            H = _relu(att @ H @ weights[f"W{l}"] + weights[f"b{l}"])
-        elif spec.kind == "gnnml1":
-            H = _relu(
-                H @ weights[f"W{l}.0"]
-                + grp.A @ H @ weights[f"W{l}.1"]
-                + (H @ weights[f"W{l}.2"]) * (H @ weights[f"W{l}.3"])
-                + weights[f"b{l}"]
-            )
-        elif spec.kind == "gnnml3":
-            conv = _conv(C, H, weights[f"W{l}"]) + weights[f"b{l}"]
-            h5 = H @ weights[f"mlp5.{l}.W"] + weights[f"mlp5.{l}.b"]
-            h6 = H @ weights[f"mlp6.{l}.W"] + weights[f"mlp6.{l}.b"]
-            H = _relu(np.concatenate([conv, h5 * h6], axis=-1))
-        else:
-            H = _relu(_conv(C, H, weights[f"W{l}"]) + weights[f"b{l}"])
-    return H
-
-
-def forward(spec: ModelSpec, weights: WeightSet, G: Graph) -> np.ndarray:
-    """Final node representation H^(L) of a single graph, shape (n, d)."""
-    grp = _StackedGroup(spec, [0], [prepare(spec, G)])
-    return _forward_stacked(spec, weights, grp)[0]
-
-
-def embed_prepared(spec: ModelSpec, prepared, seed: int) -> np.ndarray:
-    """Embeddings of prepared graphs (any mix of orders), shape (N, 10)."""
-    return DatasetBatch(spec, list(prepared)).embed_all(seed)
-
-
 def embed(spec: ModelSpec, G: Graph, seed: int) -> np.ndarray:
     """10-dimensional sum-readout embedding under seed-derived weights."""
-    return embed_prepared(spec, [prepare(spec, G)], seed)[0]
+    return DatasetBatch(spec, [prepare(spec, G)]).embed_all(seed)[0]
 
 
 def splitmix64(x: int) -> int:
@@ -436,9 +408,9 @@ def pair_distinguished(
     """True iff Manhattan embedding distance exceeds threshold in any run."""
     if not seeds:
         raise ValueError("at least one seed required")
-    pg, ph = prepare(spec, G), prepare(spec, H)
+    batch = DatasetBatch(spec, [prepare(spec, G), prepare(spec, H)])
     for seed in seeds:
-        e = embed_prepared(spec, [pg, ph], seed)
+        e = batch.embed_all(seed)
         if float(np.abs(e[0] - e[1]).sum()) > threshold:
             return True
     return False

@@ -150,15 +150,17 @@ def build_supports(G: Graph, spec: SupportSpec = SupportSpec()) -> SupportSet:
     Each support is U diag(Phi_s(lambda)) U^T restricted to the 1-hop
     mask M = A + I. The all-pass support (response identically 1)
     reconstructs the identity, so its masked entries are 1 on the
-    diagonal, 0 on edges.
+    diagonal, 0 on edges. A degenerate spectrum (edgeless graphs, n = 1)
+    has the single center lam_min, which is repeated so that the set
+    always holds S supports.
     """
     basis = eig_sym(basis_matrix(G, spec.basis_kind))
     M = G.adjacency + np.eye(G.n)
     positions = mask_positions(M)
-    centers = band_centers(
-        float(basis.lam[0]), float(basis.lam[-1]),
-        spec.S if spec.include_allpass else spec.S + 1,
-    )
+    bands = spec.S - 1 if spec.include_allpass else spec.S
+    centers = band_centers(float(basis.lam[0]), float(basis.lam[-1]), bands + 1)
+    if len(centers) == 1:
+        centers *= bands
     columns = []
     for f_s in centers:
         C = basis.reconstruct(frequency_response(basis.lam, spec.b, f_s))

@@ -37,6 +37,10 @@ class ColorRegistry:
 _DEFAULT_REGISTRY = ColorRegistry()
 
 
+def _histogram(colors) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(colors).items()))
+
+
 @dataclass(frozen=True)
 class ColorPartition:
     arity: int
@@ -46,7 +50,7 @@ class ColorPartition:
     @property
     def histogram(self) -> tuple[tuple[int, int], ...]:
         """Sorted (color, count) pairs; totals n (arity 1) or n^2 (arity 2)."""
-        return tuple(sorted(Counter(self.colors).items()))
+        return _histogram(self.colors)
 
     @property
     def signature(self) -> str:
@@ -69,6 +73,27 @@ def _neighbors(G: Graph) -> list[np.ndarray]:
     return [np.flatnonzero(G.adjacency[v]) for v in range(G.n)]
 
 
+def _wl1_refine(
+    G: Graph, reg: ColorRegistry, rounds: int, init: list[int] | None = None
+):
+    """1-WL engine; yields the vertex colors of every round, initial first."""
+    n = G.n
+    if init is None:
+        colors = [reg.intern(("init", 0))] * n
+    else:
+        if len(init) != n:
+            raise ValueError(f"init has {len(init)} entries, expected {n}")
+        colors = [reg.intern(("init", c)) for c in init]
+    yield colors
+    nbrs = _neighbors(G)
+    for _ in range(rounds):
+        colors = [
+            reg.intern((colors[v], tuple(sorted(colors[u] for u in nbrs[v]))))
+            for v in range(n)
+        ]
+        yield colors
+
+
 def wl1_canonical(
     G: Graph,
     init: list[int] | None = None,
@@ -82,25 +107,14 @@ def wl1_canonical(
     comparable across graphs sharing the registry.
     """
     reg = registry if registry is not None else _DEFAULT_REGISTRY
-    n = G.n
-    if init is None:
-        colors = [reg.intern(("init", 0))] * n
-    else:
-        if len(init) != n:
-            raise ValueError(f"init has {len(init)} entries, expected {n}")
-        colors = [reg.intern(("init", c)) for c in init]
-    nbrs = _neighbors(G)
-    total = n if rounds is None else rounds
-    for _ in range(total):
-        colors = [
-            reg.intern((colors[v], tuple(sorted(colors[u] for u in nbrs[v]))))
-            for v in range(n)
-        ]
+    total = G.n if rounds is None else rounds
+    *_, colors = _wl1_refine(G, reg, total, init)
     return ColorPartition(arity=1, colors=tuple(colors), iterations=total)
 
 
 def _pair_refine(G: Graph, reg: ColorRegistry, rounds: int, folklore: bool):
-    """Shared engine for 2-WL and 2-FWL; yields the histogram per round."""
+    """Shared engine for 2-WL and 2-FWL; yields the pair colors of every
+    round, initial first, flattened row-major."""
     n = G.n
     A = G.adjacency
     colors = [
@@ -112,7 +126,7 @@ def _pair_refine(G: Graph, reg: ColorRegistry, rounds: int, folklore: bool):
         ]
         for v in range(n)
     ]
-    yield colors
+    yield [c for row in colors for c in row]
     for _ in range(rounds):
         if folklore:
             new = [
@@ -142,7 +156,7 @@ def _pair_refine(G: Graph, reg: ColorRegistry, rounds: int, folklore: bool):
                 for v in range(n)
             ]
         colors = new
-        yield colors
+        yield [c for row in colors for c in row]
 
 
 def _pair_partition(
@@ -150,11 +164,8 @@ def _pair_partition(
 ) -> ColorPartition:
     reg = registry if registry is not None else _DEFAULT_REGISTRY
     total = G.n if rounds is None else rounds
-    colors = None
-    for colors in _pair_refine(G, reg, total, folklore):
-        pass
-    flat = tuple(c for row in colors for c in row)
-    return ColorPartition(arity=2, colors=flat, iterations=total)
+    *_, colors = _pair_refine(G, reg, total, folklore)
+    return ColorPartition(arity=2, colors=tuple(colors), iterations=total)
 
 
 def wl2_canonical(G: Graph, registry=None, rounds=None) -> ColorPartition:
@@ -171,38 +182,18 @@ def _pair_test(G: Graph, H: Graph, test: str) -> PairVerdict:
         return PairVerdict(equivalent=False, test=test, separating_iteration=0)
     reg = ColorRegistry()
     rounds = max(G.n, H.n)
-    if test == "WL1":
-        hist_g = _wl1_rounds(G, reg, rounds)
-        hist_h = _wl1_rounds(H, reg, rounds)
-    else:
-        folklore = test == "FWL2"
-        hist_g = [
-            tuple(sorted(Counter(c for row in cs for c in row).items()))
-            for cs in _pair_refine(G, reg, rounds, folklore)
-        ]
-        hist_h = [
-            tuple(sorted(Counter(c for row in cs for c in row).items()))
-            for cs in _pair_refine(H, reg, rounds, folklore)
-        ]
+
+    def histograms(F: Graph) -> list:
+        if test == "WL1":
+            return [_histogram(c) for c in _wl1_refine(F, reg, rounds)]
+        return [_histogram(c) for c in _pair_refine(F, reg, rounds, test == "FWL2")]
+
+    hist_g = histograms(G)  # G fully before H: the registry's intern order
+    hist_h = histograms(H)
     for t, (hg, hh) in enumerate(zip(hist_g, hist_h)):
         if hg != hh:
             return PairVerdict(equivalent=False, test=test, separating_iteration=t)
     return PairVerdict(equivalent=True, test=test)
-
-
-def _wl1_rounds(G: Graph, reg: ColorRegistry, rounds: int):
-    hists = []
-    n = G.n
-    colors = [reg.intern(("init", 0))] * n
-    nbrs = _neighbors(G)
-    hists.append(tuple(sorted(Counter(colors).items())))
-    for _ in range(rounds):
-        colors = [
-            reg.intern((colors[v], tuple(sorted(colors[u] for u in nbrs[v]))))
-            for v in range(n)
-        ]
-        hists.append(tuple(sorted(Counter(colors).items())))
-    return hists
 
 
 def wl1_equivalent(G: Graph, H: Graph) -> PairVerdict:

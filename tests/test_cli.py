@@ -1,11 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from matgraph import models
 from matgraph.cli import main
 from matgraph.graphcore import Graph, encode_graph6
-
-
 
 
 @pytest.fixture()
@@ -104,6 +104,59 @@ class TestDistinguish:
         assert code == 0
         payload = json.loads(out)
         assert "gcn" in payload["counts"]
+
+    def test_config_file_settings_apply(self, capsys, tmp_path, small_dataset):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs = 1\nthreshold = 0.5\nmodels = gcn\n")
+        code, out = run_cli(
+            capsys,
+            "--format", "json", "--config", str(cfg), "distinguish", small_dataset,
+        )
+        assert code == 0
+        extras = json.loads(out)["extras"]
+        assert extras["runs"] == 1
+        assert extras["threshold"] == 0.5
+
+    def test_flag_overrides_config_file(self, capsys, tmp_path, small_dataset):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs = 1\nthreshold = 0.5\nmodels = gcn\n")
+        code, out = run_cli(
+            capsys, "--format", "json", "--config", str(cfg),
+            "distinguish", small_dataset, "--runs", "2",
+        )
+        assert code == 0
+        extras = json.loads(out)["extras"]
+        assert extras["runs"] == 2
+        assert extras["threshold"] == 0.5
+
+    def test_unknown_config_key(self, capsys, tmp_path, small_dataset):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("bogus = 3\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "bogus" in err
+
+    def test_unknown_model_is_usage_error(self, capsys, small_dataset):
+        code = main(["distinguish", small_dataset, "--models", "gcn,bogus"])
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_model_failure_exits_one(self, capsys, monkeypatch, small_dataset):
+        def broken(w, l, H, C):
+            raise RuntimeError("boom")
+
+        gin = replace(models.MODELS["gin"], update=broken)
+        monkeypatch.setitem(models.MODELS, "gin", gin)
+        code = main(["--format", "json", "distinguish", small_dataset,
+                     "--models", "gcn,gin", "--runs", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(captured.out)
+        assert "gcn" in payload["counts"]
+        assert payload["extras"]["error:gin"] == "boom"
+        assert captured.err == "error: gin: boom\n"
 
 
 class TestUsage:
