@@ -59,8 +59,20 @@ class Graph:
         return cls(A)
 
 
+def _graph6_order(data: bytes) -> tuple[int, int]:
+    """Order n and header length of a graph6 string: one byte n + 63 for
+    n <= 62, else `~` and n in three big-endian 6-bit groups."""
+    if data[0] != 126:
+        return data[0] - 63, 1
+    if data[1:2] == b"~":
+        raise GraphFormatError("graph6 headers for n > 258047 are not supported")
+    if len(data) < 4:
+        raise GraphFormatError("truncated graph6 header")
+    return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (node counts up to 62 only)."""
+    """Decode one graph6 line (node counts up to 258047)."""
     s = text.strip()
     if not s:
         raise GraphFormatError("empty graph6 string")
@@ -68,21 +80,19 @@ def parse_graph6(text: str) -> Graph:
     for off, b in enumerate(data):
         if not 63 <= b <= 126:
             raise GraphFormatError(f"character outside [63,126] at byte offset {off}")
-    n = data[0] - 63
-    if n == 63:
-        raise GraphFormatError("multi-byte graph6 headers (n > 62) are not supported")
+    n, head = _graph6_order(data)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(data) - 1 != need:
+    if len(data) - head != need:
         raise GraphFormatError(
-            f"payload length {len(data) - 1} does not match n={n} (expected {need})"
+            f"payload length {len(data) - head} does not match n={n} (expected {need})"
         )
     bits = []
-    for b in data[1:]:
+    for b in data[head:]:
         v = b - 63
         bits.extend((v >> k) & 1 for k in range(5, -1, -1))
     if any(bits[nbits:]):
-        off = 1 + nbits // 6
+        off = head + nbits // 6
         raise GraphFormatError(f"nonzero trailing bits at byte offset {off}")
     A = np.zeros((n, n))
     k = 0
@@ -97,15 +107,18 @@ def parse_graph6(text: str) -> Graph:
 def encode_graph6(G: Graph) -> str:
     """Inverse of parse_graph6 (used for round-trip checks)."""
     n = G.n
-    if n > 62:
-        raise GraphFormatError("only n <= 62 supported")
+    if n > 258047:
+        raise GraphFormatError("only n <= 258047 supported")
     bits = []
     for j in range(1, n):
         for i in range(j):
             bits.append(int(G.adjacency[i, j]))
     while len(bits) % 6:
         bits.append(0)
-    chars = [chr(n + 63)]
+    if n <= 62:
+        chars = [chr(n + 63)]
+    else:
+        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         v = 0
         for b in bits[k : k + 6]:
@@ -119,19 +132,22 @@ def degree_vector(G: Graph) -> np.ndarray:
     return G.adjacency.sum(axis=1, keepdims=True)
 
 
-def laplacian(G: Graph, kind: str = "normalized") -> np.ndarray:
-    """Graph Laplacian: D - A, or I - D^{-1/2} A D^{-1/2}.
+def laplacian(G: Graph | np.ndarray, kind: str = "normalized") -> np.ndarray:
+    """Graph Laplacian: D - A, or I - D^{-1/2} A D^{-1/2}, of a graph or of
+    every adjacency in a (..., n, n) stack.
 
     Isolated nodes get a pseudo-inverse scaling entry of 0, which keeps the
     normalized Laplacian symmetric positive semidefinite.
     """
-    d = G.adjacency.sum(axis=1)
+    A = G.adjacency if isinstance(G, Graph) else G
+    I = np.eye(A.shape[-1])
+    d = A.sum(axis=-1)
     if kind == "combinatorial":
-        return np.diag(d) - G.adjacency
+        return I * d[..., :, None] - A
     if kind == "normalized":
         with np.errstate(divide="ignore"):
             dinv = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-        return np.eye(G.n) - dinv[:, None] * G.adjacency * dinv[None, :]
+        return I - dinv[..., :, None] * A * dinv[..., None, :]
     raise ValueError(f"unknown laplacian kind: {kind!r}")
 
 

@@ -27,7 +27,6 @@ from matgraph.models import (
     MODEL_KINDS,
     DatasetBatch,
     ModelSpec,
-    prepare,
     run_seeds,
     static_supports,
 )
@@ -150,8 +149,9 @@ def lambda_census(graphs: list[Graph]) -> PairReport:
     return report
 
 
-def _candidate_pairs(emb: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    """All unordered pairs with Manhattan distance <= threshold.
+def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
+    """All unordered pairs with Manhattan distance <= threshold, as a
+    (P, 2) array of (i, j) with i < j.
 
     Sort-window scan on coordinate 0: a pair within L1 distance t is
     within t on every single coordinate, so only pairs inside the sorted
@@ -159,18 +159,23 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> list[tuple[int, int]]
     """
     order = np.argsort(emb[:, 0], kind="stable")
     sorted_emb = emb[order]
-    N = len(emb)
-    out = []
+    x = sorted_emb[:, 0].tolist()
+    lows, highs, counts = [], [], []
     j = 0
-    for i in range(N):
-        while sorted_emb[i, 0] - sorted_emb[j, 0] > threshold:
+    for i in range(len(x)):
+        while x[i] - x[j] > threshold:
             j += 1
         if i > j:
             d = np.abs(sorted_emb[j:i] - sorted_emb[i]).sum(axis=1)
-            for k in np.flatnonzero(d <= threshold):
-                a, b = int(order[j + k]), int(order[i])
-                out.append((a, b) if a < b else (b, a))
-    return out
+            hit = np.flatnonzero(d <= threshold)
+            if len(hit):
+                lows.append(hit + j)
+                highs.append(i)
+                counts.append(len(hit))
+    if not lows:
+        return np.empty((0, 2), dtype=np.int64)
+    pos = np.stack([np.concatenate(lows), np.repeat(highs, counts)], axis=1)
+    return np.sort(order[pos], axis=1)
 
 
 def undistinguished_pairs(
@@ -178,7 +183,6 @@ def undistinguished_pairs(
     graphs: list[Graph],
     seeds: list[int],
     threshold: float,
-    prepared=None,
 ) -> list[tuple[int, int]]:
     """Pairs whose embeddings stay within threshold in every run.
 
@@ -186,25 +190,23 @@ def undistinguished_pairs(
     appearing in surviving pairs are re-embedded, shrinking the batch
     whenever the active set halves.
     """
-    if prepared is None:
-        prepared = [prepare(spec, G) for G in graphs]
-    batch = DatasetBatch(spec, prepared)
-    emb = batch.embed_all(seeds[0])
-    pairs = np.array(_candidate_pairs(emb, threshold), dtype=np.int64).reshape(-1, 2)
-    local = np.arange(len(prepared))  # dataset index -> position in batch
+    batch = DatasetBatch(spec, graphs)
+    pairs = _candidate_pairs(batch.embed_all(seeds[0]), threshold)
+    local = np.arange(len(graphs))  # dataset index -> position in batch
     for seed in seeds[1:]:
         if len(pairs) == 0:
             break
         active = np.unique(pairs)  # dataset indices, always a subset of batch
         if len(active) <= batch.size // 2:
             batch = batch.subset(local[active].tolist())
-            remap = np.full(len(prepared), -1)
+            remap = np.full(len(graphs), -1)
             remap[active] = np.arange(len(active))
             local = remap
         emb = batch.embed_all(seed)
         d = np.abs(emb[local[pairs[:, 0]]] - emb[local[pairs[:, 1]]]).sum(axis=1)
         pairs = pairs[d <= threshold]
-    return sorted((int(i), int(j)) for i, j in pairs)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return list(map(tuple, pairs.tolist()))
 
 
 def naive_undistinguished_pairs(
@@ -213,7 +215,7 @@ def naive_undistinguished_pairs(
     """All-pairs oracle for the bucketed engine (small datasets only)."""
     if len(graphs) > 500:
         raise ValueError("naive oracle limited to 500 graphs")
-    batch = DatasetBatch(spec, [prepare(spec, G) for G in graphs])
+    batch = DatasetBatch(spec, graphs)
     n = len(graphs)
     alive = {(i, j) for i in range(n) for j in range(i + 1, n)}
     for seed in seeds:

@@ -17,8 +17,16 @@ half-width sqrt(6/(fan_in+fan_out))) and the resulting 10-dimensional
 sum-readout embeddings are compared across graphs. Determinism: the
 whole WeightSet is regenerable bit-exactly from its 64-bit seed.
 
-For dataset-scale runs, graphs of equal order are stacked into (B, n, n)
-support tensors and pushed through the layers batched.
+For dataset-scale runs, `DatasetBatch` groups the graphs by order. Each
+order bucket stacks its adjacencies (B, n, n) once and its kind's support
+builder runs over the whole stack: elementwise formulas, one stacked
+eigendecomposition (Chebnet, GNNML3). The one-graph helpers
+`static_supports` and `spectral.build_supports` are the B = 1 case of the
+same builders. The forward pass then runs every layer and the readout on
+TILE_NODES nodes' worth of a bucket at a time, so that a layer's
+temporaries stay cache-sized instead of growing with the dataset. Tiles
+split a bucket between graphs; the embeddings are bit-identical to an
+untiled pass.
 """
 
 from __future__ import annotations
@@ -30,11 +38,12 @@ from typing import Callable
 
 import numpy as np
 
-from matgraph.graphcore import Graph, degree_vector, laplacian
-from matgraph.spectral import SupportSet, SupportSpec, build_supports, eig_sym
+from matgraph.graphcore import Graph, laplacian
+from matgraph.spectral import SupportSet, SupportSpec, build_supports, eig_sym, stacked_supports
 
 PARAM_BUDGET = 30_000
 EMBED_DIM = 10
+TILE_NODES = 1024  # nodes per forward-pass tile: 128 graphs of order 8
 
 # (name, shape, fan_in, fan_out) of one weight array
 Entry = tuple[str, tuple[int, ...], int, int]
@@ -72,7 +81,9 @@ class ModelSpec:
 class Model:
     """One model kind: its supports, its weights and its layer update."""
 
-    supports: Callable  # (spec, G) -> static n x n supports, or GNNML3's SupportSet
+    # (spec, A (B,n,n)) -> (B,S,n,n) static supports of the stack, or GNNML3's
+    # stacked_supports (features, (b, r, c), centers)
+    supports: Callable
     layer: Callable  # (spec, l, d_in, width) -> schema of layer l, in draw order
     update: Callable  # (weights, l, H (B,n,d), C (B,S,n,n)) -> H after layer l
     emits: int = 1  # width of a layer's output, in multiples of `width`
@@ -147,7 +158,9 @@ def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray] | SupportSet:
     """Fixed convolution supports of one graph (everything except GAT's
     attention and GNNML3's learned part, which depend on the weights).
     For GNNML3 this is the sparse SupportSet the learned part reads."""
-    return MODELS[spec.kind].supports(spec, G)
+    if spec.kind == "gnnml3":
+        return build_supports(G, spec.support_spec)
+    return list(MODELS[spec.kind].supports(spec, G.adjacency[None])[0])
 
 
 def gat_support(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
@@ -169,24 +182,29 @@ def gat_support(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
 # --- the model table ---------------------------------------------------------
 
 
-def _gcn_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
-    s = 1.0 / np.sqrt(degree_vector(G).ravel() + 1.0)
-    return [s[:, None] * (G.adjacency + np.eye(G.n)) * s[None, :]]
+def _stack(A: np.ndarray, *C: np.ndarray) -> np.ndarray:
+    """(B, S, n, n) supports of the stack A, one per C (each (B,n,n) or n x n)."""
+    return np.stack([np.broadcast_to(c, A.shape) for c in C], axis=1)
 
 
-def _graphsage_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
-    d = degree_vector(G).ravel()
+def _gcn_supports(spec: ModelSpec, A: np.ndarray) -> np.ndarray:
+    s = 1.0 / np.sqrt(A.sum(axis=-1) + 1.0)
+    return _stack(A, s[:, :, None] * (A + np.eye(A.shape[-1])) * s[:, None, :])
+
+
+def _graphsage_supports(spec: ModelSpec, A: np.ndarray) -> np.ndarray:
+    d = A.sum(axis=-1)
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-    return [np.eye(G.n), inv[:, None] * G.adjacency]
+    return _stack(A, np.eye(A.shape[-1]), inv[:, :, None] * A)
 
 
-def _chebnet_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
-    I, L = np.eye(G.n), laplacian(G)
-    lam_max = float(eig_sym(L).lam[-1])
+def _chebnet_supports(spec: ModelSpec, A: np.ndarray) -> np.ndarray:
+    I, L = np.eye(A.shape[-1]), laplacian(A)
+    lam_max = eig_sym(L).lam[:, -1:, None]
     C = [I, 2.0 / lam_max * L - I]
     while len(C) < spec.cheb_k:
         C.append(2.0 * C[1] @ C[-1] - C[-2])
-    return C
+    return _stack(A, *C)
 
 
 def _conv_layer(num_supports: Callable[[ModelSpec], int]) -> Callable:
@@ -269,20 +287,20 @@ def _gnnml3_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.nda
 
 
 MODELS: dict[str, Model] = {
-    "mlp": Model(lambda spec, G: [np.eye(G.n)], _conv_layer(lambda spec: 1),
-                 _conv_update),
+    "mlp": Model(lambda spec, A: _stack(A, np.eye(A.shape[-1])),
+                 _conv_layer(lambda spec: 1), _conv_update),
     "gcn": Model(_gcn_supports, _conv_layer(lambda spec: 1), _conv_update, gain=0.57),
     "graphsage": Model(_graphsage_supports, _conv_layer(lambda spec: 2), _conv_update,
                        gain=0.345),
-    "gin": Model(lambda spec, G: [G.adjacency + (1.0 + spec.gin_eps) * np.eye(G.n)],
+    "gin": Model(lambda spec, A: _stack(A, A + (1.0 + spec.gin_eps) * np.eye(A.shape[-1])),
                  _gin_layer, _gin_update),
     # attention is computed over the self-connected neighborhood
-    "gat": Model(lambda spec, G: [G.adjacency + np.eye(G.n)], _gat_layer, _gat_update,
-                 gain=0.64),
+    "gat": Model(lambda spec, A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer,
+                 _gat_update, gain=0.64),
     "chebnet": Model(_chebnet_supports, _conv_layer(lambda spec: spec.cheb_k),
                      _conv_update),
-    "gnnml1": Model(lambda spec, G: [G.adjacency], _gnnml1_layer, _gnnml1_update),
-    "gnnml3": Model(lambda spec, G: build_supports(G, spec.support_spec), _gnnml3_layer,
+    "gnnml1": Model(lambda spec, A: _stack(A, A), _gnnml1_layer, _gnnml1_update),
+    "gnnml3": Model(lambda spec, A: stacked_supports(A, spec.support_spec), _gnnml3_layer,
                     _gnnml3_update, emits=2, head=_gnnml3_head),
 }
 MODEL_KINDS = tuple(MODELS)
@@ -291,77 +309,101 @@ MODEL_KINDS = tuple(MODELS)
 # --- batched forward pass ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreparedGraph:
-    """Per-graph precomputation shared by all random-weight runs."""
-
-    n: int
-    features: np.ndarray  # n x 1 degree features
-    supports: np.ndarray | SupportSet  # S x n x n static supports, or GNNML3's set
-
-
-def prepare(spec: ModelSpec, G: Graph) -> PreparedGraph:
-    feats = G.node_features if G.node_features is not None else degree_vector(G)
-    supports = static_supports(spec, G)
-    if not isinstance(supports, SupportSet):
-        supports = np.stack(supports)
-    return PreparedGraph(n=G.n, features=feats.astype(np.float64), supports=supports)
-
-
 class _StackedGroup:
-    """Equal-order graphs stacked into contiguous batch arrays."""
+    """The graphs of one order, stacked into contiguous batch arrays."""
 
-    def __init__(self, indices: list[int], batch: list[PreparedGraph]):
-        self.indices = np.array(indices)
-        self.n = batch[0].n
-        self.H0 = np.stack([p.features for p in batch])
-        if isinstance(batch[0].supports, SupportSet):
-            # edge-feature row t of graph b lands at dense position (b, :, r, c)
-            sets = [p.supports for p in batch]
-            self.edge_rows = np.concatenate([s.features for s in sets], axis=0)
-            rc = np.concatenate([np.reshape(s.mask_index, (-1, 2)) for s in sets])
-            b_idx = np.repeat(np.arange(len(sets)), [s.m for s in sets])
-            self.scatter = (b_idx, rc[:, 0], rc[:, 1])
-            self.C = None
-        else:
-            self.C = np.stack([p.supports for p in batch])
+    def __init__(self, indices: np.ndarray, H0: np.ndarray, C=None, edges=None):
+        self.indices = indices  # dataset position of each stacked graph
+        self.n = H0.shape[1]
+        self.H0 = H0  # (B, n, 1) degrees, or the graphs' node features
+        self.C = C  # (B, S, n, n) static supports; None for GNNML3
+        # GNNML3: edge-feature rows (m, S), their dense positions (b, r, c)
+        # and the offsets of each graph's rows (B + 1)
+        self.edges = edges
 
-    def supports(self, weights: WeightSet) -> np.ndarray:
-        """(B, S, n, n) supports: the static ones, or GNNML3's learned
-        masked supports (Eq. 8), which depend on the weights."""
+    @classmethod
+    def build(cls, spec: ModelSpec, indices: list[int], graphs: list[Graph]):
+        A = np.stack([G.adjacency for G in graphs])
+        H0 = A.sum(axis=-1, keepdims=True)  # degree features
+        if any(G.node_features is not None for G in graphs):
+            H0 = np.stack([h if G.node_features is None else G.node_features
+                           for G, h in zip(graphs, H0)])
+        supports = MODELS[spec.kind].supports(spec, A)
+        if isinstance(supports, np.ndarray):
+            return cls(np.array(indices), H0, C=supports)
+        rows, index, _ = supports
+        starts = np.searchsorted(index[0], np.arange(len(graphs) + 1))
+        return cls(np.array(indices), H0, edges=(rows, index, starts))
+
+    def take(self, rows: np.ndarray, indices: np.ndarray) -> "_StackedGroup":
+        """The graphs at `rows` of this group, as dataset positions `indices`."""
         if self.C is not None:
-            return self.C
-        rows = self.edge_rows
-        x1, x2, x3 = (_sigmoid(rows @ weights[f"mlp{t}.W"] + weights[f"mlp{t}.b"])
-                      for t in (1, 2, 3))
-        C_vec = _relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"]
-                      + weights["mlp4.b"])
-        out = np.zeros((len(self.indices), C_vec.shape[1], self.n, self.n))
-        b_idx, r_idx, c_idx = self.scatter
-        out[b_idx, :, r_idx, c_idx] = C_vec
-        return out
+            return _StackedGroup(indices, self.H0[rows], C=self.C[rows])
+        feats, (b, r, c), starts = self.edges
+        count = np.diff(starts)[rows]
+        ends = np.cumsum(count)
+        t = np.arange(ends[-1]) + np.repeat(starts[rows] - (ends - count), count)
+        index = (np.repeat(np.arange(len(rows)), count), r[t], c[t])
+        return _StackedGroup(indices, self.H0[rows],
+                             edges=(feats[t], index, np.concatenate([[0], ends])))
+
+    def tiles(self, weights: WeightSet):
+        """(lo, hi, supports) for each tile of TILE_NODES nodes: the static
+        (T, S, n, n) supports of graphs lo:hi, or GNNML3's learned masked
+        supports (Eq. 8), which depend on the weights."""
+        step = max(1, TILE_NODES // self.n)
+        for lo in range(0, len(self.indices), step):
+            hi = min(lo + step, len(self.indices))
+            if self.C is not None:
+                yield lo, hi, self.C[lo:hi]
+                continue
+            feats, (b, r, c), starts = self.edges
+            e = slice(starts[lo], starts[hi])
+            edge_rows = feats[e]
+            x1, x2, x3 = (_sigmoid(edge_rows @ weights[f"mlp{t}.W"] + weights[f"mlp{t}.b"])
+                          for t in (1, 2, 3))
+            C_vec = _relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"]
+                          + weights["mlp4.b"])
+            C = np.zeros((hi - lo, C_vec.shape[1], self.n, self.n))
+            C[b[e] - lo, :, r[e], c[e]] = C_vec
+            yield lo, hi, C
 
 
 class DatasetBatch:
-    """Stacked dataset ready for repeated seed runs.
+    """Graphs grouped by order, each order bucket stacked with its supports,
+    ready for repeated seed runs.
 
-    Building the stack costs one pass; every embed_all call reuses it,
+    Building the stacks costs one pass; every embed_all call reuses it,
     which is what makes 100-run dataset sweeps affordable.
     """
 
-    def __init__(self, spec: ModelSpec, prepared: list[PreparedGraph]):
+    def __init__(self, spec: ModelSpec, graphs: list[Graph]):
         self.spec = spec
-        self.prepared = prepared
-        self.size = len(prepared)
+        self.size = len(graphs)
         by_n: dict[int, list[int]] = {}
-        for i, p in enumerate(prepared):
-            by_n.setdefault(p.n, []).append(i)
+        for i, G in enumerate(graphs):
+            by_n.setdefault(G.n, []).append(i)
         self.groups = [
-            _StackedGroup(idx, [prepared[i] for i in idx]) for idx in by_n.values()
+            _StackedGroup.build(spec, idx, [graphs[i] for i in idx])
+            for idx in by_n.values()
         ]
 
     def subset(self, indices: list[int]) -> "DatasetBatch":
-        return DatasetBatch(self.spec, [self.prepared[i] for i in indices])
+        """The graphs at `indices`, in that order, taken from the stacks:
+        the same batch as a fresh one of those graphs."""
+        idx = np.asarray(indices, dtype=np.intp)
+        group, row = np.empty((2, self.size), dtype=np.intp)
+        for g, grp in enumerate(self.groups):
+            group[grp.indices] = g
+            row[grp.indices] = np.arange(len(grp.indices))
+        group, row = group[idx], row[idx]
+        batch = object.__new__(DatasetBatch)
+        batch.spec, batch.size, batch.groups = self.spec, len(idx), []
+        _, first = np.unique(group, return_index=True)
+        for g in group[np.sort(first)]:
+            pos = np.flatnonzero(group == g)
+            batch.groups.append(self.groups[g].take(row[pos], pos))
+        return batch
 
     def embed_all(self, seed: int) -> np.ndarray:
         """Embeddings of every graph, shape (N, 10) (or (N, d) readouts)."""
@@ -370,12 +412,13 @@ class DatasetBatch:
         update = MODELS[spec.kind].update
         out = np.empty((self.size, len(weights["final"])))
         for grp in self.groups:
-            H, C = grp.H0, grp.supports(weights)
-            for l in range(spec.layers):
-                H = update(weights, l, H, C)
-            out[grp.indices] = (
-                H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
-            )
+            for lo, hi, C in grp.tiles(weights):
+                H = grp.H0[lo:hi]
+                for l in range(spec.layers):
+                    H = update(weights, l, H, C)
+                out[grp.indices[lo:hi]] = (
+                    H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
+                )
         if spec.readout == "sum-linear10":
             return out @ weights["final"]
         return out
@@ -383,7 +426,7 @@ class DatasetBatch:
 
 def embed(spec: ModelSpec, G: Graph, seed: int) -> np.ndarray:
     """10-dimensional sum-readout embedding under seed-derived weights."""
-    return DatasetBatch(spec, [prepare(spec, G)]).embed_all(seed)[0]
+    return DatasetBatch(spec, [G]).embed_all(seed)[0]
 
 
 def splitmix64(x: int) -> int:
@@ -408,7 +451,7 @@ def pair_distinguished(
     """True iff Manhattan embedding distance exceeds threshold in any run."""
     if not seeds:
         raise ValueError("at least one seed required")
-    batch = DatasetBatch(spec, [prepare(spec, G), prepare(spec, H)])
+    batch = DatasetBatch(spec, [G, H])
     for seed in seeds:
         e = batch.embed_all(seed)
         if float(np.abs(e[0] - e[1]).sum()) > threshold:

@@ -5,6 +5,9 @@ Phi_s(lambda) = exp(-b (lambda - f_s)^2) over the eigenvalues of a basis
 matrix (normalized Laplacian by default), reconstructing the dense matrix
 U diag(Phi_s(lambda)) U^T, and masking it to the 1-hop receptive field
 M = A + I. The masked entries are stored as sparse edge-feature vectors.
+
+`eig_sym` and `stacked_supports` work on a whole (B, n, n) stack of
+equal-order graphs at once; `build_supports` is their one-graph case.
 """
 
 from __future__ import annotations
@@ -18,29 +21,30 @@ from matgraph.graphcore import Graph, laplacian
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    U: np.ndarray
-    lam: np.ndarray
+    U: np.ndarray  # (..., n, n), eigenvectors in columns
+    lam: np.ndarray  # (..., n)
 
     def __post_init__(self):
         if np.any(np.diff(self.lam) < -1e-12):
             raise ValueError("eigenvalues must be nondecreasing")
 
     def reconstruct(self, response: np.ndarray) -> np.ndarray:
-        """Dense matrix with the given per-eigenvalue response applied."""
-        return (self.U * response) @ self.U.T
+        """Dense matrices with the given per-eigenvalue response applied."""
+        return (self.U * response[..., None, :]) @ self.U.mT
 
 
 def eig_sym(B: np.ndarray) -> SpectralBasis:
-    """Symmetric eigendecomposition, eigenvalues ascending.
+    """Symmetric eigendecomposition of a matrix or a (..., n, n) stack,
+    eigenvalues ascending.
 
     Rejects matrices that are not symmetric within 1e-12. Within
     degenerate eigenspaces the basis is arbitrary; all downstream uses
     (matrix functions) are basis-invariant.
     """
     B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {B.shape}")
-    if np.max(np.abs(B - B.T), initial=0.0) > 1e-12:
+    if B.ndim < 2 or B.shape[-1] != B.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {B.shape}")
+    if np.max(np.abs(B - B.mT), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     lam, U = np.linalg.eigh(B)
     return SpectralBasis(U=U, lam=lam)
@@ -136,39 +140,54 @@ def vec2sparse(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return X
 
 
-def basis_matrix(G: Graph, kind: str) -> np.ndarray:
+def basis_matrix(A: np.ndarray, kind: str) -> np.ndarray:
+    """The spectral basis of each adjacency in a (..., n, n) stack."""
     if kind == "normalized-laplacian":
-        return laplacian(G, kind="normalized")
+        return laplacian(A, kind="normalized")
     if kind == "adjacency":
-        return G.adjacency
+        return A
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def build_supports(G: Graph, spec: SupportSpec = SupportSpec()) -> SupportSet:
-    """Algorithm 1: design S masked convolution supports for one graph.
+def stacked_supports(
+    A: np.ndarray, spec: SupportSpec = SupportSpec()
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Algorithm 1: design S masked convolution supports for each graph of
+    a (B, n, n) adjacency stack.
 
     Each support is U diag(Phi_s(lambda)) U^T restricted to the 1-hop
     mask M = A + I. The all-pass support (response identically 1)
     reconstructs the identity, so its masked entries are 1 on the
-    diagonal, 0 on edges. A degenerate spectrum (edgeless graphs, n = 1)
-    has the single center lam_min, which is repeated so that the set
-    always holds S supports.
+    diagonal, 0 on edges. Returns `(features, (b, r, c), centers)`: row t
+    of the m x S `features` holds every support's value at mask entry
+    (graph b[t], row r[t], col c[t]), entries row-major per graph and
+    graphs in stack order; `centers` is B x (number of bands), the
+    centers of `band_centers` per graph, where a degenerate spectrum
+    (edgeless graphs, n = 1) repeats its single center lam_min so that
+    every graph has S supports.
     """
-    basis = eig_sym(basis_matrix(G, spec.basis_kind))
-    M = G.adjacency + np.eye(G.n)
-    positions = mask_positions(M)
+    basis = eig_sym(basis_matrix(A, spec.basis_kind))
+    index = np.nonzero(A + np.eye(A.shape[-1]))
     bands = spec.S - 1 if spec.include_allpass else spec.S
-    centers = band_centers(float(basis.lam[0]), float(basis.lam[-1]), bands + 1)
-    if len(centers) == 1:
-        centers *= bands
-    columns = []
-    for f_s in centers:
-        C = basis.reconstruct(frequency_response(basis.lam, spec.b, f_s))
-        columns.append(sparse2vec(M, C))
+    lo, hi = basis.lam[:, :1], basis.lam[:, -1:]
+    centers = np.where(hi == lo, lo, lo + np.arange(bands) / bands * (hi - lo))
+    columns = [
+        basis.reconstruct(frequency_response(basis.lam, spec.b, centers[:, s:s + 1]))[index]
+        for s in range(bands)
+    ]
     if spec.include_allpass:
-        columns.append(sparse2vec(M, np.eye(G.n)))
-    features = np.column_stack(columns)
-    return SupportSet(mask_index=positions, features=features, centers=tuple(centers))
+        columns.append((index[1] == index[2]).astype(np.float64))
+    return np.column_stack(columns), index, centers
+
+
+def build_supports(G: Graph, spec: SupportSpec = SupportSpec()) -> SupportSet:
+    """Algorithm 1 for one graph: `stacked_supports` of a stack of one."""
+    features, (_, rows, cols), centers = stacked_supports(G.adjacency[None], spec)
+    return SupportSet(
+        mask_index=tuple(zip(rows.tolist(), cols.tolist())),
+        features=features,
+        centers=tuple(centers[0].tolist()),
+    )
 
 
 def maclaurin_coefficients(b: float, f_s: float, order: int) -> np.ndarray:

@@ -8,11 +8,12 @@ from matgraph.graphcore import (
     degree_vector,
     encode_graph6,
     laplacian,
+    load_dataset,
     parse_graph6,
 )
 from matgraph.spectral import eig_sym
 
-from .conftest import graphs
+from .conftest import graphs, make_graph
 
 
 class TestGraph:
@@ -66,6 +67,28 @@ class TestGraph6:
     def test_roundtrip(self, G):
         H = parse_graph6(encode_graph6(G))
         assert np.array_equal(G.adjacency, H.adjacency)
+
+    @pytest.mark.parametrize("n", [63, 100])
+    def test_roundtrip_four_byte_header(self, n):
+        G = make_graph(np.random.default_rng(n), n, p=0.3)
+        text = encode_graph6(G)
+        # `~` then n in three 6-bit groups, e.g. 63 -> "~??~"
+        assert text[:4] == "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+        assert np.array_equal(parse_graph6(text).adjacency, G.adjacency)
+
+    def test_rejects_eight_byte_header(self):
+        with pytest.raises(GraphFormatError, match="258047"):
+            parse_graph6("~~??????")
+
+    def test_load_dataset_mixed_orders(self, tmp_path):
+        rng = np.random.default_rng(4)
+        graphs = [make_graph(rng, n) for n in (5, 63, 1, 100, 62)]
+        path = tmp_path / "mixed.g6"
+        path.write_text("".join(encode_graph6(G) + "\n" for G in graphs))
+        loaded = load_dataset(str(path))
+        assert [G.n for G in loaded] == [5, 63, 1, 100, 62]
+        for G, H in zip(graphs, loaded):
+            assert np.array_equal(G.adjacency, H.adjacency)
 
 
 class TestLaplacian:
