@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from matgraph.graphcore import Graph, laplacian
-from matgraph.spectral import SupportSet, SupportSpec, build_supports, eig_sym, stacked_supports
+from matgraph.spectral import SupportSet, SupportSpec, eig_sym, stacked_supports
 
 PARAM_BUDGET = 30_000
 EMBED_DIM = 10
@@ -156,11 +156,13 @@ def _leaky(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
 
 def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray] | SupportSet:
     """Fixed convolution supports of one graph (everything except GAT's
-    attention and GNNML3's learned part, which depend on the weights).
-    For GNNML3 this is the sparse SupportSet the learned part reads."""
-    if spec.kind == "gnnml3":
-        return build_supports(G, spec.support_spec)
-    return list(MODELS[spec.kind].supports(spec, G.adjacency[None])[0])
+    attention and GNNML3's learned part, which depend on the weights):
+    the kind's support builder on a stack of one. For GNNML3 this is the
+    sparse SupportSet the learned part reads."""
+    supports = MODELS[spec.kind].supports(spec, G.adjacency[None])
+    if isinstance(supports, np.ndarray):
+        return list(supports[0])
+    return SupportSet.of_stack(*supports)
 
 
 def gat_support(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
@@ -335,18 +337,6 @@ class _StackedGroup:
         starts = np.searchsorted(index[0], np.arange(len(graphs) + 1))
         return cls(np.array(indices), H0, edges=(rows, index, starts))
 
-    def take(self, rows: np.ndarray, indices: np.ndarray) -> "_StackedGroup":
-        """The graphs at `rows` of this group, as dataset positions `indices`."""
-        if self.C is not None:
-            return _StackedGroup(indices, self.H0[rows], C=self.C[rows])
-        feats, (b, r, c), starts = self.edges
-        count = np.diff(starts)[rows]
-        ends = np.cumsum(count)
-        t = np.arange(ends[-1]) + np.repeat(starts[rows] - (ends - count), count)
-        index = (np.repeat(np.arange(len(rows)), count), r[t], c[t])
-        return _StackedGroup(indices, self.H0[rows],
-                             edges=(feats[t], index, np.concatenate([[0], ends])))
-
     def tiles(self, weights: WeightSet):
         """(lo, hi, supports) for each tile of TILE_NODES nodes: the static
         (T, S, n, n) supports of graphs lo:hi, or GNNML3's learned masked
@@ -379,6 +369,7 @@ class DatasetBatch:
 
     def __init__(self, spec: ModelSpec, graphs: list[Graph]):
         self.spec = spec
+        self.graphs = graphs
         self.size = len(graphs)
         by_n: dict[int, list[int]] = {}
         for i, G in enumerate(graphs):
@@ -389,21 +380,8 @@ class DatasetBatch:
         ]
 
     def subset(self, indices: list[int]) -> "DatasetBatch":
-        """The graphs at `indices`, in that order, taken from the stacks:
-        the same batch as a fresh one of those graphs."""
-        idx = np.asarray(indices, dtype=np.intp)
-        group, row = np.empty((2, self.size), dtype=np.intp)
-        for g, grp in enumerate(self.groups):
-            group[grp.indices] = g
-            row[grp.indices] = np.arange(len(grp.indices))
-        group, row = group[idx], row[idx]
-        batch = object.__new__(DatasetBatch)
-        batch.spec, batch.size, batch.groups = self.spec, len(idx), []
-        _, first = np.unique(group, return_index=True)
-        for g in group[np.sort(first)]:
-            pos = np.flatnonzero(group == g)
-            batch.groups.append(self.groups[g].take(row[pos], pos))
-        return batch
+        """A batch of the graphs at `indices`, in that order."""
+        return DatasetBatch(self.spec, [self.graphs[i] for i in indices])
 
     def embed_all(self, seed: int) -> np.ndarray:
         """Embeddings of every graph, shape (N, 10) (or (N, d) readouts)."""

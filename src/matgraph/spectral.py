@@ -58,23 +58,23 @@ def frequency_response(lam: np.ndarray, b: float, f_s: float) -> np.ndarray:
     return np.exp(-b * (lam - f_s) ** 2)
 
 
-def band_centers(
-    lam_min: float, lam_max: float, S: int, include_allpass: bool = True
-) -> list[float]:
-    """Uniform band centers f_s = lam_min + (s-1)/(S-1) (lam_max - lam_min).
+def band_centers(lam_min: np.ndarray, lam_max: np.ndarray, S: int) -> np.ndarray:
+    """Uniform band centers f_s = lam_min + (s-1)/(S-1) (lam_max - lam_min)
+    of each spectrum, for (B, 1) arrays of extreme eigenvalues: (B, S-1).
 
     Indices run over s in {1, ..., S-1}, so the grid includes lam_min but
     stops one step short of lam_max; the all-pass support (constant
     response 1) accounts for the remaining slot. A degenerate spectrum
-    collapses to the single center lam_min.
+    (lam_min == lam_max) has the single center lam_min, repeated in
+    every slot.
     """
-    if lam_max < lam_min:
+    lam_min, lam_max = np.asarray(lam_min, np.float64), np.asarray(lam_max, np.float64)
+    if np.any(lam_max < lam_min):
         raise ValueError("lam_max < lam_min")
-    if lam_max == lam_min:
-        return [lam_min]
-    if S < 2:
+    if S < 2 and np.any(lam_max > lam_min):
         raise ValueError("uniform band sampling requires S >= 2")
-    return [lam_min + (s - 1) / (S - 1) * (lam_max - lam_min) for s in range(1, S)]
+    grid = np.arange(S - 1) / (S - 1)
+    return np.where(lam_max == lam_min, lam_min, lam_min + grid * (lam_max - lam_min))
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,16 @@ class SupportSet:
     mask_index: tuple[tuple[int, int], ...]
     features: np.ndarray  # m x S, column s = sparse2vec of support s
     centers: tuple[float, ...] = field(default=())
+
+    @classmethod
+    def of_stack(cls, features, index, centers) -> "SupportSet":
+        """The set of a one-graph `stacked_supports` result."""
+        _, rows, cols = index
+        return cls(
+            mask_index=tuple(zip(rows.tolist(), cols.tolist())),
+            features=features,
+            centers=tuple(centers[0].tolist()),
+        )
 
     @property
     def m(self) -> int:
@@ -161,16 +171,15 @@ def stacked_supports(
     diagonal, 0 on edges. Returns `(features, (b, r, c), centers)`: row t
     of the m x S `features` holds every support's value at mask entry
     (graph b[t], row r[t], col c[t]), entries row-major per graph and
-    graphs in stack order; `centers` is B x (number of bands), the
-    centers of `band_centers` per graph, where a degenerate spectrum
-    (edgeless graphs, n = 1) repeats its single center lam_min so that
-    every graph has S supports.
+    graphs in stack order; `centers` holds each graph's `band_centers`,
+    B x (number of bands), so that a degenerate spectrum (edgeless
+    graphs, n = 1) repeats its single center and every graph has S
+    supports.
     """
     basis = eig_sym(basis_matrix(A, spec.basis_kind))
     index = np.nonzero(A + np.eye(A.shape[-1]))
     bands = spec.S - 1 if spec.include_allpass else spec.S
-    lo, hi = basis.lam[:, :1], basis.lam[:, -1:]
-    centers = np.where(hi == lo, lo, lo + np.arange(bands) / bands * (hi - lo))
+    centers = band_centers(basis.lam[:, :1], basis.lam[:, -1:], bands + 1)
     columns = [
         basis.reconstruct(frequency_response(basis.lam, spec.b, centers[:, s:s + 1]))[index]
         for s in range(bands)
@@ -182,12 +191,7 @@ def stacked_supports(
 
 def build_supports(G: Graph, spec: SupportSpec = SupportSpec()) -> SupportSet:
     """Algorithm 1 for one graph: `stacked_supports` of a stack of one."""
-    features, (_, rows, cols), centers = stacked_supports(G.adjacency[None], spec)
-    return SupportSet(
-        mask_index=tuple(zip(rows.tolist(), cols.tolist())),
-        features=features,
-        centers=tuple(centers[0].tolist()),
-    )
+    return SupportSet.of_stack(*stacked_supports(G.adjacency[None], spec))
 
 
 def maclaurin_coefficients(b: float, f_s: float, order: int) -> np.ndarray:

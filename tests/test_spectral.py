@@ -47,13 +47,22 @@ class TestFrequencyResponse:
         assert phi.max() == pytest.approx(1.0)
 
     def test_band_centers_cover_spectrum(self):
-        centers = band_centers(0.0, 2.0, 5)
-        assert len(centers) == 4  # S - 1 bands, all-pass takes the last slot
-        assert centers[0] == pytest.approx(0.0)
-        assert all(c < 2.0 for c in centers)
+        centers = band_centers(np.array([[0.0], [-1.0]]), np.array([[2.0], [3.0]]), 5)
+        # S - 1 bands per spectrum, the all-pass support takes the last slot
+        assert np.array_equal(centers, [[0.0, 0.5, 1.0, 1.5], [-1.0, 0.0, 1.0, 2.0]])
 
     def test_degenerate_spectrum(self):
-        assert band_centers(1.0, 1.0, 5) == [1.0]
+        centers = band_centers(np.array([[1.0], [0.0]]), np.array([[1.0], [2.0]]), 5)
+        assert np.array_equal(centers, [[1.0] * 4, [0.0, 0.5, 1.0, 1.5]])
+
+    def test_one_support_needs_a_degenerate_spectrum(self):
+        assert band_centers(np.array([[1.0]]), np.array([[1.0]]), 1).shape == (1, 0)
+        with pytest.raises(ValueError, match="S >= 2"):
+            band_centers(np.array([[1.0], [0.0]]), np.array([[1.0], [2.0]]), 1)
+        with pytest.raises(ValueError, match="S >= 2"):
+            build_supports(P2, SupportSpec(S=1))
+        assert np.array_equal(build_supports(Graph.from_edges(3, []), SupportSpec(S=1)).dense(3),
+                              np.eye(3)[None])
 
 
 class TestSupports:
