@@ -13,6 +13,7 @@ the threshold in every run.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import combinations
@@ -34,7 +35,7 @@ from matgraph.spectral import eig_sym
 from matgraph.wl import (
     fwl2_equivalent,
     fwl3_tensor_statistic,
-    wl1_canonical,
+    signatures,
     wl1_equivalent,
     wl2_equivalent,
 )
@@ -52,8 +53,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be > 0")
+        if not math.isfinite(self.threshold) or self.threshold <= 0:
+            raise ValueError("threshold must be finite and > 0")
         unknown = [m for m in self.models if m not in MODEL_KINDS]
         if unknown:
             raise ValueError(f"unknown model kind {unknown[0]!r}")
@@ -104,12 +105,6 @@ class PairReport:
         self.pairs[method] = sorted(pairs)[: self.PAIR_LIST_CAP]
 
 
-def wl1_signatures(graphs: list[Graph]) -> list[str]:
-    """Canonical 1-WL signature per graph; shared registry makes the
-    signatures comparable across independently refined graphs."""
-    return [wl1_canonical(G).signature for G in graphs]
-
-
 def _bucket_pairs(keys: list) -> list[tuple[int, int]]:
     groups: dict = defaultdict(list)
     for i, k in enumerate(keys):
@@ -125,7 +120,7 @@ def wl_census(graphs: list[Graph]) -> PairReport:
     """
     n = len(graphs)
     report = PairReport(kind="wl-census", graph_count=n, pair_count=n * (n - 1) // 2)
-    wl1_pairs = _bucket_pairs(wl1_signatures(graphs))
+    wl1_pairs = _bucket_pairs(signatures(graphs))
     report.record("1-WL", wl1_pairs)
     fwl2_pairs = [
         (i, j) for i, j in wl1_pairs if fwl2_equivalent(graphs[i], graphs[j]).equivalent
@@ -141,7 +136,7 @@ def lambda_census(graphs: list[Graph]) -> PairReport:
     report = PairReport(
         kind="lambda-census", graph_count=n, pair_count=n * (n - 1) // 2
     )
-    wl1_pairs = _bucket_pairs(wl1_signatures(graphs))
+    wl1_pairs = _bucket_pairs(signatures(graphs))
     lam = [float(eig_sym(laplacian(G)).lam[-1]) for G in graphs]
     equal = [(i, j) for i, j in wl1_pairs if abs(lam[i] - lam[j]) <= 1e-6]
     report.record("1-WL", wl1_pairs)

@@ -416,6 +416,8 @@ def splitmix64(x: int) -> int:
 
 
 def run_seeds(base_seed: int, runs: int) -> list[int]:
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     return [base_seed ^ splitmix64(i) for i in range(runs)]
 
 

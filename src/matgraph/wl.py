@@ -1,61 +1,26 @@
 """Exact color-refinement tests: 1-WL, 2-WL, 2-FWL and a 3-tensor statistic.
 
-Recoloring uses exact structural signatures interned to integers in a
-shared registry (no lossy hashing), so signatures are comparable across
-graphs refined independently, as long as they share a registry and are
-refined for the same number of rounds. All graphs are refined for a fixed
-round count (n for vertex coloring, n for pair coloring - the partition
-cannot refine further once stable, and equal round counts keep signatures
-structure-determined).
+One engine refines a stack of same-order graphs as their disjoint
+union: each round gives every vertex (1-WL) or vertex pair (2-WL, 2-FWL)
+of every graph in the stack one integer row - its color plus the sorted
+multiset of colors the test looks at - and the new color is the row's
+rank among the distinct rows of the whole stack. Ranks on the union
+induce the same partition as exact signatures interned into one shared
+table, so colors of different graphs in one stack are comparable and
+no lossy hashing is involved. Refinement stops at the stable partition,
+the first round whose class count does not grow (every later round
+repeats it). Nothing is kept between calls, so the graph keys of
+`signatures` are comparable only within one call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from matgraph.graphcore import Graph
-
-
-class ColorRegistry:
-    """Interns exact signature tuples to small integers.
-
-    Two graphs refined against the same registry (for the same number of
-    rounds) receive equal color ids exactly when their signatures are
-    structurally identical.
-    """
-
-    def __init__(self):
-        self._table: dict[tuple, int] = {}
-
-    def intern(self, signature: tuple) -> int:
-        return self._table.setdefault(signature, len(self._table))
-
-
-_DEFAULT_REGISTRY = ColorRegistry()
-
-
-def _histogram(colors) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(colors).items()))
-
-
-@dataclass(frozen=True)
-class ColorPartition:
-    arity: int
-    colors: tuple[int, ...]
-    iterations: int
-
-    @property
-    def histogram(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (color, count) pairs; totals n (arity 1) or n^2 (arity 2)."""
-        return _histogram(self.colors)
-
-    @property
-    def signature(self) -> str:
-        """Canonical rendering of the final color histogram."""
-        return ";".join(f"{c}x{m}" for c, m in self.histogram)
 
 
 @dataclass(frozen=True)
@@ -69,129 +34,82 @@ class PairVerdict:
             raise ValueError("separating_iteration present iff not equivalent")
 
 
-def _neighbors(G: Graph) -> list[np.ndarray]:
-    return [np.flatnonzero(G.adjacency[v]) for v in range(G.n)]
+def _rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row of `rows` among its distinct rows."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    step = np.ones(len(rows), dtype=np.int64)
+    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step) - 1
+    return ranks
 
 
-def _wl1_refine(
-    G: Graph, reg: ColorRegistry, rounds: int, init: list[int] | None = None
-):
-    """1-WL engine; yields the vertex colors of every round, initial first."""
-    n = G.n
-    if init is None:
-        colors = [reg.intern(("init", 0))] * n
-    else:
-        if len(init) != n:
-            raise ValueError(f"init has {len(init)} entries, expected {n}")
-        colors = [reg.intern(("init", c)) for c in init]
-    yield colors
-    nbrs = _neighbors(G)
-    for _ in range(rounds):
-        colors = [
-            reg.intern((colors[v], tuple(sorted(colors[u] for u in nbrs[v]))))
-            for v in range(n)
-        ]
-        yield colors
+def _refine(A: np.ndarray, test: str):
+    """Refine a `(B, n, n)` bool stack of graphs as one disjoint union.
 
-
-def wl1_canonical(
-    G: Graph,
-    init: list[int] | None = None,
-    registry: ColorRegistry | None = None,
-    rounds: int | None = None,
-) -> ColorPartition:
-    """Vertex color refinement run for a fixed number of rounds (default n).
-
-    Each round a node's signature is (own color, sorted multiset of
-    neighbor colors); signatures are interned globally so the result is
-    comparable across graphs sharing the registry.
+    Yields the colors of every round, initial colors first: `(B, n)` for
+    "WL1", `(B, n, n)` for "WL2" and "FWL2". Stops once the class count
+    stops growing.
     """
-    reg = registry if registry is not None else _DEFAULT_REGISTRY
-    total = G.n if rounds is None else rounds
-    *_, colors = _wl1_refine(G, reg, total, init)
-    return ColorPartition(arity=1, colors=tuple(colors), iterations=total)
-
-
-def _pair_refine(G: Graph, reg: ColorRegistry, rounds: int, folklore: bool):
-    """Shared engine for 2-WL and 2-FWL; yields the pair colors of every
-    round, initial first, flattened row-major."""
-    n = G.n
-    A = G.adjacency
-    colors = [
-        [
-            reg.intern(
-                ("pair-init", "same" if v == u else ("edge" if A[v, u] else "nonedge"))
+    B, n, _ = A.shape
+    if test == "WL1":
+        C = np.zeros((B, n), dtype=np.int64)
+    else:  # pair colors: 0 on the diagonal, 1 on edges, 2 on non-edges
+        C = np.where(np.eye(n, dtype=bool), 0, np.where(A, 1, 2))
+        C = _rank_rows(C.reshape(-1, 1)).reshape(B, n, n)
+    while True:
+        yield C
+        classes = int(C.max()) + 1
+        if test == "WL1":
+            multiset = np.sort(np.where(A, C[:, None, :], -1), axis=2)
+        elif test == "FWL2":
+            # (C[v,k], C[k,u]) as one integer, sorted along k; classes**2
+            # fits in int64 whenever this (B, n, n, n) array fits in memory
+            multiset = np.sort(
+                C[:, :, None, :] * classes + C.transpose(0, 2, 1)[:, None, :, :],
+                axis=3,
             )
-            for u in range(n)
-        ]
-        for v in range(n)
-    ]
-    yield [c for row in colors for c in row]
-    for _ in range(rounds):
-        if folklore:
-            new = [
-                [
-                    reg.intern(
-                        (
-                            colors[v][u],
-                            tuple(sorted((colors[v][k], colors[k][u]) for k in range(n))),
-                        )
-                    )
-                    for u in range(n)
-                ]
-                for v in range(n)
-            ]
         else:
-            new = [
-                [
-                    reg.intern(
-                        (
-                            colors[v][u],
-                            tuple(sorted(colors[v][k] for k in range(n))),
-                            tuple(sorted(colors[k][u] for k in range(n))),
-                        )
-                    )
-                    for u in range(n)
-                ]
-                for v in range(n)
-            ]
-        colors = new
-        yield [c for row in colors for c in row]
+            rows = np.sort(C, axis=2)[:, :, None, :]
+            cols = np.sort(C, axis=1).transpose(0, 2, 1)[:, None, :, :]
+            multiset = np.concatenate(np.broadcast_arrays(rows, cols), axis=3)
+        flat = np.concatenate([C.reshape(-1, 1), multiset.reshape(C.size, -1)], axis=1)
+        C = _rank_rows(flat).reshape(C.shape)
+        if C.max() + 1 == classes:
+            return
 
 
-def _pair_partition(
-    G: Graph, folklore: bool, registry: ColorRegistry | None, rounds: int | None
-) -> ColorPartition:
-    reg = registry if registry is not None else _DEFAULT_REGISTRY
-    total = G.n if rounds is None else rounds
-    *_, colors = _pair_refine(G, reg, total, folklore)
-    return ColorPartition(arity=2, colors=tuple(colors), iterations=total)
+def signatures(graphs: list[Graph], test: str = "WL1") -> list[tuple[int, bytes]]:
+    """One key per graph: `(n, sorted stable colors as bytes)`.
 
-
-def wl2_canonical(G: Graph, registry=None, rounds=None) -> ColorPartition:
-    return _pair_partition(G, folklore=False, registry=registry, rounds=rounds)
-
-
-def fwl2_canonical(G: Graph, registry=None, rounds=None) -> ColorPartition:
-    return _pair_partition(G, folklore=True, registry=registry, rounds=rounds)
+    Graphs are refined together, one stack per order, so two keys are
+    equal iff `test` ("WL1", "WL2" or "FWL2") finds the two graphs
+    equivalent. Keys are comparable only within one call: color numbers
+    depend on the other graphs refined alongside.
+    """
+    by_order: dict[int, list[int]] = defaultdict(list)
+    for i, G in enumerate(graphs):
+        by_order[G.n].append(i)
+    keys: list = [None] * len(graphs)
+    for n, members in by_order.items():
+        A = np.stack([graphs[i].adjacency != 0 for i in members])
+        *_, C = _refine(A, test)
+        final = np.sort(C.reshape(len(members), -1), axis=1)
+        for i, row in zip(members, final):
+            keys[i] = (n, row.tobytes())
+    return keys
 
 
 def _pair_test(G: Graph, H: Graph, test: str) -> PairVerdict:
-    """Run a refinement test jointly on two graphs, round by round."""
+    """Refine G and H as one stack; the first round whose sorted colors
+    differ between them is the separating iteration."""
     if G.n != H.n:
         return PairVerdict(equivalent=False, test=test, separating_iteration=0)
-    reg = ColorRegistry()
-    rounds = max(G.n, H.n)
-
-    def histograms(F: Graph) -> list:
-        if test == "WL1":
-            return [_histogram(c) for c in _wl1_refine(F, reg, rounds)]
-        return [_histogram(c) for c in _pair_refine(F, reg, rounds, test == "FWL2")]
-
-    hist_g = histograms(G)  # G fully before H: the registry's intern order
-    hist_h = histograms(H)
-    for t, (hg, hh) in enumerate(zip(hist_g, hist_h)):
-        if hg != hh:
+    A = np.stack([G.adjacency != 0, H.adjacency != 0])
+    for t, C in enumerate(_refine(A, test)):
+        g, h = np.sort(C.reshape(2, -1), axis=1)
+        if not np.array_equal(g, h):
             return PairVerdict(equivalent=False, test=test, separating_iteration=t)
     return PairVerdict(equivalent=True, test=test)
 

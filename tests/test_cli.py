@@ -93,6 +93,15 @@ class TestSupportsAndEmbed:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_embed_needs_one_seed(self, capsys, small_dataset, seeds):
+        code = main(["embed", "--graph", small_dataset, "--model", "gcn",
+                     "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: runs must be >= 1\n"
+
 
 class TestDistinguish:
     def test_small_run(self, capsys, small_dataset):
@@ -137,6 +146,29 @@ class TestDistinguish:
         assert code == 2
         assert err.count("\n") == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_threshold_must_be_finite_and_positive(
+        self, capsys, small_dataset, threshold
+    ):
+        code = main(["--format", "json", "distinguish", small_dataset,
+                     "--models", "gcn", "--runs", "1", "--threshold", threshold])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: threshold must be finite and > 0\n"
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_config_threshold_must_be_finite(
+        self, capsys, tmp_path, small_dataset, threshold
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"runs = 1\nthreshold = {threshold}\nmodels = gcn\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: threshold must be finite and > 0\n"
 
     def test_unknown_model_is_usage_error(self, capsys, small_dataset):
         code = main(["distinguish", small_dataset, "--models", "gcn,bogus"])

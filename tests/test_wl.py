@@ -1,3 +1,5 @@
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from matgraph.appendix_data import (
@@ -10,14 +12,15 @@ from matgraph.appendix_data import (
 )
 from matgraph.graphcore import Graph
 from matgraph.wl import (
+    _refine,
     fwl2_equivalent,
     fwl3_tensor_statistic,
-    wl1_canonical,
+    signatures,
     wl1_equivalent,
     wl2_equivalent,
 )
 
-from .conftest import graph_and_permutation, permute_graph
+from .conftest import graph_and_permutation, permute_graph, random_adjacency
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -25,6 +28,46 @@ C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 TWO_TRIANGLES = Graph.from_edges(
     6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 )
+
+
+# (equivalent, separating_iteration) of 1-WL, 2-WL and 2-FWL, as the
+# interned-tuple refinement that preceded the array engine reported them
+PINNED_VERDICTS = [
+    ("P3/triangle", P3, TRIANGLE, [(False, 1), (False, 0), (False, 0)]),
+    ("C6/2K3", C6, TWO_TRIANGLES, [(True, None), (True, None), (False, 1)]),
+    ("decalin/bicyclopentyl", DECALIN, BICYCLOPENTYL,
+     [(True, None), (True, None), (False, 2)]),
+    ("cospectral10", COSPECTRAL10_A, COSPECTRAL10_B,
+     [(True, None), (True, None), (False, 1)]),
+    ("rook/Shrikhande", ROOK4X4, SHRIKHANDE, [(True, None), (True, None), (True, None)]),
+    ("P3/C6", P3, C6, [(False, 0), (False, 0), (False, 0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "G, H, expected", [p[1:] for p in PINNED_VERDICTS], ids=[p[0] for p in PINNED_VERDICTS]
+)
+def test_pinned_verdicts(G, H, expected):
+    verdicts = [f(G, H) for f in (wl1_equivalent, wl2_equivalent, fwl2_equivalent)]
+    assert [(v.equivalent, v.separating_iteration) for v in verdicts] == expected
+    assert [v.test for v in verdicts] == ["WL1", "WL2", "FWL2"]
+
+
+def test_signature_keys_match_pairwise_wl1(mixed):
+    """Equal keys iff wl1_equivalent, on orders 1, 3, 8 and 25 together
+    with a relabelled copy of every graph."""
+    rng = np.random.default_rng(0)
+    copies = [permute_graph(G, rng.permutation(G.n)) for G in mixed]
+    graphs = mixed + copies
+    keys = signatures(graphs)
+    m = len(mixed)
+    pairs = {(i, i + m) for i in range(m)}  # each graph and its copy
+    pairs |= {(i, i + m + 1) for i in range(m - 1)}  # each graph and the next copy
+    pairs |= {(i, j) for i in range(len(graphs)) for j in range(i + 1, len(graphs))
+              if keys[i] == keys[j]}
+    assert len(pairs) > 2 * m  # sr25[:3] adds equal keys of non-isomorphic graphs
+    for i, j in sorted(pairs):
+        assert (keys[i] == keys[j]) == wl1_equivalent(graphs[i], graphs[j]).equivalent
 
 
 class TestWL1:
@@ -49,7 +92,8 @@ class TestWL1:
     def test_permutation_invariance(self, gp):
         G, perm = gp
         H = permute_graph(G, perm)
-        assert wl1_canonical(G).signature == wl1_canonical(H).signature
+        keys = signatures([G, H], "WL1")
+        assert keys[0] == keys[1]
         assert wl1_equivalent(G, H).equivalent
 
 
@@ -69,7 +113,10 @@ class TestWL2:
     @given(graph_and_permutation(min_n=2, max_n=7))
     def test_permutation_invariance(self, gp):
         G, perm = gp
-        assert wl2_equivalent(G, permute_graph(G, perm)).equivalent
+        H = permute_graph(G, perm)
+        keys = signatures([G, H], "WL2")
+        assert keys[0] == keys[1]
+        assert wl2_equivalent(G, H).equivalent
 
 
 class TestFWL2:
@@ -85,7 +132,10 @@ class TestFWL2:
     @given(graph_and_permutation(min_n=2, max_n=7))
     def test_permutation_invariance(self, gp):
         G, perm = gp
-        assert fwl2_equivalent(G, permute_graph(G, perm)).equivalent
+        H = permute_graph(G, perm)
+        keys = signatures([G, H], "FWL2")
+        assert keys[0] == keys[1]
+        assert fwl2_equivalent(G, H).equivalent
 
 
 class TestFWL3Statistic:
@@ -99,3 +149,87 @@ class TestFWL3Statistic:
         G, perm = gp
         H = permute_graph(G, perm)
         assert fwl3_tensor_statistic(G) == fwl3_tensor_statistic(H)
+
+
+def reference_colors(graphs, test):
+    """Exact signatures interned into one table, one graph after another,
+    for n rounds: per graph, each round's colors (initial first) in
+    row-major cell order. The definition the array engine must match."""
+    table = {}
+
+    def intern(signature):
+        return table.setdefault(signature, len(table))
+
+    def rounds(A):
+        n = len(A)
+        if test == "WL1":
+            cells = list(range(n))
+            c = {v: intern(("init",)) for v in cells}
+        else:
+            cells = [(v, u) for v in range(n) for u in range(n)]
+            c = {(v, u): intern(("init", v == u, bool(A[v, u]))) for v, u in cells}
+        out = []
+        for _ in range(n + 1):
+            out.append([c[x] for x in cells])
+            if test == "WL1":
+                sig = {v: (c[v], tuple(sorted(c[u] for u in range(n) if A[v, u])))
+                       for v in cells}
+            elif test == "FWL2":
+                sig = {(v, u): (c[v, u], tuple(sorted((c[v, k], c[k, u]) for k in range(n))))
+                       for v, u in cells}
+            else:
+                sig = {(v, u): (c[v, u], tuple(sorted(c[v, k] for k in range(n))),
+                                tuple(sorted(c[k, u] for k in range(n))))
+                       for v, u in cells}
+            c = {x: intern(s) for x, s in sig.items()}
+        return out
+
+    return [rounds(G.adjacency) for G in graphs]
+
+
+def same_partition(a, b):
+    a, b = np.ravel(a).tolist(), np.ravel(b).tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+@pytest.mark.parametrize("test, pair_test", [
+    ("WL1", wl1_equivalent), ("WL2", wl2_equivalent), ("FWL2", fwl2_equivalent)
+])
+def test_engine_matches_interned_reference(test, pair_test):
+    """Random pairs of order 1-7: relabelled copies, same-order graphs
+    with equal edge counts or equal degree sequences, and any two graphs
+    (mostly of different orders). Same-order pairs must get the
+    reference's partition of their union in every round, and every pair
+    the verdict of comparing the reference's sorted colors round by
+    round."""
+    rng = np.random.default_rng(1)
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(1, 8))
+        G = Graph(random_adjacency(rng, n))
+        kind = checked % 4
+        if kind == 0:
+            H = permute_graph(G, rng.permutation(n))
+        elif kind == 3:
+            H = Graph(random_adjacency(rng, int(rng.integers(1, 8))))
+        else:
+            H = Graph(random_adjacency(rng, n))
+            same = (H.num_edges == G.num_edges if kind == 1 else
+                    sorted(H.adjacency.sum(1)) == sorted(G.adjacency.sum(1)))
+            if not same:
+                continue
+        expected = (True, None)
+        if G.n != H.n:
+            expected = (False, 0)
+        else:
+            ref_g, ref_h = reference_colors([G, H], test)
+            rounds = list(_refine(np.stack([G.adjacency != 0, H.adjacency != 0]), test))
+            for t in range(n + 1):  # the engine's last round repeats once stable
+                assert same_partition(rounds[min(t, len(rounds) - 1)], [ref_g[t], ref_h[t]])
+            for t in range(n + 1):
+                if sorted(ref_g[t]) != sorted(ref_h[t]):
+                    expected = (False, t)
+                    break
+        v = pair_test(G, H)
+        assert (v.equivalent, v.separating_iteration) == expected
+        checked += 1
