@@ -26,7 +26,7 @@ import json
 import sys
 
 
-from matgraph.graphcore import Graph, GraphFormatError, load_dataset
+from matgraph.graphcore import Graph, GraphFormatError, load_dataset, parse_graph6
 from matgraph.graphlets import CLOSED_FORMS, PATTERN_KINDS, enumerate_pattern
 from matgraph.harness import (
     ExperimentConfig,
@@ -51,13 +51,28 @@ from matgraph.wl import fwl2_equivalent, wl1_equivalent, wl2_equivalent
 
 
 def _load_graph(path_spec: str, format: str) -> Graph:
-    """Load `file` or `file:index` (0-based index into the dataset)."""
+    """Load `file` or `file:index` (0-based index into the dataset). Of a
+    graph6 file only the addressed line is decoded."""
     path, _, idx = path_spec.partition(":")
-    graphs = load_dataset(path, format=format)
-    i = int(idx) if idx else 0
-    if not 0 <= i < len(graphs):
-        raise GraphFormatError(f"graph index {i} out of range (0..{len(graphs)-1})")
-    return graphs[i]
+    if format == "graph6":
+        with open(path) as f:
+            entries = [(lineno, line) for lineno, line in enumerate(f, start=1)
+                       if line.strip()]
+    else:
+        entries = load_dataset(path, format=format)
+    try:
+        i = int(idx) if idx else 0
+    except ValueError:
+        i = -1  # not a number: reported like an index out of range
+    if not 0 <= i < len(entries):
+        raise GraphFormatError(f"graph index {idx!r} is not in 0..{len(entries) - 1}")
+    if format != "graph6":
+        return entries[i]
+    lineno, line = entries[i]
+    try:
+        return parse_graph6(line)
+    except GraphFormatError as e:
+        raise GraphFormatError(f"{path}:{lineno}: {e}") from e
 
 
 def _emit(args, text: str) -> None:

@@ -3,7 +3,8 @@ distinguishability runs, and the golden pair suite.
 
 The distinguishability engine avoids the full O(N^2) distance pass: in
 the first run, candidate near-duplicate pairs are found by sorting the
-embeddings on one coordinate and scanning a window (an L1 ball of radius
+embeddings on one coordinate and scanning a window, keeping the window's
+pairs that are also within t on a second coordinate (an L1 ball of radius
 t projects to an interval of width t on every axis); later runs only
 re-check the surviving candidates, so work shrinks monotonically. A pair
 counts as undistinguished iff its Manhattan distance stays at or below
@@ -137,7 +138,13 @@ def lambda_census(graphs: list[Graph]) -> PairReport:
         kind="lambda-census", graph_count=n, pair_count=n * (n - 1) // 2
     )
     wl1_pairs = _bucket_pairs(signatures(graphs))
-    lam = [float(eig_sym(laplacian(G)).lam[-1]) for G in graphs]
+    by_order: dict[int, list[int]] = defaultdict(list)
+    for i, G in enumerate(graphs):
+        by_order[G.n].append(i)
+    lam = np.empty(n)
+    for idx in by_order.values():  # one stacked eigendecomposition per order
+        A = np.stack([graphs[i].adjacency for i in idx])
+        lam[idx] = eig_sym(laplacian(A)).lam[:, -1]
     equal = [(i, j) for i, j in wl1_pairs if abs(lam[i] - lam[j]) <= 1e-6]
     report.record("1-WL", wl1_pairs)
     report.record("equal-lambda-max", equal)
@@ -148,28 +155,39 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
     """All unordered pairs with Manhattan distance <= threshold, as a
     (P, 2) array of (i, j) with i < j.
 
-    Sort-window scan on coordinate 0: a pair within L1 distance t is
-    within t on every single coordinate, so only pairs inside the sorted
-    window need exact distances.
+    Sort-window scan: a pair within L1 distance t is within t on every
+    single coordinate (a float sum of non-negative terms is at least each
+    term), so only pairs inside the sorted window of one coordinate that
+    are also within t on a second one need exact distances. The sort
+    coordinate is the one with the fewest in-window pairs, the filter
+    coordinate the next one.
     """
-    order = np.argsort(emb[:, 0], kind="stable")
+    N, D = emb.shape
+    # about how many pairs fall in each coordinate's sorted window
+    window = [(np.arange(N) - np.searchsorted(c, c - threshold)).sum()
+              for c in np.sort(emb, axis=0).T]
+    by_count = np.argsort(window, kind="stable")
+    order = np.argsort(emb[:, by_count[0]], kind="stable")
     sorted_emb = emb[order]
-    x = sorted_emb[:, 0].tolist()
-    lows, highs, counts = [], [], []
-    j = 0
-    for i in range(len(x)):
-        while x[i] - x[j] > threshold:
-            j += 1
-        if i > j:
-            d = np.abs(sorted_emb[j:i] - sorted_emb[i]).sum(axis=1)
-            hit = np.flatnonzero(d <= threshold)
-            if len(hit):
-                lows.append(hit + j)
-                highs.append(i)
-                counts.append(len(hit))
+    x = sorted_emb[:, by_count[0]]
+    y = sorted_emb[:, by_count[1]] if D > 1 else None
+    lows, highs = [], []
+    i = np.arange(N)
+    for k in range(1, N):
+        # rows whose k-th predecessor in sort order is still within the
+        # window; x[i] - x[i - k] grows with k, so the rows only shrink
+        i = i[i >= k]
+        i = i[x[i] - x[i - k] <= threshold]
+        if not len(i):
+            break
+        cand = i if y is None else i[np.abs(y[i] - y[i - k]) <= threshold]
+        d = np.abs(sorted_emb[cand - k] - sorted_emb[cand]).sum(axis=1)
+        hit = cand[d <= threshold]
+        lows.append(hit - k)
+        highs.append(hit)
     if not lows:
         return np.empty((0, 2), dtype=np.int64)
-    pos = np.stack([np.concatenate(lows), np.repeat(highs, counts)], axis=1)
+    pos = np.stack([np.concatenate(lows), np.concatenate(highs)], axis=1)
     return np.sort(order[pos], axis=1)
 
 

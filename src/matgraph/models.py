@@ -27,12 +27,22 @@ TILE_NODES nodes' worth of a bucket at a time, so that a layer's
 temporaries stay cache-sized instead of growing with the dataset. Tiles
 split a bucket between graphs; the embeddings are bit-identical to an
 untiled pass.
+
+The tiles of one `embed_all` call are independent: each writes its own
+rows of the output. They run on one thread per available CPU (the
+calling thread plus a shared pool of `WORKERS - 1` threads), so that
+numpy's matmuls and ufuncs, which release the GIL, use every core. There
+is no setting for this; a batch of one tile runs inline. Every tile does
+the same operations in the same order on whichever thread takes it, so
+the embeddings are bit-identical to a one-thread pass.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from math import prod
 from typing import Callable
 
@@ -44,6 +54,9 @@ from matgraph.spectral import SupportSet, SupportSpec, eig_sym, stacked_supports
 PARAM_BUDGET = 30_000
 EMBED_DIM = 10
 TILE_NODES = 1024  # nodes per forward-pass tile: 128 graphs of order 8
+# threads that run an embed_all call's tiles: one per CPU this process may use
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 # (name, shape, fan_in, fan_out) of one weight array
 Entry = tuple[str, tuple[int, ...], int, int]
@@ -143,7 +156,14 @@ def make_weights(spec: ModelSpec, seed: int) -> WeightSet:
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    """ReLU in place: x must be a temporary the caller owns."""
+    return np.maximum(x, 0.0, out=x)
+
+
+def _bias_relu(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(x + b), in place on the temporary x."""
+    x += b
+    return _relu(x)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -163,22 +183,6 @@ def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray] | SupportSet:
     if isinstance(supports, np.ndarray):
         return list(supports[0])
     return SupportSet.of_stack(*supports)
-
-
-def gat_support(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
-    """Softmax attention support over the self-connected neighborhood.
-
-    Works batched: H is (..., n, d), mask (..., n, n). Rows sum to 1.
-    """
-    HW = H @ W
-    d_out = W.shape[1]
-    f_src = HW @ a[:d_out]
-    f_dst = HW @ a[d_out:]
-    logits = _leaky(f_src[..., :, None] + f_dst[..., None, :])
-    logits = np.where(mask > 0, logits, -np.inf)
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits) * (mask > 0)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # --- the model table ---------------------------------------------------------
@@ -224,7 +228,7 @@ def _conv(C: np.ndarray, H: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _conv_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
-    return _relu(_conv(C, H, w[f"W{l}"]) + w[f"b{l}"])
+    return _bias_relu(_conv(C, H, w[f"W{l}"]), w[f"b{l}"])
 
 
 def _gin_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
@@ -234,8 +238,8 @@ def _gin_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
 
 
 def _gin_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
-    inner = _relu(C[:, 0] @ H @ w[f"W{l}.0"] + w[f"b{l}.0"])
-    return _relu(inner @ w[f"W{l}.1"] + w[f"b{l}.1"])
+    inner = _bias_relu(C[:, 0] @ H @ w[f"W{l}.0"], w[f"b{l}.0"])
+    return _bias_relu(inner @ w[f"W{l}.1"], w[f"b{l}.1"])
 
 
 def _gat_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
@@ -244,9 +248,25 @@ def _gat_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
             (f"b{l}", (w,), d, w)]
 
 
+def _gat_attention(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
+    """Softmax attention (T, n, n) over the self-connected neighborhood
+    `mask` (T, n, n) of H (T, n, d); rows sum to 1."""
+    HW = H @ W
+    d_out = W.shape[1]
+    f_src = HW @ a[:d_out]
+    f_dst = HW @ a[d_out:]
+    edge = mask > 0
+    logits = np.where(edge, _leaky(f_src[..., :, None] + f_dst[..., None, :]), -np.inf)
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    e *= edge
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
 def _gat_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
-    att = gat_support(H, w[f"W{l}"], w[f"a{l}"], C[:, 0])
-    return _relu(att @ H @ w[f"W{l}"] + w[f"b{l}"])
+    att = _gat_attention(H, w[f"W{l}"], w[f"a{l}"], C[:, 0])
+    return _bias_relu(att @ H @ w[f"W{l}"], w[f"b{l}"])
 
 
 def _gnnml1_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
@@ -255,12 +275,12 @@ def _gnnml1_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
 
 def _gnnml1_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Identity and adjacency (C_0 = A) terms plus a Hadamard product."""
-    return _relu(
-        H @ w[f"W{l}.0"]
-        + C[:, 0] @ H @ w[f"W{l}.1"]
-        + (H @ w[f"W{l}.2"]) * (H @ w[f"W{l}.3"])
-        + w[f"b{l}"]
-    )
+    out = H @ w[f"W{l}.0"]
+    out += C[:, 0] @ H @ w[f"W{l}.1"]
+    hadamard = H @ w[f"W{l}.2"]
+    hadamard *= H @ w[f"W{l}.3"]
+    out += hadamard
+    return _bias_relu(out, w[f"b{l}"])
 
 
 def _gnnml3_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
@@ -282,10 +302,14 @@ def _gnnml3_head(spec: ModelSpec) -> list[Entry]:
 
 def _gnnml3_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Each layer emits width (conv part) + width (Hadamard part)."""
-    conv = _conv(C, H, w[f"W{l}"]) + w[f"b{l}"]
-    h5 = H @ w[f"mlp5.{l}.W"] + w[f"mlp5.{l}.b"]
-    h6 = H @ w[f"mlp6.{l}.W"] + w[f"mlp6.{l}.b"]
-    return _relu(np.concatenate([conv, h5 * h6], axis=-1))
+    conv = _conv(C, H, w[f"W{l}"])
+    conv += w[f"b{l}"]
+    h5 = H @ w[f"mlp5.{l}.W"]
+    h5 += w[f"mlp5.{l}.b"]
+    h6 = H @ w[f"mlp6.{l}.W"]
+    h6 += w[f"mlp6.{l}.b"]
+    h5 *= h6
+    return _relu(np.concatenate([conv, h5], axis=-1))
 
 
 MODELS: dict[str, Model] = {
@@ -337,26 +361,79 @@ class _StackedGroup:
         starts = np.searchsorted(index[0], np.arange(len(graphs) + 1))
         return cls(np.array(indices), H0, edges=(rows, index, starts))
 
-    def tiles(self, weights: WeightSet):
-        """(lo, hi, supports) for each tile of TILE_NODES nodes: the static
-        (T, S, n, n) supports of graphs lo:hi, or GNNML3's learned masked
-        supports (Eq. 8), which depend on the weights."""
+    def tiles(self) -> list[tuple[int, int]]:
+        """(lo, hi) graph ranges of TILE_NODES nodes each."""
         step = max(1, TILE_NODES // self.n)
-        for lo in range(0, len(self.indices), step):
-            hi = min(lo + step, len(self.indices))
-            if self.C is not None:
-                yield lo, hi, self.C[lo:hi]
-                continue
-            feats, (b, r, c), starts = self.edges
-            e = slice(starts[lo], starts[hi])
-            edge_rows = feats[e]
-            x1, x2, x3 = (_sigmoid(edge_rows @ weights[f"mlp{t}.W"] + weights[f"mlp{t}.b"])
-                          for t in (1, 2, 3))
-            C_vec = _relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"]
-                          + weights["mlp4.b"])
-            C = np.zeros((hi - lo, C_vec.shape[1], self.n, self.n))
-            C[b[e] - lo, :, r[e], c[e]] = C_vec
-            yield lo, hi, C
+        B = len(self.indices)
+        return [(lo, min(lo + step, B)) for lo in range(0, B, step)]
+
+    def supports(self, weights: WeightSet, lo: int, hi: int) -> np.ndarray:
+        """The static (T, S, n, n) supports of graphs lo:hi, or GNNML3's
+        learned masked supports (Eq. 8), which depend on the weights."""
+        if self.C is not None:
+            return self.C[lo:hi]
+        feats, (b, r, c), starts = self.edges
+        e = slice(starts[lo], starts[hi])
+        edge_rows = feats[e]
+        x1, x2, x3 = (_sigmoid(edge_rows @ weights[f"mlp{t}.W"] + weights[f"mlp{t}.b"])
+                      for t in (1, 2, 3))
+        C_vec = _bias_relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"],
+                           weights["mlp4.b"])
+        C = np.zeros((hi - lo, C_vec.shape[1], self.n, self.n))
+        C[b[e] - lo, :, r[e], c[e]] = C_vec
+        return C
+
+    def embed_tile(self, spec: ModelSpec, weights: WeightSet, lo: int, hi: int,
+                   out: np.ndarray) -> None:
+        """Every layer and the readout of graphs lo:hi, into their rows of out."""
+        update = MODELS[spec.kind].update
+        C = self.supports(weights, lo, hi)
+        H = self.H0[lo:hi]
+        for l in range(spec.layers):
+            H = update(weights, l, H, C)
+        out[self.indices[lo:hi]] = H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
+
+
+@cache
+def _pool(threads: int):
+    """The shared tile threads; concurrent.futures is imported on first use,
+    which keeps it out of the start-up of processes that embed one tile."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="matgraph-tile")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's pool threads: start a new pool
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_tiles(tasks: list[Callable[[], None]]) -> None:
+    """Run every task: the calling thread and up to WORKERS - 1 pool
+    threads each take the next task until none is left."""
+    helpers = min(WORKERS, len(tasks)) - 1
+    if helpers < 1:
+        for task in tasks:
+            task()
+        return
+    todo, lock = iter(tasks), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                task = next(todo, None)
+            if task is None:
+                return
+            task()
+
+    futures = [_pool(WORKERS - 1).submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        with lock:  # after an error here, the pool threads take no new task
+            todo = iter(())
+        for f in futures:
+            f.result()
 
 
 class DatasetBatch:
@@ -387,16 +464,9 @@ class DatasetBatch:
         """Embeddings of every graph, shape (N, 10) (or (N, d) readouts)."""
         spec = self.spec
         weights = make_weights(spec, seed)
-        update = MODELS[spec.kind].update
         out = np.empty((self.size, len(weights["final"])))
-        for grp in self.groups:
-            for lo, hi, C in grp.tiles(weights):
-                H = grp.H0[lo:hi]
-                for l in range(spec.layers):
-                    H = update(weights, l, H, C)
-                out[grp.indices[lo:hi]] = (
-                    H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
-                )
+        _run_tiles([partial(grp.embed_tile, spec, weights, lo, hi, out)
+                    for grp in self.groups for lo, hi in grp.tiles()])
         if spec.readout == "sum-linear10":
             return out @ weights["final"]
         return out

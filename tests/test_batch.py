@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from matgraph import models
 from matgraph.harness import _candidate_pairs
 from matgraph.models import MODEL_KINDS, TILE_NODES, DatasetBatch, ModelSpec, static_supports
 from matgraph.spectral import SupportSpec
@@ -71,18 +72,58 @@ def test_subset_equals_fresh_batch(kind, mixed):
     assert same_bytes(got, want)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
+    # readout="sum": without the final linear a graph's row does not
+    # depend on how many graphs share its batch
+    monkeypatch.setattr(models, "WORKERS", max(models.WORKERS, 3))
+    spec = ModelSpec(kind, readout="sum")
+    batch = DatasetBatch(spec, mixed)
+    tiles = [(grp, lo, hi) for grp in batch.groups for lo, hi in grp.tiles()]
+    assert len(tiles) >= 4
+    runs = [batch.embed_all(13) for _ in range(5)]
+    assert all(same_bytes(e, runs[0]) for e in runs[1:])
+    for grp, lo, hi in tiles:  # each a batch of one tile, which runs inline
+        idx = grp.indices[lo:hi]
+        alone = DatasetBatch(spec, [mixed[i] for i in idx]).embed_all(13)
+        assert same_bytes(runs[0][idx], alone)
+
+
+def scan_matches_brute_force(emb, t):
+    d = np.abs(emb[:, None, :] - emb[None, :, :]).sum(axis=2)
+    want = {(int(i), int(j)) for i, j in zip(*np.nonzero(d <= t)) if i < j}
+    got = _candidate_pairs(emb, t)
+    assert got.shape == (len(want), 2) and got.dtype == np.int64
+    assert {(int(i), int(j)) for i, j in got} == want
+    return len(want)
+
+
 def test_candidate_pairs_match_brute_force():
     rng = np.random.default_rng(9)
     base = rng.uniform(0, 0.01, size=(60, 4))
     emb = base[rng.integers(0, 60, size=200)]  # many exact duplicates
     emb[::3] += rng.uniform(-5e-4, 5e-4, size=emb[::3].shape)
-    t = 1e-3
+    assert scan_matches_brute_force(emb, 1e-3) > 200
+    # a dyadic grid: every difference and sum is exact, so many pairs sit
+    # at exactly t on one coordinate (the sort or the filter one) or in
+    # total, and many rows tie on one or more coordinates
+    t = 2.0 ** -10
+    grid = rng.integers(0, 5, size=(300, 3)) * t
+    d = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2)
+    assert (d == t).sum() > 300 and (d == 0).sum() > 600
+    scan_matches_brute_force(grid, t)
+    # one coordinate, consecutive rows exactly t apart
+    assert scan_matches_brute_force(np.arange(50.0)[:, None] * t, t) == 49
+    # a threshold equal to the computed distance of some pairs
+    emb = rng.uniform(0, 0.02, size=(200, 5))
     d = np.abs(emb[:, None, :] - emb[None, :, :]).sum(axis=2)
-    want = {(i, j) for i, j in zip(*np.nonzero(d <= t)) if i < j}
-    got = _candidate_pairs(emb, t)
-    assert got.shape == (len(want), 2) and got.dtype == np.int64
-    assert {(int(i), int(j)) for i, j in got} == want
-    assert len(want) > 200
+    assert scan_matches_brute_force(emb, float(np.sort(d[np.triu_indices(200, 1)])[150])) > 150
+    # every coordinate a near-copy of the first: the filter coordinate
+    # rejects almost nothing and the exact distance decides
+    x = rng.uniform(0, 0.05, size=400)
+    x[::4] = x[1::4]  # exact duplicates
+    emb = np.stack([x, x + rng.uniform(0, 1e-5, 400), 2 * x, x], axis=1)
+    assert scan_matches_brute_force(emb, 1e-3) > 400
 
 
 def test_candidate_pairs_empty():

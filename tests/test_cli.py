@@ -68,6 +68,27 @@ class TestWL:
         assert "1-WL" in out
 
 
+class TestGraphAddress:
+    def test_only_the_addressed_graph_is_decoded(self, capsys, tmp_path, small_dataset):
+        path = tmp_path / "damaged.g6"
+        lines = open(small_dataset).read().splitlines()
+        path.write_text("\n".join([lines[0], "", "C~~~", lines[1]]) + "\n")
+        code, out = run_cli(capsys, "eval", "--sentence", "tr(A^2)", "--graph", f"{path}:2")
+        assert code == 0 and json.loads(out)["value"] == 8.0
+        code = main(["eval", "--sentence", "tr(A^2)", "--graph", f"{path}:1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
+
+    @pytest.mark.parametrize("index", ["3", "-1", "x", "1.0"])
+    def test_bad_index_names_the_range(self, capsys, small_dataset, index):
+        code = main(["wl", "--graph", f"{small_dataset}:0",
+                     "--other", f"{small_dataset}:{index}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: graph index {index!r} is not in 0..2\n"
+
+
 class TestCount:
     def test_counts_with_oracle(self, capsys, small_dataset):
         code, out = run_cli(
