@@ -35,6 +35,7 @@ from matgraph.harness import (
     golden_pairs_suite,
     golden_report,
     lambda_census,
+    parse_models,
     report_render,
     wl_census,
 )
@@ -117,7 +118,7 @@ def cmd_distinguish(args) -> int:
         if flag in args.given:
             overrides[key] = getattr(args, flag)
     if "models" in overrides:
-        overrides["models"] = tuple(overrides["models"].split(","))
+        overrides["models"] = parse_models(overrides["models"])
     if args.config:
         config = ExperimentConfig.from_file(args.config, **overrides)
     else:

@@ -8,7 +8,8 @@ pairs that are also within t on a second coordinate (an L1 ball of radius
 t projects to an interval of width t on every axis); later runs only
 re-check the surviving candidates, so work shrinks monotonically. A pair
 counts as undistinguished iff its Manhattan distance stays at or below
-the threshold in every run.
+the threshold in every run. The survivors stay one (P, 2) integer array
+until the final sorted list of tuples is made.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ from matgraph.wl import (
     wl2_equivalent,
 )
 
+def parse_models(raw: str) -> tuple[str, ...]:
+    """Model kinds of a comma-separated list; blank entries are dropped."""
+    return tuple(m.strip() for m in raw.split(",") if m.strip())
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
@@ -54,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if not self.models:
+            raise ValueError("at least one model kind required")
         if not math.isfinite(self.threshold) or self.threshold <= 0:
             raise ValueError("threshold must be finite and > 0")
         unknown = [m for m in self.models if m not in MODEL_KINDS]
@@ -82,7 +90,7 @@ class ExperimentConfig:
                 elif key == "threshold":
                     values[key] = float(raw)
                 elif key == "models":
-                    values[key] = tuple(m.strip() for m in raw.split(",") if m.strip())
+                    values[key] = parse_models(raw)
                 else:
                     values[key] = raw
         values.update(overrides)
@@ -201,31 +209,38 @@ def undistinguished_pairs(
 
     Run 0 scans the whole dataset for candidates; afterwards only graphs
     appearing in surviving pairs are re-embedded, shrinking the batch
-    whenever the active set halves.
+    whenever the active set halves. The survivors stay one (P, 2) array
+    until the sorted list is returned.
     """
+    if not seeds:
+        raise ValueError("at least one seed required")
+    N = len(graphs)
     batch = DatasetBatch(spec, graphs)
     pairs = _candidate_pairs(batch.embed_all(seeds[0]), threshold)
-    local = np.arange(len(graphs))  # dataset index -> position in batch
+    local = np.arange(N)  # dataset index -> position in batch
     for seed in seeds[1:]:
         if len(pairs) == 0:
             break
-        active = np.unique(pairs)  # dataset indices, always a subset of batch
+        in_pairs = np.zeros(N, dtype=bool)
+        in_pairs[pairs.ravel()] = True
+        active = np.flatnonzero(in_pairs)  # dataset indices, a subset of batch
         if len(active) <= batch.size // 2:
             batch = batch.subset(local[active].tolist())
-            remap = np.full(len(graphs), -1)
-            remap[active] = np.arange(len(active))
-            local = remap
+            local = np.full(N, -1)
+            local[active] = np.arange(len(active))
         emb = batch.embed_all(seed)
         d = np.abs(emb[local[pairs[:, 0]]] - emb[local[pairs[:, 1]]]).sum(axis=1)
         pairs = pairs[d <= threshold]
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return list(map(tuple, pairs.tolist()))
+    i, j = np.divmod(np.sort(pairs[:, 0] * N + pairs[:, 1]), N)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def naive_undistinguished_pairs(
     spec: ModelSpec, graphs: list[Graph], seeds: list[int], threshold: float
 ) -> list[tuple[int, int]]:
     """All-pairs oracle for the bucketed engine (small datasets only)."""
+    if not seeds:
+        raise ValueError("at least one seed required")
     if len(graphs) > 500:
         raise ValueError("naive oracle limited to 500 graphs")
     batch = DatasetBatch(spec, graphs)

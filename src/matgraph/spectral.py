@@ -8,6 +8,10 @@ M = A + I. The masked entries are stored as sparse edge-feature vectors.
 
 `eig_sym` and `stacked_supports` work on a whole (B, n, n) stack of
 equal-order graphs at once; `build_supports` is their one-graph case.
+`_eig_sym` and `_stacked_supports` are the same functions under private
+names, for callers on worker threads: perfbench's tracer replaces every
+public name with a span-recording wrapper that keeps one call stack and
+so must only be entered from one thread.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ def eig_sym(B: np.ndarray) -> SpectralBasis:
         raise ValueError("matrix is not symmetric within 1e-12")
     lam, U = np.linalg.eigh(B)
     return SpectralBasis(U=U, lam=lam)
+
+
+_eig_sym = eig_sym
 
 
 def frequency_response(lam: np.ndarray, b: float, f_s: float) -> np.ndarray:
@@ -176,7 +183,7 @@ def stacked_supports(
     graphs, n = 1) repeats its single center and every graph has S
     supports.
     """
-    basis = eig_sym(basis_matrix(A, spec.basis_kind))
+    basis = _eig_sym(basis_matrix(A, spec.basis_kind))
     index = np.nonzero(A + np.eye(A.shape[-1]))
     bands = spec.S - 1 if spec.include_allpass else spec.S
     centers = band_centers(basis.lam[:, :1], basis.lam[:, -1:], bands + 1)
@@ -187,6 +194,9 @@ def stacked_supports(
     if spec.include_allpass:
         columns.append((index[1] == index[2]).astype(np.float64))
     return np.column_stack(columns), index, centers
+
+
+_stacked_supports = stacked_supports
 
 
 def build_supports(G: Graph, spec: SupportSpec = SupportSpec()) -> SupportSet:

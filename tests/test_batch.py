@@ -1,20 +1,30 @@
-"""The order-bucket engine: stacked supports, tiles, subsets, candidate scan."""
+"""The order-bucket engine: per-tile supports, tiles, subsets, candidate scan."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from matgraph import models
 from matgraph.harness import _candidate_pairs
-from matgraph.models import MODEL_KINDS, TILE_NODES, DatasetBatch, ModelSpec, static_supports
+from matgraph.models import (
+    MODEL_KINDS,
+    MODELS,
+    TILE_NODES,
+    DatasetBatch,
+    ModelSpec,
+    static_supports,
+)
 from matgraph.spectral import SupportSpec
 
 
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def bucket_graphs(graphs, grp):
-    return [graphs[i] for i in grp.indices]
 
 
 ADJACENCY = ModelSpec("gnnml3", support_spec=SupportSpec(basis_kind="adjacency"))
@@ -23,19 +33,74 @@ ADJACENCY = ModelSpec("gnnml3", support_spec=SupportSpec(basis_kind="adjacency")
 @pytest.mark.parametrize("spec", [ModelSpec(k) for k in MODEL_KINDS] + [ADJACENCY],
                          ids=[*MODEL_KINDS, "gnnml3-adjacency"])
 def test_stacked_supports_equal_one_graph_builder(spec, mixed):
-    kind = spec.kind
+    # every tile keeps its graphs' static_supports, less a declared identity
+    kind, skip = spec.kind, MODELS[spec.kind].identity
     batch = DatasetBatch(spec, mixed)
     assert sorted(grp.n for grp in batch.groups) == [1, 3, 8, 25]
+    assert sum(len(grp.tiles) for grp in batch.groups) > len(batch.groups)
     for grp in batch.groups:
-        ones = [static_supports(spec, G) for G in bucket_graphs(mixed, grp)]
-        if kind != "gnnml3":
-            assert same_bytes(grp.C, np.stack([np.stack(C) for C in ones]))
-            continue
-        rows, (b, r, c), _ = grp.edges
-        assert same_bytes(rows, np.concatenate([ss.features for ss in ones]))
-        rc = np.concatenate([np.reshape(ss.mask_index, (-1, 2)) for ss in ones])
-        assert np.array_equal(np.stack([r, c], axis=1), rc)
-        assert np.array_equal(b, np.repeat(np.arange(len(ones)), [ss.m for ss in ones]))
+        assert len(grp.supports) == len(grp.tiles)
+        for (lo, hi), supports in zip(grp.tiles, grp.supports):
+            ones = [static_supports(spec, mixed[i]) for i in grp.indices[lo:hi]]
+            if kind != "gnnml3":
+                want = [np.array(C[skip:]).reshape(-1, grp.n, grp.n) for C in ones]
+                assert same_bytes(supports, np.stack(want))
+                continue
+            rows, (b, r, c), _ = supports
+            assert same_bytes(rows, np.concatenate([ss.features for ss in ones]))
+            rc = np.concatenate([np.reshape(ss.mask_index, (-1, 2)) for ss in ones])
+            assert np.array_equal(np.stack([r, c], axis=1), rc)
+            assert np.array_equal(b, np.repeat(np.arange(hi - lo), [ss.m for ss in ones]))
+
+
+def test_identity_supports_declared(mixed):
+    assert {k for k in MODEL_KINDS if MODELS[k].identity} == {"mlp", "graphsage", "chebnet"}
+    for kind in ("mlp", "graphsage", "chebnet"):
+        for G in mixed[:3] + mixed[151:155]:  # orders 1, 8, 3 and 25
+            assert same_bytes(static_supports(ModelSpec(kind), G)[0], np.eye(G.n))
+
+
+def load_tracing():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+@pytest.mark.parametrize("kind", ["chebnet", "gnnml3"])
+def test_tile_threads_call_no_traced_name(kind, graph8c, monkeypatch):
+    # perfbench/tracing.py replaces every public matgraph function outside
+    # its LEAF_HELPERS (models.eig_sym, spectral.stacked_supports, ...) and a
+    # few methods with wrappers that share one span stack; the tile threads
+    # that build supports and embed must call none of them
+    tracing = load_tracing()
+    monkeypatch.setattr(models, "WORKERS", max(models.WORKERS, 3))
+    calls = []
+
+    def wrap(fn, name):
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return recorded
+
+    for m in tracing.MODULES:
+        mod = importlib.import_module(f"matgraph.{m}")
+        for attr, obj in list(vars(mod).items()):
+            if (not attr.startswith("_") and attr not in tracing.LEAF_HELPERS
+                    and inspect.isfunction(obj) and obj.__module__.startswith("matgraph.")):
+                monkeypatch.setattr(mod, attr, wrap(obj, f"{m}.{attr}"))
+    for m, cls_name, meth in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"matgraph.{m}"), cls_name)
+        monkeypatch.setattr(cls, meth, wrap(vars(cls)[meth], f"{m}.{cls_name}.{meth}"))
+
+    batch = models.DatasetBatch(ModelSpec(kind), graph8c[:1000])
+    assert len(batch.groups[0].tiles) >= 4
+    batch.embed_all(3)
+    names = {name for name, _ in calls}
+    assert {"models.DatasetBatch.__init__", "models.DatasetBatch.embed_all"} <= names
+    off_thread = {name for name, thread in calls if thread is not threading.current_thread()}
+    assert not off_thread
 
 
 def test_adjacency_basis_supports(mixed):
@@ -76,12 +141,19 @@ def test_subset_equals_fresh_batch(kind, mixed):
 def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
     # readout="sum": without the final linear a graph's row does not
     # depend on how many graphs share its batch
+    # the tiles' support builds and forward passes run threaded, with
+    # thread switches forced often
     monkeypatch.setattr(models, "WORKERS", max(models.WORKERS, 3))
     spec = ModelSpec(kind, readout="sum")
-    batch = DatasetBatch(spec, mixed)
-    tiles = [(grp, lo, hi) for grp in batch.groups for lo, hi in grp.tiles()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batch = DatasetBatch(spec, mixed)
+        runs = [batch.embed_all(13) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    tiles = [(grp, lo, hi) for grp in batch.groups for lo, hi in grp.tiles]
     assert len(tiles) >= 4
-    runs = [batch.embed_all(13) for _ in range(5)]
     assert all(same_bytes(e, runs[0]) for e in runs[1:])
     for grp, lo, hi in tiles:  # each a batch of one tile, which runs inline
         idx = grp.indices[lo:hi]

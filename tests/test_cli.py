@@ -196,6 +196,37 @@ class TestDistinguish:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_blank_model_entries_dropped(self, capsys, tmp_path, small_dataset, where):
+        argv = ["--format", "json", "distinguish", small_dataset, "--runs", "1"]
+        if where == "flag":
+            argv += ["--models", " gcn, ,gin,"]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("models =  gcn, ,gin,\n")
+            argv = ["--config", str(cfg), *argv]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert set(json.loads(out)["counts"]) == {"gcn", "gin"}
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("models_value", ["", ",", " , ,"])
+    def test_empty_model_list_is_usage_error(
+        self, capsys, tmp_path, small_dataset, where, models_value
+    ):
+        argv = ["distinguish", small_dataset, "--runs", "1"]
+        if where == "flag":
+            argv += ["--models", models_value]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"models = {models_value}\n")
+            argv = ["--config", str(cfg), *argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: at least one model kind required\n"
+
     def test_model_failure_exits_one(self, capsys, monkeypatch, small_dataset):
         def broken(w, l, H, C):
             raise RuntimeError("boom")

@@ -14,9 +14,9 @@ from matgraph.harness import (
     undistinguished_pairs,
     wl_census,
 )
-from matgraph.models import ModelSpec, run_seeds
+from matgraph.models import DatasetBatch, ModelSpec, run_seeds
 
-from .conftest import make_graph
+from .conftest import make_graph, permute_graph
 
 
 class TestGoldenSuite:
@@ -34,15 +34,46 @@ class TestGoldenSuite:
 class TestBucketedEngine:
     """The windowed candidate scan must equal the all-pairs oracle."""
 
-    @pytest.mark.parametrize("kind", ["gcn", "gin", "chebnet"])
-    def test_matches_naive_oracle(self, kind):
+    @staticmethod
+    def datasets():
+        """120 graphs of orders 4 to 7; and 120 of order 10, 12 of them with
+        a relabelled copy, of which after run 0 at most 39 of the 132
+        graphs are in a pair for every kind tested, so the batch shrinks."""
         rng = np.random.default_rng(5)
-        graphs = [make_graph(rng, int(rng.integers(4, 8))) for _ in range(120)]
+        small = [make_graph(rng, int(rng.integers(4, 8))) for _ in range(120)]
+        rng = np.random.default_rng(6)
+        copies = [make_graph(rng, 10) for _ in range(120)]
+        copies += [permute_graph(G, rng.permutation(10)) for G in copies[:12]]
+        return small, copies
+
+    @pytest.mark.parametrize("kind", ["mlp", "gcn", "graphsage", "gin", "chebnet"])
+    def test_matches_naive_oracle(self, kind, monkeypatch):
+        subsets, subset = [], DatasetBatch.subset
+
+        def counted_subset(batch, indices):
+            subsets.append(len(indices))
+            return subset(batch, indices)
+
+        monkeypatch.setattr(DatasetBatch, "subset", counted_subset)
         spec = ModelSpec(kind=kind)
         seeds = run_seeds(3, 10)
-        fast = undistinguished_pairs(spec, graphs, seeds, 1e-3)
-        slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
-        assert sorted(fast) == sorted(slow)
+        small, copies = self.datasets()
+        for graphs in (small, copies):
+            subsets.clear()
+            fast = undistinguished_pairs(spec, graphs, seeds, 1e-3)
+            slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
+            assert fast == slow  # the same sorted list
+            assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
+                       for p in fast)
+        assert subsets and subsets[0] <= len(copies) // 2
+        assert len(fast) >= 12  # the relabelled copies are never separated
+
+    @pytest.mark.parametrize("engine", [undistinguished_pairs, naive_undistinguished_pairs])
+    def test_no_seeds_rejected(self, engine):
+        rng = np.random.default_rng(0)
+        graphs = [make_graph(rng, 4) for _ in range(5)]
+        with pytest.raises(ValueError, match="at least one seed required"):
+            engine(ModelSpec(kind="gcn"), graphs, [], 1e-3)
 
     def test_naive_oracle_refuses_large_input(self):
         rng = np.random.default_rng(0)
@@ -93,6 +124,8 @@ class TestConfigAndRendering:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="x", runs=0)
+        with pytest.raises(ValueError, match="at least one model kind required"):
+            ExperimentConfig(dataset="x", models=())
 
     def test_render_formats(self):
         report = golden_report(golden_pairs_suite())
