@@ -47,7 +47,7 @@ from matgraph.matlang import (
     shape_check,
 )
 from matgraph.models import MODEL_KINDS, ModelSpec, embed, run_seeds
-from matgraph.spectral import SupportSpec, build_supports
+from matgraph.spectral import SupportSpec, stacked_supports
 from matgraph.wl import fwl2_equivalent, wl1_equivalent, wl2_equivalent
 
 
@@ -177,11 +177,12 @@ def cmd_wl(args) -> int:
 def cmd_supports(args) -> int:
     G = _load_graph(args.graph, args.dataset_format)
     basis = "normalized-laplacian" if args.basis == "nlap" else "adjacency"
-    ss = build_supports(G, SupportSpec(basis_kind=basis, b=args.b, S=args.count))
+    spec = SupportSpec(basis_kind=basis, b=args.b, S=args.count)
+    features, (_, rows, cols), centers = stacked_supports(G.adjacency[None], spec)
     result = {
-        "mask_index": [list(p) for p in ss.mask_index],
-        "band_centers": list(ss.centers),
-        "features": ss.features.tolist(),
+        "mask_index": [list(p) for p in zip(rows.tolist(), cols.tolist())],
+        "band_centers": centers[0].tolist(),
+        "features": features.tolist(),
     }
     _emit(args, json.dumps(result, indent=2) + "\n")
     return 0

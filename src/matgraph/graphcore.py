@@ -166,7 +166,10 @@ def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
         return graphs
     if format == "edgelist-json":
         with open(path) as f:
-            records = json.load(f)
+            try:
+                records = json.load(f)
+            except json.JSONDecodeError as e:
+                raise GraphFormatError(f"{path}: {e}") from e
         if not isinstance(records, list):
             raise GraphFormatError(f"{path}: expected a JSON array of records")
         graphs = []

@@ -47,6 +47,10 @@ def parse_models(raw: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in raw.split(",") if m.strip())
 
 
+# config-file key -> parser of its raw text; other keys stay text
+_CONFIG_PARSERS = {"runs": int, "base_seed": int, "threshold": float, "models": parse_models}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
@@ -85,14 +89,10 @@ class ExperimentConfig:
                 key, raw = key.strip(), raw.strip()
                 if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key in ("runs", "base_seed"):
-                    values[key] = int(raw)
-                elif key == "threshold":
-                    values[key] = float(raw)
-                elif key == "models":
-                    values[key] = parse_models(raw)
-                else:
-                    values[key] = raw
+                try:
+                    values[key] = _CONFIG_PARSERS.get(key, str)(raw)
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from e
         values.update(overrides)
         return cls(**values)
 

@@ -22,16 +22,17 @@ each order bucket's adjacencies (B, n, n) once and splits the bucket into
 tiles of TILE_NODES nodes. The kind's support builder runs on each tile's
 stack once, when the batch is built, and the tile keeps its supports:
 elementwise formulas, one stacked eigendecomposition (Chebnet, GNNML3).
-The one-graph helpers `static_supports` and `spectral.build_supports` are
-the B = 1 case of the same builders. A support that is the identity (the
-first one of MLP, GraphSage and Chebnet, declared by `Model.identity`) is
-neither built nor stored: its term C H W is computed as H W. Every seed's
-forward pass runs every layer and the readout one tile at a time, so that
-a layer's temporaries stay cache-sized instead of growing with the
-dataset. At layer 0 the input is one degree per node, and each transform
-H W by a one-row W is the broadcast product H * W. None of this changes
-a bit: the embeddings equal an untiled pass that multiplies by I and
-calls matmul throughout.
+The one-graph helper `static_supports` is the B = 1 case of the same
+builders, made dense for GNNML3 by `spectral.scatter_supports`, the
+scatter that also places its learned supports. A support that is the
+identity (the first one of MLP, GraphSage and Chebnet, declared by
+`Model.identity`) is neither built nor stored: its term C H W is
+computed as H W. Every seed's forward pass runs every layer and the
+readout one tile at a time, so that a layer's temporaries stay
+cache-sized instead of growing with the dataset. At layer 0 the input
+is one degree per node, and each transform H W by a one-row W is the
+broadcast product H * W. None of this changes a bit: the embeddings
+equal an untiled pass that multiplies by I and calls matmul throughout.
 
 The tiles are independent: each builds its own supports and writes its
 own rows of the output. Both the support builds and an `embed_all` call
@@ -55,7 +56,8 @@ from typing import Callable
 import numpy as np
 
 from matgraph.graphcore import Graph, laplacian
-from matgraph.spectral import SupportSet, SupportSpec, _eig_sym, _stacked_supports
+from matgraph.spectral import (SupportSpec, _eig_sym, _scatter_supports, _stacked_supports,
+                               scatter_supports)
 
 PARAM_BUDGET = 30_000
 EMBED_DIM = 10
@@ -182,17 +184,17 @@ def _leaky(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
 
 
-def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray] | SupportSet:
-    """Fixed convolution supports of one graph (everything except GAT's
-    attention and GNNML3's learned part, which depend on the weights):
-    the kind's support builder on a stack of one. For GNNML3 this is the
-    sparse SupportSet the learned part reads. A declared identity support
-    comes first, as np.eye(n)."""
+def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
+    """Fixed convolution supports of one graph as dense n x n arrays
+    (everything except GAT's attention and GNNML3's learned part, which
+    depend on the weights): the kind's support builder on a stack of one.
+    For GNNML3 these are the S designed supports the learned part reads.
+    A declared identity support comes first, as np.eye(n)."""
     model = MODELS[spec.kind]
     supports = model.supports(spec, G.adjacency[None])
-    if isinstance(supports, np.ndarray):
-        return [np.eye(G.n)] * model.identity + list(supports[0])
-    return SupportSet.of_stack(*supports)
+    if not isinstance(supports, np.ndarray):  # GNNML3's (rows, (b, r, c), centers)
+        supports = scatter_supports(*supports[:2], (1, G.n))
+    return [np.eye(G.n)] * model.identity + list(supports[0])
 
 
 # --- the model table ---------------------------------------------------------
@@ -389,15 +391,13 @@ class _StackedGroup:
         supports = self.supports[t]
         if isinstance(supports, np.ndarray):
             return supports
-        edge_rows, (b, r, c), _ = supports
+        edge_rows, index, _ = supports
         x1, x2, x3 = (_sigmoid(edge_rows @ weights[f"mlp{k}.W"] + weights[f"mlp{k}.b"])
                       for k in (1, 2, 3))
         C_vec = _bias_relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"],
                            weights["mlp4.b"])
         lo, hi = self.tiles[t]
-        C = np.zeros((hi - lo, C_vec.shape[1], self.n, self.n))
-        C[b, :, r, c] = C_vec
-        return C
+        return _scatter_supports(C_vec, index, (hi - lo, self.n))
 
     def embed_tile(self, spec: ModelSpec, weights: WeightSet, t: int,
                    out: np.ndarray) -> None:

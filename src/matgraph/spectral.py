@@ -4,23 +4,26 @@ Supports are built by designing Gaussian frequency responses
 Phi_s(lambda) = exp(-b (lambda - f_s)^2) over the eigenvalues of a basis
 matrix (normalized Laplacian by default), reconstructing the dense matrix
 U diag(Phi_s(lambda)) U^T, and masking it to the 1-hop receptive field
-M = A + I. The masked entries are stored as sparse edge-feature vectors.
+M = A + I. The masked entries are stored as sparse edge-feature rows.
 
 `eig_sym` and `stacked_supports` work on a whole (B, n, n) stack of
-equal-order graphs at once; `build_supports` is their one-graph case.
-`_eig_sym` and `_stacked_supports` are the same functions under private
-names, for callers on worker threads: perfbench's tracer replaces every
-public name with a span-recording wrapper that keeps one call stack and
-so must only be entered from one thread.
+equal-order graphs at once; a single graph is a stack of one.
+`scatter_supports` is the inverse of the gather `stacked_supports` does:
+it turns the rows back into dense supports.
+`_eig_sym`, `_stacked_supports` and `_scatter_supports` are the same
+functions under private names, for callers on worker threads: perfbench's
+tracer replaces every public name with a span-recording wrapper that keeps
+one call stack and so must only be entered from one thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from matgraph.graphcore import Graph, laplacian
+from matgraph.graphcore import laplacian
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ _eig_sym = eig_sym
 
 def frequency_response(lam: np.ndarray, b: float, f_s: float) -> np.ndarray:
     """Gaussian band response Phi_s(lambda) = exp(-b (lambda - f_s)^2)."""
-    if b <= 0:
-        raise ValueError("bandwidth b must be positive")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError("bandwidth b must be finite and > 0")
     lam = np.asarray(lam, dtype=np.float64)
     return np.exp(-b * (lam - f_s) ** 2)
 
@@ -96,65 +99,8 @@ class SupportSpec:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         if self.S < 1:
             raise ValueError("S must be >= 1")
-        if self.b <= 0:
-            raise ValueError("b must be > 0")
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    mask_index: tuple[tuple[int, int], ...]
-    features: np.ndarray  # m x S, column s = sparse2vec of support s
-    centers: tuple[float, ...] = field(default=())
-
-    @classmethod
-    def of_stack(cls, features, index, centers) -> "SupportSet":
-        """The set of a one-graph `stacked_supports` result."""
-        _, rows, cols = index
-        return cls(
-            mask_index=tuple(zip(rows.tolist(), cols.tolist())),
-            features=features,
-            centers=tuple(centers[0].tolist()),
-        )
-
-    @property
-    def m(self) -> int:
-        return len(self.mask_index)
-
-    @property
-    def num_supports(self) -> int:
-        return self.features.shape[1]
-
-    def dense(self, n: int) -> np.ndarray:
-        """Stack of S dense n x n supports recovered from the vectors."""
-        out = np.zeros((self.num_supports, n, n))
-        rows = [i for i, _ in self.mask_index]
-        cols = [j for _, j in self.mask_index]
-        for s in range(self.num_supports):
-            out[s, rows, cols] = self.features[:, s]
-        return out
-
-
-def mask_positions(M: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Row-major sorted (row, col) positions of the nonzero mask entries."""
-    rows, cols = np.nonzero(M)
-    return tuple(zip(rows.tolist(), cols.tolist()))
-
-
-def sparse2vec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Entries of X at the mask's nonzero positions, row-major."""
-    if M.shape != X.shape:
-        raise ValueError(f"mask shape {M.shape} != matrix shape {X.shape}")
-    return X[np.nonzero(M)]
-
-
-def vec2sparse(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Scatter v back to the mask's nonzero positions; zeros elsewhere."""
-    rows, cols = np.nonzero(M)
-    if len(v) != len(rows):
-        raise ValueError(f"vector length {len(v)} != mask size {len(rows)}")
-    X = np.zeros_like(M, dtype=np.float64)
-    X[rows, cols] = v
-    return X
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError("b must be finite and > 0")
 
 
 def basis_matrix(A: np.ndarray, kind: str) -> np.ndarray:
@@ -199,9 +145,21 @@ def stacked_supports(
 _stacked_supports = stacked_supports
 
 
-def build_supports(G: Graph, spec: SupportSpec = SupportSpec()) -> SupportSet:
-    """Algorithm 1 for one graph: `stacked_supports` of a stack of one."""
-    return SupportSet.of_stack(*stacked_supports(G.adjacency[None], spec))
+def scatter_supports(
+    rows: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.ndarray],
+    shape: tuple[int, int],
+) -> np.ndarray:
+    """Dense (B, S, n, n) supports of a stack of B graphs of order n from
+    their m x S mask rows and the rows' positions (b, r, c), as
+    `stacked_supports` returns them; zeros off the mask. The inverse of
+    its gather: `scatter_supports(rows, index, shape)[b, :, r, c]` is rows."""
+    b, r, c = index
+    out = np.zeros((shape[0], rows.shape[1], shape[1], shape[1]))
+    out[b, :, r, c] = rows
+    return out
+
+
+_scatter_supports = scatter_supports
 
 
 def maclaurin_coefficients(b: float, f_s: float, order: int) -> np.ndarray:

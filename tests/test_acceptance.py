@@ -150,7 +150,8 @@ class TestCriterion6PropertySuites:
     - embed determinism / permutation invariance: test_models.py
     - 1-WL-bounded models never separate 1-WL pairs: test_models.py
     - support symmetry / norm / equivariance: test_spectral.py
-    - sparse2vec round-trip, Maclaurin residual: test_spectral.py
+    - mask-row gather / scatter_supports round-trip, Maclaurin residual:
+      test_spectral.py
 
     This check just asserts those files are collected alongside this one.
     """

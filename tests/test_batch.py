@@ -20,7 +20,7 @@ from matgraph.models import (
     ModelSpec,
     static_supports,
 )
-from matgraph.spectral import SupportSpec
+from matgraph.spectral import SupportSpec, scatter_supports, stacked_supports
 
 
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -41,16 +41,17 @@ def test_stacked_supports_equal_one_graph_builder(spec, mixed):
     for grp in batch.groups:
         assert len(grp.supports) == len(grp.tiles)
         for (lo, hi), supports in zip(grp.tiles, grp.supports):
-            ones = [static_supports(spec, mixed[i]) for i in grp.indices[lo:hi]]
-            if kind != "gnnml3":
-                want = [np.array(C[skip:]).reshape(-1, grp.n, grp.n) for C in ones]
-                assert same_bytes(supports, np.stack(want))
-                continue
-            rows, (b, r, c), _ = supports
-            assert same_bytes(rows, np.concatenate([ss.features for ss in ones]))
-            rc = np.concatenate([np.reshape(ss.mask_index, (-1, 2)) for ss in ones])
-            assert np.array_equal(np.stack([r, c], axis=1), rc)
-            assert np.array_equal(b, np.repeat(np.arange(hi - lo), [ss.m for ss in ones]))
+            idx = grp.indices[lo:hi]
+            ones = [static_supports(spec, mixed[i]) for i in idx]
+            want = np.stack([np.array(C[skip:]).reshape(-1, grp.n, grp.n) for C in ones])
+            if kind == "gnnml3":
+                # the tile's mask rows sit at the nonzero positions of its A + I
+                rows, index, _ = supports
+                A = np.stack([mixed[i].adjacency for i in idx])
+                assert all(np.array_equal(got, i)
+                           for got, i in zip(index, np.nonzero(A + np.eye(grp.n))))
+                supports = scatter_supports(rows, index, (hi - lo, grp.n))
+            assert same_bytes(supports, want)
 
 
 def test_identity_supports_declared(mixed):
@@ -106,14 +107,15 @@ def test_tile_threads_call_no_traced_name(kind, graph8c, monkeypatch):
 def test_adjacency_basis_supports(mixed):
     # masked U diag(exp(-b (lam - f)^2)) U^T over the adjacency spectrum
     G = mixed[5]
-    ss = static_supports(ADJACENCY, G)
+    _, _, centers = stacked_supports(G.adjacency[None], ADJACENCY.support_spec)
+    dense = static_supports(ADJACENCY, G)
     lam, U = np.linalg.eigh(G.adjacency)
     M = G.adjacency + np.eye(G.n)
-    dense = ss.dense(G.n)
-    for s, f in enumerate(ss.centers):
+    assert len(dense) == len(centers[0]) + 1
+    for s, f in enumerate(centers[0]):
         want = (U * np.exp(-5.0 * (lam - f) ** 2)) @ U.T
         np.testing.assert_allclose(dense[s], np.where(M > 0, want, 0.0), atol=1e-12)
-    assert ss.centers[0] == pytest.approx(lam[0])
+    assert centers[0, 0] == pytest.approx(lam[0])
     assert np.array_equal(dense[-1], np.eye(G.n))
 
 

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from matgraph import models
@@ -106,6 +107,22 @@ class TestSupportsAndEmbed:
             capsys, "supports", "--graph", small_dataset, "--count", "3"
         )
         assert code == 0
+        payload = json.loads(out)
+        A = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).adjacency
+        assert payload["mask_index"] == np.argwhere(A + np.eye(4)).tolist()
+        assert len(payload["band_centers"]) == 3 - 1
+        features = np.array(payload["features"])
+        assert features.shape == (len(payload["mask_index"]), 3)
+        diagonal = [float(r == c) for r, c in payload["mask_index"]]
+        assert features[:, -1].tolist() == diagonal
+
+    @pytest.mark.parametrize("b", ["nan", "inf"])
+    def test_supports_bandwidth_must_be_finite(self, capsys, small_dataset, b):
+        code = main(["supports", "--graph", small_dataset, "--b", b])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: b must be finite and > 0\n"
 
     def test_embed(self, capsys, small_dataset):
         code, out = run_cli(
@@ -167,6 +184,26 @@ class TestDistinguish:
         assert code == 2
         assert err.count("\n") == 1
         assert "bogus" in err
+
+    def test_bad_config_value_names_file_and_line(self, capsys, tmp_path, small_dataset):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# runs below\nmodels = gcn\nruns = ten\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}:3: invalid literal for int()")
+        assert captured.err.count("\n") == 1
+
+    def test_malformed_edgelist_json_names_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('[{"n": 2 "edges": [[0, 1]]}]')
+        code = main(["--dataset-format", "edgelist-json", "census", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: Expecting ',' delimiter")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
     def test_threshold_must_be_finite_and_positive(

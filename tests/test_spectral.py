@@ -7,19 +7,23 @@ from matgraph.graphcore import Graph, laplacian
 from matgraph.spectral import (
     SupportSpec,
     band_centers,
-    build_supports,
     eig_sym,
     frequency_response,
     maclaurin_coefficients,
     maclaurin_residual,
-    mask_positions,
-    sparse2vec,
-    vec2sparse,
+    scatter_supports,
+    stacked_supports,
 )
 
-from .conftest import graphs, permute_graph
+from .conftest import graphs, permute_graph, random_adjacency
 
 P2 = Graph.from_edges(2, [(0, 1)])
+
+
+def dense_supports(A: np.ndarray, spec: SupportSpec = SupportSpec()) -> np.ndarray:
+    """(B, S, n, n) dense supports of the stack A: Algorithm 1's rows, scattered."""
+    rows, index, _ = stacked_supports(A, spec)
+    return scatter_supports(rows, index, A.shape[:2])
 
 
 class TestEigSym:
@@ -60,18 +64,23 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError, match="S >= 2"):
             band_centers(np.array([[1.0], [0.0]]), np.array([[1.0], [2.0]]), 1)
         with pytest.raises(ValueError, match="S >= 2"):
-            build_supports(P2, SupportSpec(S=1))
-        assert np.array_equal(build_supports(Graph.from_edges(3, []), SupportSpec(S=1)).dense(3),
-                              np.eye(3)[None])
+            stacked_supports(P2.adjacency[None], SupportSpec(S=1))
+        assert np.array_equal(dense_supports(np.zeros((1, 3, 3)), SupportSpec(S=1)),
+                              np.eye(3)[None, None])
+
+    @pytest.mark.parametrize("b", [float("nan"), float("inf"), 0.0])
+    def test_bandwidth_must_be_finite_and_positive(self, b):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            SupportSpec(b=b)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            frequency_response(np.zeros(3), b, 0.0)
 
 
 class TestSupports:
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=2, max_n=8, connected=True))
     def test_symmetry_and_norm(self, G):
-        S = build_supports(G).dense(G.n)
-        for s in range(S.shape[0]):
-            C = S[s]
+        for C in dense_supports(G.adjacency[None])[0]:
             assert np.allclose(C, C.T, atol=1e-10)
             # Gaussian responses are bounded by 1, so the full (unmasked)
             # operator norm is <= 1; masking can only shrink the max entry
@@ -80,11 +89,11 @@ class TestSupports:
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=2, max_n=7, connected=True))
     def test_permutation_equivariance(self, G):
+        # G and its relabelling H, built as one stack of two
         rng = np.random.default_rng(G.num_edges * 31 + G.n)
         perm = rng.permutation(G.n)
         H = permute_graph(G, perm)
-        CG = build_supports(G).dense(G.n)
-        CH = build_supports(H).dense(H.n)
+        CG, CH = dense_supports(np.stack([G.adjacency, H.adjacency]))
         for s in range(CG.shape[0]):
             assert np.allclose(
                 CG[s][np.ix_(perm, perm)], CH[s], atol=1e-8
@@ -92,29 +101,38 @@ class TestSupports:
 
     def test_masked_to_receptive_field(self):
         G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        C = build_supports(G).dense(4)
+        C = dense_supports(G.adjacency[None])[0]
         M = G.adjacency + np.eye(4)
         assert np.all(C[:, M == 0] == 0.0)
 
     def test_allpass_support(self):
         spec = SupportSpec(include_allpass=True)
         G = Graph.from_edges(3, [(0, 1), (1, 2)])
-        ss = build_supports(G, spec)
-        C = ss.dense(3)
+        C = dense_supports(G.adjacency[None], spec)[0]
         assert np.allclose(C[-1], np.eye(3))
 
 
 class TestSparseVec:
+    """The mask rows of a stack: `stacked_supports`' gather X[b, :, r, c]
+    at the nonzero positions of A + I and `scatter_supports` invert each
+    other."""
+
     @settings(max_examples=120, deadline=None)
-    @given(graphs(min_n=2, max_n=9))
-    def test_roundtrip(self, G):
-        M = G.adjacency + np.eye(G.n)
-        rng = np.random.default_rng(G.n * 7 + G.num_edges)
-        X = rng.standard_normal((G.n, G.n))
-        X = np.where(M > 0, X, 0.0)
-        v = sparse2vec(M, X)
-        assert v.shape == (len(mask_positions(M)),)
-        assert np.array_equal(vec2sparse(v, M), X)
+    @given(st.integers(2, 9), st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_roundtrip(self, n, B, S, seed):
+        rng = np.random.default_rng(seed)
+        A = np.stack([random_adjacency(rng, n) for _ in range(B)])
+        index = np.nonzero(A + np.eye(n))
+        M = (A + np.eye(n) > 0)[:, None]  # (B, 1, n, n), the mask of every support
+        X = np.where(M, rng.standard_normal((B, S, n, n)), 0.0)
+        b, r, c = index
+        rows = X[b, :, r, c]
+        assert rows.shape == (int(M.sum()), S)
+        assert np.array_equal(scatter_supports(rows, index, (B, n)), X)
+        # stacked_supports gathers at the same positions, graphs in stack order
+        features, got, _ = stacked_supports(A, SupportSpec(S=S + 1))
+        assert all(np.array_equal(g, i) for g, i in zip(got, index))
+        assert np.array_equal(scatter_supports(features, got, (B, n))[b, :, r, c], features)
 
 
 class TestMaclaurin:
