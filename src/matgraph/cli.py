@@ -26,7 +26,8 @@ import json
 import sys
 
 
-from matgraph.graphcore import Graph, GraphFormatError, load_dataset, parse_graph6
+from matgraph.graphcore import (DATASET_FORMATS, Graph, GraphFormatError, load_dataset,
+                                parse_graph6)
 from matgraph.graphlets import CLOSED_FORMS, PATTERN_KINDS, enumerate_pattern
 from matgraph.harness import (
     ExperimentConfig,
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report output format (default text)",
     )
     parser.add_argument(
-        "--dataset-format", choices=("graph6", "edgelist-json"),
+        "--dataset-format", choices=DATASET_FORMATS,
         help="input format (default graph6)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+DATASET_FORMATS = ("graph6", "edgelist-json")
+
 
 class GraphFormatError(ValueError):
     """Raised when a graph file or graph6 string cannot be decoded."""

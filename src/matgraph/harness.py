@@ -3,13 +3,21 @@ distinguishability runs, and the golden pair suite.
 
 The distinguishability engine avoids the full O(N^2) distance pass: in
 the first run, candidate near-duplicate pairs are found by sorting the
-embeddings on one coordinate and scanning a window, keeping the window's
-pairs that are also within t on a second coordinate (an L1 ball of radius
-t projects to an interval of width t on every axis); later runs only
-re-check the surviving candidates, so work shrinks monotonically. A pair
-counts as undistinguished iff its Manhattan distance stays at or below
-the threshold in every run. The survivors stay one (P, 2) integer array
-until the final sorted list of tuples is made.
+embeddings on one key and scanning a window, keeping the window's pairs
+that are also within the window of a second key. The keys are the
+coordinates (an L1 ball of radius t projects to an interval of width t on
+every axis) and the sign projection emb @ sign(v), v the first principal
+axis of the embeddings, which spreads the rows along their main
+direction: |sum_k s_k d_k| <= sum_k |d_k|, so it too maps the ball into
+an interval of width t, widened by a bound on the projection's rounding
+error. The two keys with the fewest in-window pairs are used, and an
+exact float distance decides every pair. Later runs only re-check the
+surviving candidates, so work shrinks monotonically. A pair counts as
+undistinguished iff its Manhattan distance stays at or below the
+threshold in every run. The survivors stay one (P, 2) integer array
+until the final sorted list of tuples is made. A graph's embedding does
+not depend on the batch that holds it, so shrinking the batch between
+runs changes no distance.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from matgraph import appendix_data
-from matgraph.graphcore import Graph, degree_vector, laplacian, load_dataset
+from matgraph.graphcore import DATASET_FORMATS, Graph, degree_vector, laplacian, load_dataset
 from matgraph.graphlets import custom_sentence
 from matgraph.matlang import eval_sentence, parse
 from matgraph.models import (
@@ -51,6 +59,24 @@ def parse_models(raw: str) -> tuple[str, ...]:
 _CONFIG_PARSERS = {"runs": int, "base_seed": int, "threshold": float, "models": parse_models}
 
 
+def _validate(key: str, value) -> None:
+    """Raise ValueError when `value` is not a valid ExperimentConfig `key`."""
+    if key == "format" and value not in DATASET_FORMATS:
+        raise ValueError(f"unknown dataset format: {value!r}")
+    if key == "runs" and value < 1:
+        raise ValueError("runs must be >= 1")
+    if key == "models":
+        if not value:
+            raise ValueError("at least one model kind required")
+        unknown = [m for m in value if m not in MODEL_KINDS]
+        if unknown:
+            raise ValueError(f"unknown model kind {unknown[0]!r}")
+    if key == "threshold" and not (math.isfinite(value) and value > 0):
+        raise ValueError("threshold must be finite and > 0")
+    if key == "output_format" and value not in ("text", "json", "csv"):
+        raise ValueError(f"unknown output format {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
@@ -62,22 +88,14 @@ class ExperimentConfig:
     output_format: str = "text"
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if not self.models:
-            raise ValueError("at least one model kind required")
-        if not math.isfinite(self.threshold) or self.threshold <= 0:
-            raise ValueError("threshold must be finite and > 0")
-        unknown = [m for m in self.models if m not in MODEL_KINDS]
-        if unknown:
-            raise ValueError(f"unknown model kind {unknown[0]!r}")
-        if self.output_format not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        for f in fields(self):
+            _validate(f.name, getattr(self, f.name))
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """Key-value text config: one `key = value` per line, # comments.
-        `overrides` take precedence over the file's values."""
+        `overrides` take precedence over the file's values. A value that
+        does not parse or is not valid raises naming its file and line."""
         known = {f.name for f in fields(cls)}
         values: dict = {}
         with open(path) as f:
@@ -91,6 +109,7 @@ class ExperimentConfig:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
                     values[key] = _CONFIG_PARSERS.get(key, str)(raw)
+                    _validate(key, values[key])
                 except ValueError as e:
                     raise ValueError(f"{path}:{lineno}: {e}") from e
         values.update(overrides)
@@ -163,32 +182,44 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
     """All unordered pairs with Manhattan distance <= threshold, as a
     (P, 2) array of (i, j) with i < j.
 
-    Sort-window scan: a pair within L1 distance t is within t on every
-    single coordinate (a float sum of non-negative terms is at least each
-    term), so only pairs inside the sorted window of one coordinate that
-    are also within t on a second one need exact distances. The sort
-    coordinate is the one with the fewest in-window pairs, the filter
-    coordinate the next one.
+    Sort-window scan over keys that an L1 ball of radius t maps into an
+    interval of width t: every single coordinate (a float sum of
+    non-negative terms is at least each term) and the sign projection
+    emb @ sign(v), v the embeddings' first principal axis
+    (|sum_k s_k D_k| <= sum_k |D_k|). The projection's window is widened
+    by a bound on its rounding error. Only pairs inside the sorted window
+    of the key with the fewest in-window pairs that are also within the
+    window of the next key need exact distances.
     """
     N, D = emb.shape
-    # about how many pairs fall in each coordinate's sorted window
-    window = [(np.arange(N) - np.searchsorted(c, c - threshold)).sum()
-              for c in np.sort(emb, axis=0).T]
-    by_count = np.argsort(window, kind="stable")
-    order = np.argsort(emb[:, by_count[0]], kind="stable")
+    if N < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    X = emb - emb.mean(axis=0)
+    v = np.linalg.eigh(X.T @ X)[1][:, -1]
+    keys = np.column_stack([emb, emb @ np.where(v < 0, -1.0, 1.0)])
+    # with u = eps / 2, a computed projection is off by at most (D - 1) u
+    # times its row's L1 norm, and a computed distance <= t means a true
+    # one <= t (1 + D u): 2 D eps (t + largest L1 norm) covers both rows
+    l1 = np.abs(emb).sum(axis=1).max()
+    width = np.full(D + 1, threshold)
+    width[D] += 2 * D * np.finfo(emb.dtype).eps * (threshold + l1)
+    # about how many pairs fall in each key's sorted window
+    window = [(np.arange(N) - np.searchsorted(c, c - w)).sum()
+              for c, w in zip(np.sort(keys, axis=0).T, width)]
+    a, b = np.argsort(window, kind="stable")[:2]
+    order = np.argsort(keys[:, a], kind="stable")
     sorted_emb = emb[order]
-    x = sorted_emb[:, by_count[0]]
-    y = sorted_emb[:, by_count[1]] if D > 1 else None
+    x, y = keys[order, a], keys[order, b]
     lows, highs = [], []
     i = np.arange(N)
     for k in range(1, N):
         # rows whose k-th predecessor in sort order is still within the
         # window; x[i] - x[i - k] grows with k, so the rows only shrink
         i = i[i >= k]
-        i = i[x[i] - x[i - k] <= threshold]
+        i = i[x[i] - x[i - k] <= width[a]]
         if not len(i):
             break
-        cand = i if y is None else i[np.abs(y[i] - y[i - k]) <= threshold]
+        cand = i[np.abs(y[i] - y[i - k]) <= width[b]]
         d = np.abs(sorted_emb[cand - k] - sorted_emb[cand]).sum(axis=1)
         hit = cand[d <= threshold]
         lows.append(hit - k)

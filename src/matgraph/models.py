@@ -15,7 +15,8 @@ runs the update, so adding a model kind means adding one table entry.
 Weights are never trained; they are drawn once per seed (scaled uniform,
 half-width sqrt(6/(fan_in+fan_out))) and the resulting 10-dimensional
 sum-readout embeddings are compared across graphs. Determinism: the
-whole WeightSet is regenerable bit-exactly from its 64-bit seed.
+whole WeightSet is regenerable bit-exactly from its 64-bit seed, and a
+graph's embedding depends only on the graph and the seed (below).
 
 For dataset-scale runs, `DatasetBatch` groups the graphs by order, stacks
 each order bucket's adjacencies (B, n, n) once and splits the bucket into
@@ -27,12 +28,20 @@ builders, made dense for GNNML3 by `spectral.scatter_supports`, the
 scatter that also places its learned supports. A support that is the
 identity (the first one of MLP, GraphSage and Chebnet, declared by
 `Model.identity`) is neither built nor stored: its term C H W is
-computed as H W. Every seed's forward pass runs every layer and the
-readout one tile at a time, so that a layer's temporaries stay
-cache-sized instead of growing with the dataset. At layer 0 the input
-is one degree per node, and each transform H W by a one-row W is the
-broadcast product H * W. None of this changes a bit: the embeddings
-equal an untiled pass that multiplies by I and calls matmul throughout.
+computed as H W. Every seed's forward pass runs every layer, the
+readout and the final linear one tile at a time, so that a layer's
+temporaries stay cache-sized instead of growing with the dataset. At
+layer 0 the input is one degree per node, and each transform H W by a
+one-row W is the broadcast product H * W.
+
+A graph's row depends only on the graph and the seed: it is
+byte-identical whether the graph is embedded alone, in a `subset` or
+with the whole dataset, and in whichever tile. The layers' matmuls are
+taken per graph (numpy loops over a tile's stack), and the final linear
+is one (1, d) @ (d, 10) product per graph; one (N, d) @ (d, 10) product
+over the batch would not do, as BLAS rounds a row differently when N
+changes. GAT's layer computes its transform H W once; the attention
+logits and the aggregation att @ (H W) both read it.
 
 The tiles are independent: each builds its own supports and writes its
 own rows of the output. Both the support builds and an `embed_all` call
@@ -275,25 +284,25 @@ def _gat_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
             (f"b{l}", (w,), d, w)]
 
 
-def _gat_attention(H: np.ndarray, W: np.ndarray, a: np.ndarray, mask: np.ndarray):
+def _gat_attention(HW: np.ndarray, a: np.ndarray, mask: np.ndarray):
     """Softmax attention (T, n, n) over the self-connected neighborhood
-    `mask` (T, n, n) of H (T, n, d); rows sum to 1."""
-    HW = _mm(H, W)
-    d_out = W.shape[1]
+    `mask` (T, n, n) of the transformed features HW (T, n, d); rows sum
+    to 1. Every row holds its self-loop, so its max is finite and the
+    masked logits' exp(-inf) is exactly 0."""
+    d_out = HW.shape[-1]
     f_src = HW @ a[:d_out]
     f_dst = HW @ a[d_out:]
-    edge = mask > 0
-    logits = np.where(edge, _leaky(f_src[..., :, None] + f_dst[..., None, :]), -np.inf)
+    logits = np.where(mask > 0, _leaky(f_src[..., :, None] + f_dst[..., None, :]), -np.inf)
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits, out=logits)
-    e *= edge
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def _gat_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
-    att = _gat_attention(H, w[f"W{l}"], w[f"a{l}"], C[:, 0])
-    return _bias_relu(_mm(att @ H, w[f"W{l}"]), w[f"b{l}"])
+    """The shared transform H W feeds both the attention and the aggregation."""
+    HW = _mm(H, w[f"W{l}"])
+    return _bias_relu(_gat_attention(HW, w[f"a{l}"], C[:, 0]) @ HW, w[f"b{l}"])
 
 
 def _gnnml1_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
@@ -401,14 +410,20 @@ class _StackedGroup:
 
     def embed_tile(self, spec: ModelSpec, weights: WeightSet, t: int,
                    out: np.ndarray) -> None:
-        """Every layer and the readout of tile t, into its graphs' rows of out."""
+        """Every layer, the readout and the final linear of tile t, into its
+        graphs' rows of out."""
         update = MODELS[spec.kind].update
         C = self.tile_supports(weights, t)
         lo, hi = self.tiles[t]
         H = self.H0[lo:hi]
         for l in range(spec.layers):
             H = update(weights, l, H, C)
-        out[self.indices[lo:hi]] = H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
+        s = H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
+        if spec.readout == "sum-linear10":
+            # one (1, d) @ (d, 10) product per graph: a graph's row does not
+            # depend on how many graphs share the product
+            s = (s[:, None, :] @ weights["final"])[:, 0]
+        out[self.indices[lo:hi]] = s
 
 
 @cache
@@ -486,11 +501,10 @@ class DatasetBatch:
         """Embeddings of every graph, shape (N, 10) (or (N, d) readouts)."""
         spec = self.spec
         weights = make_weights(spec, seed)
-        out = np.empty((self.size, len(weights["final"])))
+        d, e = weights["final"].shape
+        out = np.empty((self.size, e if spec.readout == "sum-linear10" else d))
         _run_tiles([partial(grp.embed_tile, spec, weights, t, out)
                     for grp in self.groups for t in range(len(grp.tiles))])
-        if spec.readout == "sum-linear10":
-            return out @ weights["final"]
         return out
 
 

@@ -97,6 +97,7 @@ class TestCriterion3SR25:
         assert len(pairs) == 105
 
 
+@pytest.mark.slow
 class TestCriterion4Table1:
     def test_gnnml3_exact_zero(self, table1):
         counts, _ = table1

@@ -18,6 +18,7 @@ from matgraph.models import (
     TILE_NODES,
     DatasetBatch,
     ModelSpec,
+    embed,
     static_supports,
 )
 from matgraph.spectral import SupportSpec, scatter_supports, stacked_supports
@@ -141,12 +142,10 @@ def test_subset_equals_fresh_batch(kind, mixed):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
-    # readout="sum": without the final linear a graph's row does not
-    # depend on how many graphs share its batch
     # the tiles' support builds and forward passes run threaded, with
     # thread switches forced often
     monkeypatch.setattr(models, "WORKERS", max(models.WORKERS, 3))
-    spec = ModelSpec(kind, readout="sum")
+    spec = ModelSpec(kind)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -161,6 +160,23 @@ def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
         idx = grp.indices[lo:hi]
         alone = DatasetBatch(spec, [mixed[i] for i in idx]).embed_all(13)
         assert same_bytes(runs[0][idx], alone)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_row_depends_only_on_graph_and_seed(kind, mixed):
+    # a graph's embedding alone equals its row in the full batch, in a
+    # subset batch and in a 2-graph batch, byte for byte
+    spec = ModelSpec(kind)
+    batch = DatasetBatch(spec, mixed)
+    full = batch.embed_all(5)
+    idx = [302, 0, 151, 7, 154, 155, 152, 3, 1, 153, 250]  # every order, out of order
+    sub = batch.subset(idx).embed_all(5)
+    for k, i in enumerate(idx):
+        alone = embed(spec, mixed[i], 5)
+        pair = DatasetBatch(spec, [mixed[idx[k - 1]], mixed[i]]).embed_all(5)
+        assert same_bytes(full[i], alone)
+        assert same_bytes(sub[k], alone)
+        assert same_bytes(pair[1], alone)
 
 
 def scan_matches_brute_force(emb, t):
@@ -198,6 +214,31 @@ def test_candidate_pairs_match_brute_force():
     x[::4] = x[1::4]  # exact duplicates
     emb = np.stack([x, x + rng.uniform(0, 1e-5, 400), 2 * x, x], axis=1)
     assert scan_matches_brute_force(emb, 1e-3) > 400
+    # rows spread along s = (1, -1, 1, -1): every coordinate is crowded,
+    # but the signed sum spreads four times as far, so it is the sort key
+    s = np.array([1.0, -1.0, 1.0, -1.0])
+    emb = rng.uniform(0, 0.05, size=(150, 1)) * s + rng.uniform(0, 1e-3, size=(150, 4))
+    emb = emb[rng.integers(0, 150, size=300)]  # exact duplicates
+    emb[::2] += rng.uniform(0, 2.5e-4, size=emb[::2].shape)
+    assert scan_matches_brute_force(emb, 1e-3) > 300
+    # the same on a dyadic grid: many pairs sit at exactly t in L1 and
+    # in their exactly computed signed sum
+    grid = (rng.integers(0, 40, size=(300, 1)) * s + rng.integers(0, 4, size=(300, 4))) * t / 4
+    d = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2)
+    assert (d == t).sum() > 1000
+    assert scan_matches_brute_force(grid, t) > 1000
+    # rows of magnitude 1e4, as gnnml1 and gnnml3 embed: each row has a
+    # partner offset along the signs of the principal axis by exact
+    # multiples of q, the float spacing in [2^13, 2^14), at L1 distance
+    # less than one q below t; their signed sums, computed near 1e5, are
+    # off by several q, so the sort key's window must allow for that
+    s = np.where(rng.random(10) < 0.5, -1.0, 1.0)
+    base = (1e4 * rng.uniform(1, 1.6, size=10) + rng.uniform(0, 0.05, size=(200, 1)) * s
+            + rng.uniform(0, 1e-3, size=(200, 10)))
+    q = 2.0 ** -39
+    off = np.full(10, (1e-4 // q) * q)
+    off[-1] = ((1e-3 - off[:-1].sum()) // q) * q
+    assert scan_matches_brute_force(np.concatenate([base, base + s * off]), 1e-3) >= 200
 
 
 def test_candidate_pairs_empty():

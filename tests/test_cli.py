@@ -226,7 +226,41 @@ class TestDistinguish:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: threshold must be finite and > 0\n"
+        assert captured.err == f"error: {cfg}:2: threshold must be finite and > 0\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("runs = 0", "runs must be >= 1"),
+        ("threshold = -1", "threshold must be finite and > 0"),
+        ("models = gcn,bogus", "unknown model kind 'bogus'"),
+        ("output_format = xml", "unknown output format 'xml'"),
+        ("format = xml", "unknown dataset format: 'xml'"),
+    ])
+    def test_invalid_config_value_names_file_and_line(
+        self, capsys, tmp_path, small_dataset, line, message
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"# a bad value on line 3\nbase_seed = 2\n{line}\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:3: {message}\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--runs", "0"], "runs must be >= 1"),
+        (["--threshold", "-1"], "threshold must be finite and > 0"),
+        (["--models", "gcn,bogus"], "unknown model kind 'bogus'"),
+    ])
+    def test_invalid_flag_value_keeps_bare_message(
+        self, capsys, tmp_path, small_dataset, flag, message
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs = 1\nmodels = gcn\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset, *flag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_unknown_model_is_usage_error(self, capsys, small_dataset):
         code = main(["distinguish", small_dataset, "--models", "gcn,bogus"])
@@ -252,17 +286,19 @@ class TestDistinguish:
         self, capsys, tmp_path, small_dataset, where, models_value
     ):
         argv = ["distinguish", small_dataset, "--runs", "1"]
+        prefix = ""
         if where == "flag":
             argv += ["--models", models_value]
         else:
             cfg = tmp_path / "exp.cfg"
             cfg.write_text(f"models = {models_value}\n")
             argv = ["--config", str(cfg), *argv]
+            prefix = f"{cfg}:1: "
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: at least one model kind required\n"
+        assert captured.err == f"error: {prefix}at least one model kind required\n"
 
     def test_model_failure_exits_one(self, capsys, monkeypatch, small_dataset):
         def broken(w, l, H, C):

@@ -14,7 +14,7 @@ from matgraph.harness import (
     undistinguished_pairs,
     wl_census,
 )
-from matgraph.models import DatasetBatch, ModelSpec, run_seeds
+from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, pair_distinguished, run_seeds
 
 from .conftest import make_graph, permute_graph
 
@@ -67,6 +67,14 @@ class TestBucketedEngine:
                        for p in fast)
         assert subsets and subsets[0] <= len(copies) // 2
         assert len(fast) >= 12  # the relabelled copies are never separated
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_pair_distinguished_agrees(self, kind, graph8c):
+        # a pair's distance does not depend on the batch that embeds it
+        spec, seeds = ModelSpec(kind=kind), run_seeds(7, 3)
+        graphs = graph8c[:300]
+        for i, j in undistinguished_pairs(spec, graphs, seeds, 1e-3):
+            assert not pair_distinguished(spec, graphs[i], graphs[j], seeds, 1e-3)
 
     @pytest.mark.parametrize("engine", [undistinguished_pairs, naive_undistinguished_pairs])
     def test_no_seeds_rejected(self, engine):
