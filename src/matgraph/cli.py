@@ -16,7 +16,8 @@ Subcommands:
 the command line overrides the file, and the file overrides the default.
 
 Exit codes: 0 success, 1 golden failure or a model that raised in
-`distinguish` (the report is still printed), 2 usage error.
+`distinguish` (the report is still printed), 2 usage error, bad input or
+a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def _load_graph(path_spec: str, format: str) -> Graph:
         i = int(idx) if idx else 0
     except ValueError:
         i = -1  # not a number: reported like an index out of range
+    if not entries:
+        raise GraphFormatError(f"{path} has no graphs")
     if not 0 <= i < len(entries):
         raise GraphFormatError(f"graph index {idx!r} is not in 0..{len(entries) - 1}")
     if format != "graph6":
@@ -316,7 +319,7 @@ def main(argv=None) -> int:
         args.pattern = _PATTERN_ALIASES[args.pattern]
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError, FileNotFoundError) as exc:
+    except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

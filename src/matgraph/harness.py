@@ -140,36 +140,46 @@ def _bucket_pairs(keys: list) -> list[tuple[int, int]]:
     return [p for members in groups.values() for p in combinations(members, 2)]
 
 
+def _paired(pairs: list[tuple[int, int]]) -> list[int]:
+    """The graph indices that occur in `pairs`, ascending."""
+    return sorted({i for pair in pairs for i in pair})
+
+
 def wl_census(graphs: list[Graph]) -> PairReport:
     """1-WL and 2-FWL equivalent pair counts for a dataset.
 
-    2-FWL refines 1-WL, so the exact pairwise 2-FWL test only runs
-    inside 1-WL buckets.
+    2-FWL refines 1-WL, so 2-FWL keys are computed, in one `signatures`
+    call, only for the graphs that share their 1-WL key with another
+    graph, and the 2-FWL pairs are the 1-WL pairs whose 2-FWL keys agree.
     """
     n = len(graphs)
     report = PairReport(kind="wl-census", graph_count=n, pair_count=n * (n - 1) // 2)
     wl1_pairs = _bucket_pairs(signatures(graphs))
     report.record("1-WL", wl1_pairs)
-    fwl2_pairs = [
-        (i, j) for i, j in wl1_pairs if fwl2_equivalent(graphs[i], graphs[j]).equivalent
-    ]
-    report.record("2-FWL", fwl2_pairs)
+    paired = _paired(wl1_pairs)
+    fwl2 = dict(zip(paired, signatures([graphs[i] for i in paired], "FWL2")))
+    report.record("2-FWL", [(i, j) for i, j in wl1_pairs if fwl2[i] == fwl2[j]])
     return report
 
 
 def lambda_census(graphs: list[Graph]) -> PairReport:
     """1-WL-equivalent pairs whose normalized-Laplacian lambda-max agree
-    within 1e-6 (the pairs Chebnet's lambda-max term cannot help with)."""
+    within 1e-6 (the pairs Chebnet's lambda-max term cannot help with).
+
+    Only the graphs in some 1-WL pair are decomposed, in one stacked
+    eigendecomposition per order. Each matrix of a stack is decomposed
+    on its own, so a graph's lambda-max does not depend on the others.
+    """
     n = len(graphs)
     report = PairReport(
         kind="lambda-census", graph_count=n, pair_count=n * (n - 1) // 2
     )
     wl1_pairs = _bucket_pairs(signatures(graphs))
     by_order: dict[int, list[int]] = defaultdict(list)
-    for i, G in enumerate(graphs):
-        by_order[G.n].append(i)
+    for i in _paired(wl1_pairs):
+        by_order[graphs[i].n].append(i)
     lam = np.empty(n)
-    for idx in by_order.values():  # one stacked eigendecomposition per order
+    for idx in by_order.values():
         A = np.stack([graphs[i].adjacency for i in idx])
         lam[idx] = eig_sym(laplacian(A)).lam[:, -1]
     equal = [(i, j) for i, j in wl1_pairs if abs(lam[i] - lam[j]) <= 1e-6]

@@ -9,14 +9,17 @@ induce the same partition as exact signatures interned into one shared
 table, so colors of different graphs in one stack are comparable and
 no lossy hashing is involved. Refinement stops at the stable partition,
 the first round whose class count does not grow (every later round
-repeats it). Nothing is kept between calls, so the graph keys of
-`signatures` are comparable only within one call.
+repeats it). `signatures` lets a graph leave the stack as soon as its
+sorted colors are unique there: its key is then final, and the graphs
+left are refined without it. Nothing is kept between calls, so the graph
+keys of `signatures` are comparable only within one call.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -45,6 +48,38 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _initial_colors(A: np.ndarray, test: str) -> np.ndarray:
+    """Round-0 colors of a `(B, n, n)` bool stack: `(B, n)` zeros for
+    "WL1"; for "WL2" and "FWL2" `(B, n, n)` pair colors, diagonal, edge
+    and non-edge ranked among those present."""
+    B, n, _ = A.shape
+    if test == "WL1":
+        return np.zeros((B, n), dtype=np.int64)
+    C = np.where(np.eye(n, dtype=bool), 0, np.where(A, 1, 2))
+    return _rank_rows(C.reshape(-1, 1)).reshape(B, n, n)
+
+
+def _next_colors(A: np.ndarray, C: np.ndarray, classes: int, test: str) -> np.ndarray:
+    """One refinement round of colors `C` numbered 0..classes-1: each
+    cell's rank, among the distinct rows of the stack, of its color
+    followed by the sorted multiset of colors `test` looks at."""
+    if test == "WL1":
+        multiset = np.sort(np.where(A, C[:, None, :], -1), axis=2)
+    elif test == "FWL2":
+        # (C[v,k], C[k,u]) as one integer, sorted along k; classes**2
+        # fits in int64 whenever this (B, n, n, n) array fits in memory
+        multiset = np.sort(
+            C[:, :, None, :] * classes + C.transpose(0, 2, 1)[:, None, :, :],
+            axis=3,
+        )
+    else:
+        rows = np.sort(C, axis=2)[:, :, None, :]
+        cols = np.sort(C, axis=1).transpose(0, 2, 1)[:, None, :, :]
+        multiset = np.concatenate(np.broadcast_arrays(rows, cols), axis=3)
+    flat = np.concatenate([C.reshape(-1, 1), multiset.reshape(C.size, -1)], axis=1)
+    return _rank_rows(flat).reshape(C.shape)
+
+
 def _refine(A: np.ndarray, test: str):
     """Refine a `(B, n, n)` bool stack of graphs as one disjoint union.
 
@@ -52,52 +87,55 @@ def _refine(A: np.ndarray, test: str):
     "WL1", `(B, n, n)` for "WL2" and "FWL2". Stops once the class count
     stops growing.
     """
-    B, n, _ = A.shape
-    if test == "WL1":
-        C = np.zeros((B, n), dtype=np.int64)
-    else:  # pair colors: 0 on the diagonal, 1 on edges, 2 on non-edges
-        C = np.where(np.eye(n, dtype=bool), 0, np.where(A, 1, 2))
-        C = _rank_rows(C.reshape(-1, 1)).reshape(B, n, n)
+    C = _initial_colors(A, test)
     while True:
         yield C
         classes = int(C.max()) + 1
-        if test == "WL1":
-            multiset = np.sort(np.where(A, C[:, None, :], -1), axis=2)
-        elif test == "FWL2":
-            # (C[v,k], C[k,u]) as one integer, sorted along k; classes**2
-            # fits in int64 whenever this (B, n, n, n) array fits in memory
-            multiset = np.sort(
-                C[:, :, None, :] * classes + C.transpose(0, 2, 1)[:, None, :, :],
-                axis=3,
-            )
-        else:
-            rows = np.sort(C, axis=2)[:, :, None, :]
-            cols = np.sort(C, axis=1).transpose(0, 2, 1)[:, None, :, :]
-            multiset = np.concatenate(np.broadcast_arrays(rows, cols), axis=3)
-        flat = np.concatenate([C.reshape(-1, 1), multiset.reshape(C.size, -1)], axis=1)
-        C = _rank_rows(flat).reshape(C.shape)
+        C = _next_colors(A, C, classes, test)
         if C.max() + 1 == classes:
             return
 
 
-def signatures(graphs: list[Graph], test: str = "WL1") -> list[tuple[int, bytes]]:
-    """One key per graph: `(n, sorted stable colors as bytes)`.
+def signatures(graphs: list[Graph], test: str = "WL1") -> list[tuple[int, int, bytes]]:
+    """One key per graph: `(n, settle round, sorted colors as bytes)`.
 
     Graphs are refined together, one stack per order, so two keys are
     equal iff `test` ("WL1", "WL2" or "FWL2") finds the two graphs
-    equivalent. Keys are comparable only within one call: color numbers
-    depend on the other graphs refined alongside.
+    equivalent. A graph whose sorted colors are unique in the stack at
+    round t settles: it takes its key from that round and leaves the
+    stack. This is exact. A cell's color class in the union refinement
+    depends only on its own graph, so dropping graphs renumbers the
+    others' colors but leaves their partition, and two graphs whose
+    sorted colors differ at round t differ at every later round, so a
+    settled graph is equivalent to no other. The graphs still in the
+    stack are re-ranked and refined until their partition stops
+    growing; the round after that, all of them settle. Keys are comparable
+    only within one call: color numbers depend on the other graphs
+    refined alongside.
     """
     by_order: dict[int, list[int]] = defaultdict(list)
     for i, G in enumerate(graphs):
         by_order[G.n].append(i)
     keys: list = [None] * len(graphs)
     for n, members in by_order.items():
-        A = np.stack([graphs[i].adjacency != 0 for i in members])
-        *_, C = _refine(A, test)
-        final = np.sort(C.reshape(len(members), -1), axis=1)
-        for i, row in zip(members, final):
-            keys[i] = (n, row.tobytes())
+        members = np.asarray(members)
+        A = np.stack([graphs[i].adjacency for i in members]) != 0
+        C = _initial_colors(A, test)
+        stable = False
+        for t in count():
+            hist = np.sort(C.reshape(len(C), -1), axis=1)
+            ranks = _rank_rows(hist)
+            settled = stable | (np.bincount(ranks)[ranks] == 1)
+            for i, row in zip(members[settled].tolist(), hist[settled]):
+                keys[i] = (n, t, row.tobytes())
+            if settled.all():
+                break
+            live = ~settled
+            members, A, C = members[live], A[live], C[live]
+            C = _rank_rows(C.reshape(-1, 1)).reshape(C.shape)
+            classes = int(C.max()) + 1
+            C = _next_colors(A, C, classes, test)
+            stable = C.max() + 1 == classes
     return keys
 
 

@@ -89,6 +89,16 @@ class TestGraphAddress:
         assert captured.out == ""
         assert captured.err == f"error: graph index {index!r} is not in 0..2\n"
 
+    @pytest.mark.parametrize("address", ["", ":0"])
+    def test_file_without_graphs_says_so(self, capsys, tmp_path, address):
+        path = tmp_path / "empty.g6"
+        path.write_text("\n")
+        code = main(["count", "--graph", f"{path}{address}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path} has no graphs\n"
+
 
 class TestCount:
     def test_counts_with_oracle(self, capsys, small_dataset):
@@ -322,3 +332,14 @@ class TestUsage:
 
     def test_missing_dataset(self):
         assert main(["census", "/nonexistent.g6"]) in (1, 2)
+
+    @pytest.mark.parametrize("where", ["dataset", "out"])
+    def test_unreadable_path_is_one_line_error(self, capsys, tmp_path, small_dataset, where):
+        argv = (["census", str(tmp_path)] if where == "dataset"
+                else ["--out", str(tmp_path), "census", small_dataset])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(tmp_path) in captured.err

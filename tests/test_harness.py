@@ -1,8 +1,18 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from matgraph.appendix_data import (
+    BICYCLOPENTYL,
+    COSPECTRAL10_A,
+    COSPECTRAL10_B,
+    DECALIN,
+    ROOK4X4,
+    SHRIKHANDE,
+)
+from matgraph.graphcore import Graph, laplacian
 from matgraph.harness import (
     ExperimentConfig,
     degree_multiset_pairs,
@@ -15,8 +25,13 @@ from matgraph.harness import (
     wl_census,
 )
 from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, pair_distinguished, run_seeds
+from matgraph.spectral import eig_sym
+from matgraph.wl import fwl2_equivalent, wl1_equivalent
 
 from .conftest import make_graph, permute_graph
+
+C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
 class TestGoldenSuite:
@@ -98,6 +113,36 @@ class TestCensus:
         assert set(report.counts) == {"1-WL", "2-FWL"}
         # 2-FWL refines 1-WL
         assert report.counts["2-FWL"] <= report.counts["1-WL"]
+
+    @staticmethod
+    def appendix_dataset():
+        """The appendix pairs, C6 / 2K3 and a relabelled copy of each graph:
+        1-WL pairs, some of them 2-FWL equivalent or with equal lambda-max
+        without being isomorphic (rook / Shrikhande)."""
+        rng = np.random.default_rng(4)
+        graphs = [ROOK4X4, SHRIKHANDE, C6, TWO_TRIANGLES, DECALIN, BICYCLOPENTYL,
+                  COSPECTRAL10_A, COSPECTRAL10_B]
+        return graphs + [permute_graph(G, rng.permutation(G.n)) for G in graphs]
+
+    def test_wl_census_fwl2_pairs_are_pairwise_verdicts(self):
+        graphs = self.appendix_dataset()
+        report = wl_census(graphs)
+        expected = [(i, j) for i, j in report.pairs["1-WL"]
+                    if fwl2_equivalent(graphs[i], graphs[j]).equivalent]
+        assert report.pairs["2-FWL"] == expected
+        assert report.counts["2-FWL"] > len(graphs) // 2  # more than the copies
+
+    def test_lambda_census_matches_brute_force(self):
+        graphs = self.appendix_dataset()
+        rng = np.random.default_rng(5)
+        graphs += [make_graph(rng, 6) for _ in range(30)]
+        lam = [eig_sym(laplacian(G)).lam[-1] for G in graphs]
+        expected = [(i, j) for i, j in combinations(range(len(graphs)), 2)
+                    if wl1_equivalent(graphs[i], graphs[j]).equivalent
+                    and abs(lam[i] - lam[j]) <= 1e-6]
+        report = lambda_census(graphs)
+        assert report.pairs["equal-lambda-max"] == expected
+        assert (0, 1) in expected  # rook / Shrikhande
 
     def test_lambda_census_subset_of_wl1(self):
         rng = np.random.default_rng(2)

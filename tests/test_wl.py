@@ -20,7 +20,7 @@ from matgraph.wl import (
     wl2_equivalent,
 )
 
-from .conftest import graph_and_permutation, permute_graph, random_adjacency
+from .conftest import graph_and_permutation, make_graph, permute_graph, random_adjacency
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -68,6 +68,51 @@ def test_signature_keys_match_pairwise_wl1(mixed):
     assert len(pairs) > 2 * m  # sr25[:3] adds equal keys of non-isomorphic graphs
     for i, j in sorted(pairs):
         assert (keys[i] == keys[j]) == wl1_equivalent(graphs[i], graphs[j]).equivalent
+
+
+def path_edges(n, start=0):
+    return [(start + i, start + i + 1) for i in range(n - 1)]
+
+
+def cycle_edges(n, start=0):
+    return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+
+@pytest.mark.parametrize("test, pair_test", [
+    ("WL2", wl2_equivalent), ("FWL2", fwl2_equivalent)
+], ids=["WL2", "FWL2"])
+def test_signature_keys_match_pairwise(sr25, test, pair_test):
+    """Equal keys iff the pairwise verdict, over every same-order pair of
+    one stack that mixes graphs settling at rounds 0, 1, 2 and later
+    with graphs that never settle: a lone order-4 path, random graphs
+    of orders 6 and 7, P10 / C4 + P6 (equal degree sequences, apart
+    only far from the leaves), C18 / 2 C9, the appendix pairs, sr25[:3]
+    and relabelled copies."""
+    rng = np.random.default_rng(3)
+    randoms = [make_graph(rng, n, p) for n in (6, 7) for p in (0.3, 0.5, 0.7)
+               for _ in range(6)]
+    paths_and_cycles = [
+        Graph.from_edges(4, path_edges(4)),
+        Graph.from_edges(10, path_edges(10)),
+        Graph.from_edges(10, cycle_edges(4) + path_edges(6, 4)),
+        Graph.from_edges(18, cycle_edges(18)),
+        Graph.from_edges(18, cycle_edges(9) + cycle_edges(9, 9)),
+    ]
+    appendix = [C6, TWO_TRIANGLES, DECALIN, BICYCLOPENTYL, COSPECTRAL10_A,
+                COSPECTRAL10_B, ROOK4X4, SHRIKHANDE, *sr25[:3]]
+    graphs = randoms + paths_and_cycles + appendix
+    graphs += [permute_graph(G, rng.permutation(G.n))
+               for G in [*randoms[::9], ROOK4X4, sr25[0]]]
+    keys = signatures(graphs, test)
+    # a settled graph's key is unique; the graphs that never settle share theirs
+    settle_rounds = {k[1] for k in keys if keys.count(k) == 1}
+    assert {0, 1, 2} <= settle_rounds and max(settle_rounds) >= 3
+    assert len(set(keys)) < len(keys)
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            if graphs[i].n == graphs[j].n:
+                equivalent = pair_test(graphs[i], graphs[j]).equivalent
+                assert (keys[i] == keys[j]) == equivalent, (i, j)
 
 
 class TestWL1:
