@@ -23,6 +23,7 @@ a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -80,16 +81,8 @@ def _load_graph(path_spec: str, format: str) -> Graph:
         raise GraphFormatError(f"{path}:{lineno}: {e}") from e
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _report(args, report: PairReport) -> None:
-    _emit(args, report_render(report, args.format))
+    args.stream.write(report_render(report, args.format))
 
 
 def cmd_census(args) -> int:
@@ -128,7 +121,7 @@ def cmd_distinguish(args) -> int:
     else:
         config = ExperimentConfig(**overrides)
     report = distinguishability_run(config)
-    _emit(args, report_render(report, config.output_format))
+    args.stream.write(report_render(report, config.output_format))
     failed = [k for k in config.models if f"error:{k}" in report.extras]
     for kind in failed:
         print(f"error: {kind}: {report.extras[f'error:{kind}']}", file=sys.stderr)
@@ -155,7 +148,7 @@ def cmd_eval(args) -> int:
     }
     if shape == (1, 1):
         result["value"] = eval_sentence(expr, G.adjacency)
-    _emit(args, json.dumps(result, indent=2) + "\n")
+    args.stream.write(json.dumps(result, indent=2) + "\n")
     return 0
 
 
@@ -174,7 +167,7 @@ def cmd_wl(args) -> int:
         }
         for name, v in verdicts.items()
     }
-    _emit(args, json.dumps(result, indent=2) + "\n")
+    args.stream.write(json.dumps(result, indent=2) + "\n")
     return 0
 
 
@@ -188,7 +181,7 @@ def cmd_supports(args) -> int:
         "band_centers": centers[0].tolist(),
         "features": features.tolist(),
     }
-    _emit(args, json.dumps(result, indent=2) + "\n")
+    args.stream.write(json.dumps(result, indent=2) + "\n")
     return 0
 
 
@@ -202,7 +195,7 @@ def cmd_count(args) -> int:
         if args.oracle:
             row += f"  (oracle {enumerate_pattern(G, kind)})"
         lines.append(row)
-    _emit(args, "\n".join(lines) + "\n")
+    args.stream.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -216,7 +209,7 @@ def cmd_embed(args) -> int:
             embed(spec, G, s).tolist() for s in run_seeds(args.seed, args.seeds)
         ],
     }
-    _emit(args, json.dumps(result, indent=2) + "\n")
+    args.stream.write(json.dumps(result, indent=2) + "\n")
     return 0
 
 
@@ -318,7 +311,10 @@ def main(argv=None) -> int:
     if getattr(args, "pattern", None) in _PATTERN_ALIASES:
         args.pattern = _PATTERN_ALIASES[args.pattern]
     try:
-        return args.func(args)
+        # like shell redirection, --out is opened before the command runs
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            args.stream = out
+            return args.func(args)
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

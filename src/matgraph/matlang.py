@@ -14,14 +14,23 @@ Concrete syntax:
     ``f:NAME(e)``            pointwise function from a closed registry
     ``e^k``                  repeated matrix multiplication (sugar, k >= 1)
 
+A numeric literal may appear only as a factor of ``*`` or juxtaposition.
+
 Operation fragments: L1 = {mul, transpose, ones, diag}; L2 adds trace;
 L3 adds hadamard. "Enriched" fragments additionally allow addition, scalar
 multiplication and pointwise functions.
+
+A tree is made of `Expr(op, args, param)` nodes. Each operator is one entry
+of the `OPS` table, which gives its least fragment, its shape rule and its
+value rule; `OpSet.allows`, `shape_check` and `eval_expr` are a lookup in
+that table plus recursion. Adding an operator means adding its entry and
+its syntax in the parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,92 +59,29 @@ POINTWISE_FUNCS = {
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST and operator table
 
 
 @dataclass(frozen=True)
 class Expr:
-    def children(self) -> tuple["Expr", ...]:
-        return ()
+    """One node: its operator's name in `OPS`, its operands, and the
+    operator's parameter (variable name, scalar or pointwise function name)."""
+
+    op: str
+    args: tuple[Expr, ...] = ()
+    param: str | float | None = None
 
 
 @dataclass(frozen=True)
-class Var(Expr):
-    name: str
+class Op:
+    """An operator: its least fragment ("L1", "L2", "L3", or "+" for the
+    enriched fragments only), its shape rule `(node, n, *arg shapes) ->
+    shape`, which raises ShapeError on a clash, and its value rule
+    `(node, binding, *arg values) -> 2-d array`."""
 
-
-@dataclass(frozen=True)
-class Ones(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class MatMul(Expr):
-    left: Expr
-    right: Expr
-
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Hadamard(Expr):
-    left: Expr
-    right: Expr
-
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Transpose(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
-
-
-@dataclass(frozen=True)
-class Diag(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
-
-
-@dataclass(frozen=True)
-class Trace(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
-
-
-@dataclass(frozen=True)
-class ScalarMul(Expr):
-    scalar: float
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
-
-
-@dataclass(frozen=True)
-class Pointwise(Expr):
-    fname: str
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
+    fragment: str
+    shape: Callable
+    value: Callable
 
 
 @dataclass(frozen=True)
@@ -155,74 +101,132 @@ class OpSet:
         return cls(base=name.rstrip("+"), enriched=name.endswith("+"))
 
     def allows(self, node: Expr) -> bool:
-        if isinstance(node, (Var, Ones, MatMul, Transpose, Diag)):
-            return True
-        if isinstance(node, Trace):
-            return self.base in ("L2", "L3")
-        if isinstance(node, Hadamard):
-            return self.base == "L3"
-        if isinstance(node, (Add, ScalarMul, Pointwise)):
-            return self.enriched
-        raise TypeError(f"unknown node type: {type(node).__name__}")
+        least = OPS[node.op].fragment
+        # the bases nest, and their names sort in the same order
+        return self.enriched if least == "+" else self.base >= least
+
+
+def _matmul_shape(node, n, s1, s2):
+    (r1, c1), (r2, c2) = s1, s2
+    if c1 != r2:
+        raise ShapeError(f"MatMul: {r1}x{c1} incompatible with {r2}x{c2}")
+    return (r1, c2)
+
+
+def _same_shape(node, n, s1, s2):
+    if s1 != s2:
+        raise ShapeError(f"{node.op}: operand shapes {s1} != {s2}")
+    return s1
+
+
+def _diag_shape(node, n, s):
+    if s != (n, 1):
+        raise ShapeError(f"Diag requires an {n}x1 vector, got {s[0]}x{s[1]}")
+    return (n, n)
+
+
+def _trace_shape(node, n, s):
+    if s != (n, n):
+        raise ShapeError(f"Trace requires an {n}x{n} matrix, got {s[0]}x{s[1]}")
+    return (1, 1)
+
+
+def _pointwise_shape(node, n, s):
+    if s == (n, n) and n != 1:
+        raise ShapeError(
+            f"Pointwise {node.param} applies to scalars or vectors, got {s[0]}x{s[1]}"
+        )
+    return s
+
+
+def _var_value(node, binding):
+    if node.param not in binding:
+        raise MatLangError(f"unbound variable {node.param!r}")
+    return np.atleast_2d(np.asarray(binding[node.param], dtype=float))
+
+
+def _ambient_size(binding: dict[str, np.ndarray]) -> int:
+    for v in binding.values():
+        return np.atleast_2d(np.asarray(v)).shape[0]
+    raise MatLangError("cannot infer ambient size: empty binding")
+
+
+OPS: dict[str, Op] = {
+    "Var": Op("L1", lambda e, n: (n, n), _var_value),
+    "Ones": Op("L1", lambda e, n: (n, 1), lambda e, b: np.ones((_ambient_size(b), 1))),
+    "MatMul": Op("L1", _matmul_shape, lambda e, b, x, y: x @ y),
+    "Transpose": Op("L1", lambda e, n, s: s[::-1], lambda e, b, x: x.T),
+    "Diag": Op("L1", _diag_shape, lambda e, b, x: np.diag(x[:, 0])),
+    "Trace": Op("L2", _trace_shape, lambda e, b, x: np.trace(x).reshape(1, 1)),
+    "Hadamard": Op("L3", _same_shape, lambda e, b, x, y: x * y),
+    "Add": Op("+", _same_shape, lambda e, b, x, y: x + y),
+    "ScalarMul": Op("+", lambda e, n, s: s, lambda e, b, x: e.param * x),
+    "Pointwise": Op("+", _pointwise_shape, lambda e, b, x: POINTWISE_FUNCS[e.param](x)),
+}
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_PUNCT = ("'", "^", "+", ".*", "*", "(", ")", ",", ":")
+
+def _lex(t: str) -> list[tuple[str, str | float, int]]:
+    """(kind, value, position) tokens of `t`, ending with an "end" token."""
+    tokens = []
+    i = 0
+    while i < len(t):
+        c = t[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit() or (
+            c == "-" and i + 1 < len(t) and (t[i + 1].isdigit() or t[i + 1] == ".")
+        ):
+            j = i + 1
+            while j < len(t) and (t[j].isdigit() or t[j] in ".eE" or
+                                  (t[j] in "+-" and t[j - 1] in "eE")):
+                j += 1
+            try:
+                val = float(t[i:j])
+            except ValueError:
+                raise ParseError(f"bad numeric literal {t[i:j]!r}", i)
+            tokens.append(("num", val, i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i + 1
+            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
+                j += 1
+            tokens.append(("name", t[i:j], i))
+            i = j
+            continue
+        if t.startswith(".*", i):
+            tokens.append(("op", ".*", i))
+            i += 2
+            continue
+        if c in "'^+*(),:":
+            tokens.append(("op", c, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", len(t)))
+    return tokens
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str | float, int]] = []
-        self._run()
+# call syntax -> (operator, number of arguments)
+_CALLS = {"diag": ("Diag", 1), "tr": ("Trace", 1), "had": ("Hadamard", 2)}
 
-    def _run(self):
-        t = self.text
-        i = 0
-        while i < len(t):
-            c = t[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit() or (
-                c == "-" and i + 1 < len(t) and (t[i + 1].isdigit() or t[i + 1] == ".")
-            ):
-                j = i + 1
-                while j < len(t) and (t[j].isdigit() or t[j] in ".eE" or
-                                      (t[j] in "+-" and t[j - 1] in "eE")):
-                    j += 1
-                try:
-                    val = float(t[i:j])
-                except ValueError:
-                    raise ParseError(f"bad numeric literal {t[i:j]!r}", i)
-                self.tokens.append(("num", val, i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i + 1
-                while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", t[i:j], i))
-                i = j
-                continue
-            if t.startswith(".*", i):
-                self.tokens.append(("op", ".*", i))
-                i += 2
-                continue
-            if c in "'^+*(),:":
-                self.tokens.append(("op", c, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", "", len(t)))
+
+@dataclass(frozen=True)
+class _Lit:
+    """A numeric literal as parsed; only `_combine_mul` turns it into a node."""
+
+    value: float
+    pos: int
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _Lexer(text).tokens
+        self.toks = _lex(text)
         self.i = 0
 
     def peek(self):
@@ -238,21 +242,28 @@ class _Parser:
         if kind != "op" or val != value:
             raise ParseError(f"expected {value!r}, got {val!r}", pos)
 
+    @staticmethod
+    def matrix(e: Expr | _Lit) -> Expr:
+        """`e`, unless it is a literal standing where a matrix must."""
+        if isinstance(e, _Lit):
+            raise ParseError("a numeric literal can only scale a matrix expression", e.pos)
+        return e
+
     def parse(self) -> Expr:
         e = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing token {val!r}", pos)
-        return e
+        return self.matrix(e)
 
-    def expr(self) -> Expr:
+    def expr(self) -> Expr | _Lit:
         e = self.term()
         while self.peek()[:2] == ("op", "+"):
             self.next()
-            e = Add(e, self.term())
+            e = Expr("Add", (self.matrix(e), self.matrix(self.term())))
         return e
 
-    def term(self) -> Expr:
+    def term(self) -> Expr | _Lit:
         e = self.unit()
         while True:
             kind, val, _ = self.peek()
@@ -261,99 +272,79 @@ class _Parser:
                 e = self._combine_mul(e, self.unit())
             elif kind == "op" and val == ".*":
                 self.next()
-                e = Hadamard(e, self.unit())
-            elif self._starts_atom():
+                e = Expr("Hadamard", (self.matrix(e), self.matrix(self.unit())))
+            elif kind in ("name", "num") or (kind, val) == ("op", "("):
                 e = self._combine_mul(e, self.unit())
             else:
                 return e
 
-    @staticmethod
-    def _combine_mul(left: Expr, right: Expr) -> Expr:
+    def _combine_mul(self, left: Expr | _Lit, right: Expr | _Lit) -> Expr:
         if isinstance(left, _Lit):
-            if isinstance(right, _Lit):
-                raise MatLangError("literal * literal is not a matrix expression")
-            return ScalarMul(left.value, right)
+            return Expr("ScalarMul", (self.matrix(right),), left.value)
         if isinstance(right, _Lit):
-            return ScalarMul(right.value, left)
-        return MatMul(left, right)
+            return Expr("ScalarMul", (left,), right.value)
+        return Expr("MatMul", (left, right))
 
-    def _starts_atom(self) -> bool:
-        kind, val, _ = self.peek()
-        return kind in ("name", "num") or (kind == "op" and val == "(")
-
-    def unit(self) -> Expr:
+    def unit(self) -> Expr | _Lit:
         e = self.atom()
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "'":
-                self.next()
-                e = Transpose(e)
-            elif kind == "op" and val == "^":
-                self.next()
-                kind, k, kpos = self.next()
-                if kind != "num" or k != int(k) or k < 1:
-                    raise ParseError("power must be an integer >= 1", kpos)
-                e = _power(e, int(k))
-            else:
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in ("'", "^"):
                 return e
+            self.next()
+            e = self.matrix(e)
+            if val == "'":
+                e = Expr("Transpose", (e,))
+                continue
+            kind, k, kpos = self.next()
+            if kind != "num" or not k.is_integer() or k < 1:
+                raise ParseError("power must be an integer >= 1", kpos)
+            e = _power(e, int(k))
 
-    def atom(self) -> Expr:
+    def atom(self) -> Expr | _Lit:
         kind, val, pos = self.next()
         if kind == "num":
-            return _Lit(val)
+            return _Lit(val, pos)
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect(")")
             return e
-        if kind == "name":
-            if val == "ones":
-                return Ones()
-            if val in ("diag", "tr"):
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return Diag(e) if val == "diag" else Trace(e)
-            if val == "had":
-                self.expect("(")
-                a = self.expr()
-                self.expect(",")
-                b = self.expr()
-                self.expect(")")
-                return Hadamard(a, b)
-            if val == "f":
-                self.expect(":")
-                kind2, fname, fpos = self.next()
-                if kind2 != "name":
-                    raise ParseError("expected pointwise function name", fpos)
-                if fname not in POINTWISE_FUNCS:
-                    raise ParseError(f"unknown pointwise function {fname!r}", fpos)
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return Pointwise(fname, e)
-            return Var(val)
-        raise ParseError(f"unexpected token {val!r}", pos)
+        if kind != "name":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        if val == "ones":
+            return Expr("Ones")
+        if val in _CALLS:
+            op, arity = _CALLS[val]
+            return Expr(op, self.call_args(arity))
+        if val == "f":
+            self.expect(":")
+            kind, fname, fpos = self.next()
+            if kind != "name":
+                raise ParseError("expected pointwise function name", fpos)
+            if fname not in POINTWISE_FUNCS:
+                raise ParseError(f"unknown pointwise function {fname!r}", fpos)
+            return Expr("Pointwise", self.call_args(1), fname)
+        return Expr("Var", (), val)
 
-
-@dataclass(frozen=True)
-class _Lit(Expr):
-    """Parser-internal numeric literal; must pair with * to form ScalarMul."""
-
-    value: float
+    def call_args(self, arity: int) -> tuple[Expr, ...]:
+        """The `arity` parenthesised, comma-separated arguments of a call."""
+        args = []
+        for i in range(arity):
+            self.expect("," if i else "(")
+            args.append(self.matrix(self.expr()))
+        self.expect(")")
+        return tuple(args)
 
 
 def _power(e: Expr, k: int) -> Expr:
     out = e
     for _ in range(k - 1):
-        out = MatMul(out, e)
+        out = Expr("MatMul", (out, e))
     return out
 
 
 def parse(text: str) -> Expr:
-    e = _Parser(text).parse()
-    if isinstance(e, _Lit):
-        raise MatLangError("a bare numeric literal is not a matrix expression")
-    return e
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -369,46 +360,7 @@ def shape_check(e: Expr, n: int) -> tuple[int, int]:
         raise ValueError("ambient size n must be >= 1")
 
     def rec(node: Expr) -> tuple[int, int]:
-        if isinstance(node, Var):
-            return (n, n)
-        if isinstance(node, Ones):
-            return (n, 1)
-        if isinstance(node, Transpose):
-            r, c = rec(node.arg)
-            return (c, r)
-        if isinstance(node, MatMul):
-            (r1, c1), (r2, c2) = rec(node.left), rec(node.right)
-            if c1 != r2:
-                raise ShapeError(f"MatMul: {r1}x{c1} incompatible with {r2}x{c2}")
-            return (r1, c2)
-        if isinstance(node, (Add, Hadamard)):
-            s1, s2 = rec(node.left), rec(node.right)
-            if s1 != s2:
-                raise ShapeError(
-                    f"{type(node).__name__}: operand shapes {s1} != {s2}"
-                )
-            return s1
-        if isinstance(node, Diag):
-            s = rec(node.arg)
-            if s == (n, 1):
-                return (n, n)
-            raise ShapeError(f"Diag requires an {n}x1 vector, got {s[0]}x{s[1]}")
-        if isinstance(node, Trace):
-            s = rec(node.arg)
-            if s != (n, n):
-                raise ShapeError(f"Trace requires an {n}x{n} matrix, got {s[0]}x{s[1]}")
-            return (1, 1)
-        if isinstance(node, ScalarMul):
-            return rec(node.arg)
-        if isinstance(node, Pointwise):
-            s = rec(node.arg)
-            if s == (n, n) and n != 1:
-                raise ShapeError(
-                    f"Pointwise {node.fname} applies to scalars or vectors, "
-                    f"got {s[0]}x{s[1]}"
-                )
-            return s
-        raise TypeError(f"unknown node type: {type(node).__name__}")
+        return OPS[node.op].shape(node, n, *map(rec, node.args))
 
     return rec(e)
 
@@ -419,9 +371,7 @@ def is_sentence(e: Expr, n: int) -> bool:
 
 def fragment_check(e: Expr, opset: OpSet) -> bool:
     """True iff every operator in the AST is permitted by the fragment."""
-    if not opset.allows(e):
-        return False
-    return all(fragment_check(c, opset) for c in e.children())
+    return opset.allows(e) and all(fragment_check(a, opset) for a in e.args)
 
 
 # ---------------------------------------------------------------------------
@@ -433,37 +383,7 @@ def eval_expr(e: Expr, binding: dict[str, np.ndarray]) -> np.ndarray:
 
     All values are 2-d arrays; sentences evaluate to a 1x1 array.
     """
-    if isinstance(e, Var):
-        if e.name not in binding:
-            raise MatLangError(f"unbound variable {e.name!r}")
-        return np.atleast_2d(np.asarray(binding[e.name], dtype=float))
-    if isinstance(e, Ones):
-        n = _ambient_size(binding)
-        return np.ones((n, 1))
-    if isinstance(e, Transpose):
-        return eval_expr(e.arg, binding).T
-    if isinstance(e, MatMul):
-        return eval_expr(e.left, binding) @ eval_expr(e.right, binding)
-    if isinstance(e, Add):
-        return eval_expr(e.left, binding) + eval_expr(e.right, binding)
-    if isinstance(e, Hadamard):
-        return eval_expr(e.left, binding) * eval_expr(e.right, binding)
-    if isinstance(e, Diag):
-        v = eval_expr(e.arg, binding)
-        return np.diag(v[:, 0])
-    if isinstance(e, Trace):
-        return np.trace(eval_expr(e.arg, binding)).reshape(1, 1)
-    if isinstance(e, ScalarMul):
-        return e.scalar * eval_expr(e.arg, binding)
-    if isinstance(e, Pointwise):
-        return POINTWISE_FUNCS[e.fname](eval_expr(e.arg, binding))
-    raise TypeError(f"unknown node type: {type(e).__name__}")
-
-
-def _ambient_size(binding: dict[str, np.ndarray]) -> int:
-    for v in binding.values():
-        return np.atleast_2d(np.asarray(v)).shape[0]
-    raise MatLangError("cannot infer ambient size: empty binding")
+    return OPS[e.op].value(e, binding, *(eval_expr(a, binding) for a in e.args))
 
 
 def eval_sentence(e: Expr, A: np.ndarray) -> float:
@@ -494,45 +414,39 @@ def sentence_corpus(
     """
     # seed expressions keyed by abstract shape: "nn", "n1", "1n", "11"
     by_shape: dict[str, list[Expr]] = {
-        "nn": [Var("A")],
-        "n1": [Ones()],
+        "nn": [Expr("Var", (), "A")],
+        "n1": [Expr("Ones")],
         "1n": [],
         "11": [],
     }
     swap = {"nn": "nn", "n1": "1n", "1n": "n1", "11": "11"}
 
-    def mul_shape(s1: str, s2: str) -> str | None:
-        if s1[1] != s2[0]:
-            return None
-        return s1[0] + s2[1]
-
-    seen = {repr(e) for shape in by_shape.values() for e in shape}
+    seen = {e for shape in by_shape.values() for e in shape}
     for _ in range(max_depth):
         new: list[tuple[str, Expr]] = []
         snapshot = {k: list(v) for k, v in by_shape.items()}
         for s, exprs in snapshot.items():
             for e in exprs:
-                new.append((swap[s], Transpose(e)))
+                new.append((swap[s], Expr("Transpose", (e,))))
                 if s == "n1":
-                    new.append(("nn", Diag(e)))
+                    new.append(("nn", Expr("Diag", (e,))))
                 if s == "nn" and base in ("L2", "L3"):
-                    new.append(("11", Trace(e)))
+                    new.append(("11", Expr("Trace", (e,))))
         for s1, exprs1 in snapshot.items():
             for s2, exprs2 in snapshot.items():
-                s = mul_shape(s1, s2)
-                if s is None:
+                if s1[1] != s2[0]:
                     continue
+                s = s1[0] + s2[1]
                 for e1 in exprs1:
                     for e2 in exprs2:
-                        new.append((s, MatMul(e1, e2)))
+                        new.append((s, Expr("MatMul", (e1, e2))))
                 if s1 == s2 and base == "L3":
                     for e1 in exprs1:
                         for e2 in exprs2:
-                            new.append((s1, Hadamard(e1, e2)))
+                            new.append((s1, Expr("Hadamard", (e1, e2))))
         for s, e in new:
-            key = repr(e)
-            if key not in seen and len(by_shape[s]) < 4 * limit:
-                seen.add(key)
+            if e not in seen and len(by_shape[s]) < 4 * limit:
+                seen.add(e)
                 by_shape[s].append(e)
         if len(by_shape["11"]) >= limit:
             break

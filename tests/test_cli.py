@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from matgraph import models
+from matgraph import cli, models
 from matgraph.cli import main
 from matgraph.graphcore import Graph, encode_graph6
 
@@ -57,6 +57,17 @@ class TestEval:
     def test_usage_error(self, capsys, small_dataset):
         code = main(["eval", "--sentence", "tr(A", "--graph", small_dataset])
         assert code == 2
+
+    @pytest.mark.parametrize("sentence", [
+        "2^2", "tr(2)", "2 + A", "had(2, A)", "f:exp(2)", "ones' * (3)' * ones",
+    ])
+    def test_literal_outside_a_product_is_one_line_error(self, capsys, small_dataset, sentence):
+        code = main(["eval", "--sentence", sentence, "--graph", small_dataset + ":0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "at position" in captured.err
 
 
 class TestWL:
@@ -343,3 +354,24 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(tmp_path) in captured.err
+
+    def test_unwritable_out_fails_before_the_work(self, capsys, monkeypatch, tmp_path,
+                                                  small_dataset):
+        calls = []
+        monkeypatch.setattr(cli, "distinguishability_run", calls.append)
+        code = main(["--out", str(tmp_path), "distinguish", small_dataset,
+                     "--models", "gcn", "--runs", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert calls == []
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(tmp_path) in captured.err
+
+    def test_out_file_gets_the_output(self, capsys, tmp_path, small_dataset):
+        path = tmp_path / "eval.json"
+        code = main(["--out", str(path), "eval", "--sentence", "tr(A^2)",
+                     "--graph", small_dataset + ":1"])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(path.read_text())["value"] == 8.0

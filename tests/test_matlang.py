@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from matgraph.graphcore import Graph
 from matgraph.matlang import (
+    OPS,
     OpSet,
     ParseError,
     ShapeError,
@@ -49,6 +52,32 @@ class TestParser:
         with pytest.raises(ParseError):
             parse("")
 
+    @pytest.mark.parametrize("text, pos", [
+        ("2^2", 0),
+        ("tr(2)", 3),
+        ("2 + A", 0),
+        ("A + 2", 4),
+        ("had(2, A)", 4),
+        ("f:exp(2)", 6),
+        ("ones' * (3)' * ones", 9),
+        ("2 .* A", 0),
+        ("2", 0),
+        ("2 * 3", 4),
+    ])
+    def test_literal_outside_a_product_is_rejected_at_its_position(self, text, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.pos == pos
+
+    @pytest.mark.parametrize("text", ["2 * A", "A * 2", "A 2", "(3) * A", "A * -0.5 * 2"])
+    def test_literal_factor_scales(self, text):
+        assert parse(text).op == "ScalarMul"
+
+    @pytest.mark.parametrize("power", ["0", "1.5", "1e999", "x"])
+    def test_rejects_bad_power(self, power):
+        with pytest.raises(ParseError, match="power must be an integer"):
+            parse(f"A^{power}")
+
 
 class TestShapes:
     def test_sentence_shapes(self):
@@ -64,8 +93,51 @@ class TestShapes:
         with pytest.raises(ShapeError):
             shape_check(parse("had(A, ones)"), 3)
 
+    @pytest.mark.parametrize("text, message", [
+        ("ones * ones", "MatMul: 3x1 incompatible with 3x1"),
+        ("A .* ones", "Hadamard: operand shapes (3, 3) != (3, 1)"),
+        ("A + ones", "Add: operand shapes (3, 3) != (3, 1)"),
+        ("diag(A)", "Diag requires an 3x1 vector, got 3x3"),
+        ("diag(ones')", "Diag requires an 3x1 vector, got 1x3"),
+        ("tr(ones)", "Trace requires an 3x3 matrix, got 3x1"),
+        ("f:exp(A)", "Pointwise exp applies to scalars or vectors, got 3x3"),
+    ])
+    def test_mismatch_message(self, text, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            shape_check(parse(text), 3)
+
+    def test_pointwise_takes_the_matrix_when_n_is_one(self):
+        assert shape_check(parse("f:exp(A)"), 1) == (1, 1)
+
+
+# one sentence per operator -> the fragments that allow it, from the module
+# docstring: L1 = {mul, transpose, ones, diag} over the variable A, L2 adds
+# trace, L3 adds hadamard, and the enriched fragments L1+, L2+, L3+ add
+# addition, scalar multiplication and pointwise functions to their base
+ALL = {"L1", "L2", "L3", "L1+", "L2+", "L3+"}
+ALLOWED_IN = {
+    "A": ALL,
+    "ones": ALL,
+    "A * A": ALL,
+    "A'": ALL,
+    "diag(ones)": ALL,
+    "tr(A)": {"L2", "L3", "L2+", "L3+"},
+    "had(A, A)": {"L3", "L3+"},
+    "A + A": {"L1+", "L2+", "L3+"},
+    "2 * A": {"L1+", "L2+", "L3+"},
+    "f:exp(ones)": {"L1+", "L2+", "L3+"},
+}
+
 
 class TestFragments:
+    def test_every_operator_is_covered(self):
+        assert {parse(text).op for text in ALLOWED_IN} == set(OPS)
+
+    @pytest.mark.parametrize("text", list(ALLOWED_IN))
+    def test_operator_fragments(self, text):
+        e = parse(text)
+        assert {f for f in ALL if fragment_check(e, OpSet.named(f))} == ALLOWED_IN[text]
+
     def test_trace_needs_l2(self):
         e = parse("tr(A^2)")
         assert not fragment_check(e, OpSet.named("L1"))
