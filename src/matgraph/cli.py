@@ -27,6 +27,7 @@ import contextlib
 import json
 import sys
 
+import numpy as np
 
 from matgraph.graphcore import (DATASET_FORMATS, Graph, GraphFormatError, load_dataset,
                                 parse_graph6)
@@ -147,7 +148,11 @@ def cmd_eval(args) -> int:
         },
     }
     if shape == (1, 1):
-        result["value"] = eval_sentence(expr, G.adjacency)
+        with np.errstate(all="ignore"):
+            value = eval_sentence(expr, G.adjacency)
+        if not np.isfinite(value):
+            raise ValueError(f"the sentence's value {value} is not a finite number")
+        result["value"] = value
     args.stream.write(json.dumps(result, indent=2) + "\n")
     return 0
 

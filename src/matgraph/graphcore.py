@@ -153,6 +153,22 @@ def laplacian(G: Graph | np.ndarray, kind: str = "normalized") -> np.ndarray:
     raise ValueError(f"unknown laplacian kind: {kind!r}")
 
 
+def order_stacks(graphs: list[Graph]):
+    """Yield `(positions, A)` once per order n, orders in first-appearance
+    order: the ascending positions in `graphs` of the graphs of order n
+    and their `(B, n, n)` float adjacency stack.
+
+    A generator, so that a caller holds one order's stack at a time. Call
+    it on the calling thread, not in tile tasks: a tracer may wrap public
+    names with a wrapper that is not thread-safe.
+    """
+    by_order: dict[int, list[int]] = {}
+    for i, G in enumerate(graphs):
+        by_order.setdefault(G.n, []).append(i)
+    for idx in by_order.values():
+        yield np.array(idx), np.stack([graphs[i].adjacency for i in idx])
+
+
 def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
     """Load a list of graphs from a graph6 file or an edge-list JSON file."""
     if format == "graph6":

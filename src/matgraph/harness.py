@@ -31,7 +31,8 @@ from itertools import combinations
 import numpy as np
 
 from matgraph import appendix_data
-from matgraph.graphcore import DATASET_FORMATS, Graph, degree_vector, laplacian, load_dataset
+from matgraph.graphcore import (DATASET_FORMATS, Graph, degree_vector, laplacian, load_dataset,
+                                order_stacks)
 from matgraph.graphlets import custom_sentence
 from matgraph.matlang import eval_sentence, parse
 from matgraph.models import (
@@ -175,13 +176,10 @@ def lambda_census(graphs: list[Graph]) -> PairReport:
         kind="lambda-census", graph_count=n, pair_count=n * (n - 1) // 2
     )
     wl1_pairs = _bucket_pairs(signatures(graphs))
-    by_order: dict[int, list[int]] = defaultdict(list)
-    for i in _paired(wl1_pairs):
-        by_order[graphs[i].n].append(i)
+    paired = np.array(_paired(wl1_pairs))
     lam = np.empty(n)
-    for idx in by_order.values():
-        A = np.stack([graphs[i].adjacency for i in idx])
-        lam[idx] = eig_sym(laplacian(A)).lam[:, -1]
+    for pos, A in order_stacks([graphs[i] for i in paired]):
+        lam[paired[pos]] = eig_sym(laplacian(A)).lam[:, -1]
     equal = [(i, j) for i, j in wl1_pairs if abs(lam[i] - lam[j]) <= 1e-6]
     report.record("1-WL", wl1_pairs)
     report.record("equal-lambda-max", equal)

@@ -12,7 +12,7 @@ Concrete syntax:
     ``had(e1,e2)`` / ``.*``  element-wise multiplication
     ``c * e``                scalar multiplication (numeric literal c)
     ``f:NAME(e)``            pointwise function from a closed registry
-    ``e^k``                  repeated matrix multiplication (sugar, k >= 1)
+    ``e^k``                  matrix power of a square e (integer k >= 1)
 
 A numeric literal may appear only as a factor of ``*`` or juxtaposition.
 
@@ -30,6 +30,7 @@ its syntax in the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -65,7 +66,8 @@ POINTWISE_FUNCS = {
 @dataclass(frozen=True)
 class Expr:
     """One node: its operator's name in `OPS`, its operands, and the
-    operator's parameter (variable name, scalar or pointwise function name)."""
+    operator's parameter (variable name, scalar, exponent or pointwise
+    function name)."""
 
     op: str
     args: tuple[Expr, ...] = ()
@@ -119,6 +121,12 @@ def _same_shape(node, n, s1, s2):
     return s1
 
 
+def _power_shape(node, n, s):
+    if s[0] != s[1]:
+        raise ShapeError(f"Power requires a square matrix, got {s[0]}x{s[1]}")
+    return s
+
+
 def _diag_shape(node, n, s):
     if s != (n, 1):
         raise ShapeError(f"Diag requires an {n}x1 vector, got {s[0]}x{s[1]}")
@@ -155,6 +163,7 @@ OPS: dict[str, Op] = {
     "Var": Op("L1", lambda e, n: (n, n), _var_value),
     "Ones": Op("L1", lambda e, n: (n, 1), lambda e, b: np.ones((_ambient_size(b), 1))),
     "MatMul": Op("L1", _matmul_shape, lambda e, b, x, y: x @ y),
+    "Power": Op("L1", _power_shape, lambda e, b, x: np.linalg.matrix_power(x, e.param)),
     "Transpose": Op("L1", lambda e, n, s: s[::-1], lambda e, b, x: x.T),
     "Diag": Op("L1", _diag_shape, lambda e, b, x: np.diag(x[:, 0])),
     "Trace": Op("L2", _trace_shape, lambda e, b, x: np.trace(x).reshape(1, 1)),
@@ -299,7 +308,8 @@ class _Parser:
             kind, k, kpos = self.next()
             if kind != "num" or not k.is_integer() or k < 1:
                 raise ParseError("power must be an integer >= 1", kpos)
-            e = _power(e, int(k))
+            if k > 1:
+                e = Expr("Power", (e,), int(k))
 
     def atom(self) -> Expr | _Lit:
         kind, val, pos = self.next()
@@ -334,13 +344,6 @@ class _Parser:
             args.append(self.matrix(self.expr()))
         self.expect(")")
         return tuple(args)
-
-
-def _power(e: Expr, k: int) -> Expr:
-    out = e
-    for _ in range(k - 1):
-        out = Expr("MatMul", (out, e))
-    return out
 
 
 def parse(text: str) -> Expr:
@@ -422,32 +425,33 @@ def sentence_corpus(
     swap = {"nn": "nn", "n1": "1n", "1n": "n1", "11": "11"}
 
     seen = {e for shape in by_shape.values() for e in shape}
+    cap = 4 * limit  # expressions kept per shape
+
+    def add(s: str, e: Expr) -> None:
+        if e not in seen and len(by_shape[s]) < cap:
+            seen.add(e)
+            by_shape[s].append(e)
+
     for _ in range(max_depth):
-        new: list[tuple[str, Expr]] = []
         snapshot = {k: list(v) for k, v in by_shape.items()}
         for s, exprs in snapshot.items():
             for e in exprs:
-                new.append((swap[s], Expr("Transpose", (e,))))
+                add(swap[s], Expr("Transpose", (e,)))
                 if s == "n1":
-                    new.append(("nn", Expr("Diag", (e,))))
+                    add("nn", Expr("Diag", (e,)))
                 if s == "nn" and base in ("L2", "L3"):
-                    new.append(("11", Expr("Trace", (e,))))
+                    add("11", Expr("Trace", (e,)))
         for s1, exprs1 in snapshot.items():
             for s2, exprs2 in snapshot.items():
                 if s1[1] != s2[0]:
                     continue
                 s = s1[0] + s2[1]
-                for e1 in exprs1:
-                    for e2 in exprs2:
-                        new.append((s, Expr("MatMul", (e1, e2))))
-                if s1 == s2 and base == "L3":
-                    for e1 in exprs1:
-                        for e2 in exprs2:
-                            new.append((s1, Expr("Hadamard", (e1, e2))))
-        for s, e in new:
-            if e not in seen and len(by_shape[s]) < 4 * limit:
-                seen.add(e)
-                by_shape[s].append(e)
+                ops = ("MatMul", "Hadamard") if s1 == s2 and base == "L3" else ("MatMul",)
+                for op in ops:
+                    for e1, e2 in product(exprs1, exprs2):
+                        if len(by_shape[s]) >= cap:
+                            break
+                        add(s, Expr(op, (e1, e2)))
         if len(by_shape["11"]) >= limit:
             break
     return by_shape["11"][:limit]

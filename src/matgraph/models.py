@@ -18,8 +18,8 @@ sum-readout embeddings are compared across graphs. Determinism: the
 whole WeightSet is regenerable bit-exactly from its 64-bit seed, and a
 graph's embedding depends only on the graph and the seed (below).
 
-For dataset-scale runs, `DatasetBatch` groups the graphs by order, stacks
-each order bucket's adjacencies (B, n, n) once and splits the bucket into
+For dataset-scale runs, `DatasetBatch` takes each order's (B, n, n)
+adjacency stack from `graphcore.order_stacks` once and splits it into
 tiles of TILE_NODES nodes. The kind's support builder runs on each tile's
 stack once, when the batch is built, and the tile keeps its supports:
 elementwise formulas, one stacked eigendecomposition (Chebnet, GNNML3).
@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from matgraph.graphcore import Graph, laplacian
+from matgraph.graphcore import Graph, laplacian, order_stacks
 from matgraph.spectral import (SupportSpec, _eig_sym, _scatter_supports, _stacked_supports,
                                scatter_supports)
 
@@ -375,8 +375,8 @@ class _StackedGroup:
     """The graphs of one order, stacked into contiguous batch arrays and
     split into tiles of TILE_NODES nodes, each with its own supports."""
 
-    def __init__(self, indices: list[int], graphs: list[Graph], A: np.ndarray):
-        self.indices = np.array(indices)  # dataset position of each stacked graph
+    def __init__(self, indices: np.ndarray, graphs: list[Graph], A: np.ndarray):
+        self.indices = indices  # dataset position of each stacked graph
         self.n = A.shape[-1]
         H0 = A.sum(axis=-1, keepdims=True)  # degree features
         if any(G.node_features is not None for G in graphs):
@@ -481,12 +481,8 @@ class DatasetBatch:
         self.spec = spec
         self.graphs = graphs
         self.size = len(graphs)
-        by_n: dict[int, list[int]] = {}
-        for i, G in enumerate(graphs):
-            by_n.setdefault(G.n, []).append(i)
         self.groups, builds = [], []
-        for idx in by_n.values():
-            A = np.stack([graphs[i].adjacency for i in idx])
+        for idx, A in order_stacks(graphs):
             grp = _StackedGroup(idx, [graphs[i] for i in idx], A)
             self.groups.append(grp)
             builds += [partial(grp.build_tile, spec, t, A[lo:hi])
@@ -525,21 +521,3 @@ def run_seeds(base_seed: int, runs: int) -> list[int]:
     if runs < 1:
         raise ValueError("runs must be >= 1")
     return [base_seed ^ splitmix64(i) for i in range(runs)]
-
-
-def pair_distinguished(
-    spec: ModelSpec,
-    G: Graph,
-    H: Graph,
-    seeds: list[int],
-    threshold: float = 1e-3,
-) -> bool:
-    """True iff Manhattan embedding distance exceeds threshold in any run."""
-    if not seeds:
-        raise ValueError("at least one seed required")
-    batch = DatasetBatch(spec, [G, H])
-    for seed in seeds:
-        e = batch.embed_all(seed)
-        if float(np.abs(e[0] - e[1]).sum()) > threshold:
-            return True
-    return False

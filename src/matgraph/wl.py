@@ -17,13 +17,12 @@ keys of `signatures` are comparable only within one call.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
 
-from matgraph.graphcore import Graph
+from matgraph.graphcore import Graph, order_stacks
 
 
 @dataclass(frozen=True)
@@ -113,13 +112,10 @@ def signatures(graphs: list[Graph], test: str = "WL1") -> list[tuple[int, int, b
     only within one call: color numbers depend on the other graphs
     refined alongside.
     """
-    by_order: dict[int, list[int]] = defaultdict(list)
-    for i, G in enumerate(graphs):
-        by_order[G.n].append(i)
     keys: list = [None] * len(graphs)
-    for n, members in by_order.items():
-        members = np.asarray(members)
-        A = np.stack([graphs[i].adjacency for i in members]) != 0
+    for members, A in order_stacks(graphs):
+        n = A.shape[-1]
+        A = A != 0
         C = _initial_colors(A, test)
         stable = False
         for t in count():

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,10 @@ import pytest
 from matgraph import cli, models
 from matgraph.cli import main
 from matgraph.graphcore import Graph, encode_graph6
+
+from .conftest import DATA_DIR
+
+GRAPH8C = DATA_DIR / "graph8c.g6"
 
 
 @pytest.fixture()
@@ -68,6 +73,22 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "at position" in captured.err
+
+    @pytest.mark.parametrize("sentence, message", [
+        ("tr(A^2000)", "value inf is not"),
+        ("tr(A^1e9)", "value nan is not"),
+        ("f:rsqrt(-1 * (ones' A ones))", "value nan is not"),
+        ("ones^2", "Power requires a square matrix, got 8x1"),
+    ])
+    def test_non_finite_or_non_square_is_one_line_error(self, capsys, sentence, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = main(["eval", "--sentence", sentence, "--graph", f"{GRAPH8C}:0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 class TestWL:

@@ -9,6 +9,7 @@ from matgraph.graphcore import (
     encode_graph6,
     laplacian,
     load_dataset,
+    order_stacks,
     parse_graph6,
 )
 from matgraph.spectral import eig_sym
@@ -89,6 +90,20 @@ class TestGraph6:
         assert [G.n for G in loaded] == [5, 63, 1, 100, 62]
         for G, H in zip(graphs, loaded):
             assert np.array_equal(G.adjacency, H.adjacency)
+
+
+class TestOrderStacks:
+    def test_mixed_orders(self, mixed):
+        stacks = order_stacks(mixed)
+        assert iter(stacks) is stacks  # a generator: one stack at a time
+        stacks = list(stacks)
+        assert [A.shape[-1] for _, A in stacks] == [1, 8, 3, 25]  # first appearance
+        positions = np.concatenate([pos for pos, _ in stacks])
+        assert sorted(positions.tolist()) == list(range(len(mixed)))
+        for pos, A in stacks:
+            assert (np.diff(pos) > 0).all()
+            assert A.dtype == float
+            assert np.array_equal(A, [mixed[i].adjacency for i in pos])
 
 
 class TestLaplacian:

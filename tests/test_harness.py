@@ -24,7 +24,7 @@ from matgraph.harness import (
     undistinguished_pairs,
     wl_census,
 )
-from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, pair_distinguished, run_seeds
+from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 from matgraph.spectral import eig_sym
 from matgraph.wl import fwl2_equivalent, wl1_equivalent
 
@@ -89,7 +89,7 @@ class TestBucketedEngine:
         spec, seeds = ModelSpec(kind=kind), run_seeds(7, 3)
         graphs = graph8c[:300]
         for i, j in undistinguished_pairs(spec, graphs, seeds, 1e-3):
-            assert not pair_distinguished(spec, graphs[i], graphs[j], seeds, 1e-3)
+            assert undistinguished_pairs(spec, [graphs[i], graphs[j]], seeds, 1e-3) == [(0, 1)]
 
     @pytest.mark.parametrize("engine", [undistinguished_pairs, naive_undistinguished_pairs])
     def test_no_seeds_rejected(self, engine):

@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from matgraph.graphcore import Graph
 from matgraph.matlang import (
     OPS,
+    Expr,
     OpSet,
     ParseError,
     ShapeError,
@@ -39,6 +41,8 @@ class TestParser:
     def test_power_sugar(self):
         # A^3 on the triangle: tr = 2 * number of triangles * 3 = 6
         assert ev("tr(A^3)", TRIANGLE) == pytest.approx(6.0)
+        # the triangle's spectrum is 2, -1, -1: tr(A^7) = 2^7 - 2, exactly
+        assert ev("tr(A^7)", TRIANGLE) == 126.0
 
     def test_rejects_unbalanced(self):
         with pytest.raises(ParseError):
@@ -73,6 +77,13 @@ class TestParser:
     def test_literal_factor_scales(self, text):
         assert parse(text).op == "ScalarMul"
 
+    def test_power_is_one_node(self):
+        A = Expr("Var", (), "A")
+        assert parse("A^1") == A
+        # one node whatever the exponent: no chain of k - 1 products
+        assert parse("A^1000000000") == Expr("Power", (A,), 1000000000)
+        assert shape_check(parse("tr(A^1000000000)"), 8) == (1, 1)
+
     @pytest.mark.parametrize("power", ["0", "1.5", "1e999", "x"])
     def test_rejects_bad_power(self, power):
         with pytest.raises(ParseError, match="power must be an integer"):
@@ -101,6 +112,7 @@ class TestShapes:
         ("diag(ones')", "Diag requires an 3x1 vector, got 1x3"),
         ("tr(ones)", "Trace requires an 3x3 matrix, got 3x1"),
         ("f:exp(A)", "Pointwise exp applies to scalars or vectors, got 3x3"),
+        ("ones^2", "Power requires a square matrix, got 3x1"),
     ])
     def test_mismatch_message(self, text, message):
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
@@ -119,6 +131,7 @@ ALLOWED_IN = {
     "A": ALL,
     "ones": ALL,
     "A * A": ALL,
+    "A^2": ALL,
     "A'": ALL,
     "diag(ones)": ALL,
     "tr(A)": {"L2", "L3", "L2+", "L3+"},
@@ -207,6 +220,13 @@ class TestFragmentSoundness:
 
         e = parse("tr(A^5)")  # L2 already suffices here
         assert sentence_distinguishes(e, DECALIN, BICYCLOPENTYL)
+
+    def test_corpus_stops_at_the_cap(self):
+        # candidates are kept as they are made, and a product stops once
+        # its target shape is full, instead of forming every product first
+        start = time.perf_counter()
+        assert len(sentence_corpus("L2", max_depth=4, limit=300)) == 300
+        assert time.perf_counter() - start < 1.0
 
     def test_corpus_members_typecheck(self):
         corpus = sentence_corpus("L3", max_depth=3, limit=100)

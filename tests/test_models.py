@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from matgraph.appendix_data import BICYCLOPENTYL, DECALIN
 from matgraph.graphcore import Graph
+from matgraph.harness import undistinguished_pairs
 from matgraph.models import (
     EMBED_DIM,
     MODEL_KINDS,
@@ -12,7 +13,6 @@ from matgraph.models import (
     ModelSpec,
     embed,
     make_weights,
-    pair_distinguished,
     parameter_count,
     run_seeds,
     splitmix64,
@@ -111,7 +111,7 @@ class TestWL1Bound:
     def test_decalin_pair_never_separated(self, kind):
         spec = ModelSpec(kind=kind)
         seeds = run_seeds(11, 100)
-        assert not pair_distinguished(spec, DECALIN, BICYCLOPENTYL, seeds)
+        assert undistinguished_pairs(spec, [DECALIN, BICYCLOPENTYL], seeds, 1e-3) == [(0, 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -124,4 +124,4 @@ class TestWL1Bound:
         perm = np.random.default_rng(seed).permutation(G.n)
         H = permute_graph(G, perm)
         spec = ModelSpec(kind=kind)
-        assert not pair_distinguished(spec, G, H, [seed % 997, seed % 991])
+        assert undistinguished_pairs(spec, [G, H], [seed % 997, seed % 991], 1e-3) == [(0, 1)]
