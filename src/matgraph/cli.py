@@ -14,6 +14,8 @@ Subcommands:
 
 `distinguish --config FILE` reads `key = value` lines; a flag given on
 the command line overrides the file, and the file overrides the default.
+A global flag that the subcommand does not read (`--format` for `wl`, say)
+is a usage error, not silently ignored.
 
 Exit codes: 0 success, 1 golden failure or a model that raised in
 `distinguish` (the report is still printed), 2 usage error, bad input or
@@ -231,6 +233,15 @@ _PATTERN_ALIASES = {
 # in these defaults.
 _DEFAULTS = {"seed": 0, "format": "text", "dataset_format": "graph6"}
 
+# global flag -> the subcommands that read it (every one reads --out)
+_FLAG_READERS = {
+    "config": {"distinguish"},
+    "seed": {"distinguish", "embed"},
+    "format": {"census", "lambda-census", "distinguish", "golden"},
+    "dataset_format": {"census", "lambda-census", "distinguish", "eval", "wl", "supports",
+                       "count", "embed"},
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -310,6 +321,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args.given = {k for k, v in vars(args).items() if v is not None}
+    for flag, readers in _FLAG_READERS.items():
+        if flag in args.given and args.command not in readers:
+            print(f"error: {args.command} does not read --{flag.replace('_', '-')}",
+                  file=sys.stderr)
+            return 2
     for k, v in _DEFAULTS.items():
         if getattr(args, k) is None:
             setattr(args, k, v)

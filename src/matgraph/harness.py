@@ -95,9 +95,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """Key-value text config: one `key = value` per line, # comments.
-        `overrides` take precedence over the file's values. A value that
-        does not parse or is not valid raises naming its file and line."""
-        known = {f.name for f in fields(cls)}
+        `overrides` take precedence over the file's values. `dataset` is
+        not a key: it comes from `overrides`. An unknown key, or a value
+        that does not parse or is not valid, raises naming its file and line."""
+        known = {f.name for f in fields(cls)} - {"dataset"}
         values: dict = {}
         with open(path) as f:
             for lineno, line in enumerate(f, start=1):
@@ -301,11 +302,8 @@ def degree_multiset_pairs(graphs: list[Graph]) -> list[tuple[int, int]]:
     return _bucket_pairs(keys)
 
 
-def distinguishability_run(
-    config: ExperimentConfig, graphs: list[Graph] | None = None
-) -> PairReport:
-    if graphs is None:
-        graphs = load_dataset(config.dataset, format=config.format)
+def distinguishability_run(config: ExperimentConfig) -> PairReport:
+    graphs = load_dataset(config.dataset, format=config.format)
     n = len(graphs)
     report = PairReport(
         kind="distinguishability", graph_count=n, pair_count=n * (n - 1) // 2
@@ -345,9 +343,9 @@ def _check(name, expected, actual, tol=0.0) -> GoldenCheck:
     return GoldenCheck(name=name, expected=expected, actual=actual, passed=bool(ok))
 
 
-def golden_pairs_suite(data=None) -> list[GoldenCheck]:
+def golden_pairs_suite() -> list[GoldenCheck]:
     """Every paper-anchored numeric on the built-in appendix pairs."""
-    graphs = data if data is not None else appendix_data.GRAPHS
+    graphs = appendix_data.GRAPHS
     dec, bic = graphs["decalin"], graphs["bicyclopentyl"]
     cg, ch = graphs["cospectral10_a"], graphs["cospectral10_b"]
     rook, shri = graphs["rook4x4"], graphs["shrikhande"]

@@ -12,17 +12,23 @@ builder, its per-layer weight schema and its layer update. `make_weights`
 draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
 runs the update, so adding a model kind means adding one table entry.
 
+Every kind runs in the paper's one configuration: 3 layers, the largest
+width within a ~30K parameter budget, a sum readout into a 10-dimensional
+linear, GIN's eps 0.1 and Chebnet's K = 3 supports.
 Weights are never trained; they are drawn once per seed (scaled uniform,
-half-width sqrt(6/(fan_in+fan_out))) and the resulting 10-dimensional
-sum-readout embeddings are compared across graphs. Determinism: the
-whole WeightSet is regenerable bit-exactly from its 64-bit seed, and a
-graph's embedding depends only on the graph and the seed (below).
+half-width sqrt(6/(fan_in+fan_out))), `make_weights` returns them as a
+dict of arrays by name, and the resulting embeddings are compared across
+graphs. Determinism: every weight array is regenerable bit-exactly from
+the 64-bit seed, and a graph's embedding depends only on the graph and
+the seed (below).
 
 For dataset-scale runs, `DatasetBatch` takes each order's (B, n, n)
 adjacency stack from `graphcore.order_stacks` once and splits it into
-tiles of TILE_NODES nodes. The kind's support builder runs on each tile's
-stack once, when the batch is built, and the tile keeps its supports:
-elementwise formulas, one stacked eigendecomposition (Chebnet, GNNML3).
+tiles of TILE_NODES nodes; `DatasetBatch.groups` is the flat list of
+tiles, each holding its graphs' dataset positions, inputs and supports.
+The kind's support builder runs on each tile's stack once, when the
+batch is built, and the tile keeps its supports: elementwise formulas,
+one stacked eigendecomposition (Chebnet, GNNML3).
 The one-graph helper `static_supports` is the B = 1 case of the same
 builders, made dense for GNNML3 by `spectral.scatter_supports`, the
 scatter that also places its learned supports. A support that is the
@@ -60,7 +66,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cache, partial
 from math import prod
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -84,11 +90,10 @@ class ModelSpec:
     kind: str
     layers: int = 3
     width: int | None = None  # None: largest width fitting the budget
-    cheb_k: int = 3
-    gin_eps: float = 0.1
-    init_gain: float | None = None  # None: the kind's gain in MODELS
     support_spec: SupportSpec = field(default_factory=SupportSpec)
-    readout: str = "sum-linear10"
+    # constants, not fields; perfbench's flop count reads both
+    cheb_k: ClassVar[int] = 3  # Chebnet's supports T_0 .. T_{cheb_k - 1}
+    readout: ClassVar[str] = "sum-linear10"  # sum over nodes, then the final linear
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -97,10 +102,6 @@ class ModelSpec:
             raise ValueError("layers must be >= 1")
         if self.width is not None and self.width < 1:
             raise ValueError("width must be > 0")
-        if self.kind == "chebnet" and self.cheb_k < 2:
-            raise ValueError("chebnet needs k >= 2 supports")
-        if self.readout not in ("sum", "max", "sum-linear10"):
-            raise ValueError(f"unknown readout {self.readout!r}")
 
     def resolved_width(self) -> int:
         """Hidden width: `width`, or the largest that fits PARAM_BUDGET."""
@@ -155,23 +156,15 @@ def parameter_count(spec: ModelSpec) -> int:
     return _count(spec, spec.resolved_width())
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    seed: int
-    arrays: dict[str, np.ndarray]
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.arrays[key]
-
-
-def make_weights(spec: ModelSpec, seed: int) -> WeightSet:
+def make_weights(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
+    """Every weight array of the model by name, in schema draw order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gain = spec.init_gain if spec.init_gain is not None else MODELS[spec.kind].gain
-    arrays: dict[str, np.ndarray] = {}
+    gain = MODELS[spec.kind].gain
+    weights: dict[str, np.ndarray] = {}
     for name, shape, fan_in, fan_out in _schema(spec, spec.resolved_width()):
         a = gain * np.sqrt(6.0 / (fan_in + fan_out))
-        arrays[name] = rng.uniform(-a, a, size=shape)
-    return WeightSet(seed=seed, arrays=arrays)
+        weights[name] = rng.uniform(-a, a, size=shape)
+    return weights
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -189,8 +182,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _leaky(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+def _leaky(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, 0.2 * x)
 
 
 def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
@@ -263,7 +256,7 @@ def _conv(C: np.ndarray, H: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _conv_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _bias_relu(_conv(C, H, w[f"W{l}"]), w[f"b{l}"])
 
 
@@ -273,7 +266,7 @@ def _gin_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
             (f"W{l}.1", (w, w), w, w), (f"b{l}.1", (w,), w, w)]
 
 
-def _gin_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _gin_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     inner = _bias_relu(_mm(C[:, 0] @ H, w[f"W{l}.0"]), w[f"b{l}.0"])
     return _bias_relu(inner @ w[f"W{l}.1"], w[f"b{l}.1"])
 
@@ -299,7 +292,7 @@ def _gat_attention(HW: np.ndarray, a: np.ndarray, mask: np.ndarray):
     return e
 
 
-def _gat_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _gat_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The shared transform H W feeds both the attention and the aggregation."""
     HW = _mm(H, w[f"W{l}"])
     return _bias_relu(_gat_attention(HW, w[f"a{l}"], C[:, 0]) @ HW, w[f"b{l}"])
@@ -309,7 +302,7 @@ def _gnnml1_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
     return [(f"W{l}.{t}", (d, w), d, w) for t in range(4)] + [(f"b{l}", (w,), d, w)]
 
 
-def _gnnml1_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _gnnml1_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Identity and adjacency (C_0 = A) terms plus a Hadamard product."""
     out = _mm(H, w[f"W{l}.0"])
     out += _mm(C[:, 0] @ H, w[f"W{l}.1"])
@@ -336,7 +329,7 @@ def _gnnml3_head(spec: ModelSpec) -> list[Entry]:
     ] + [("mlp4.W", (4 * S, S), 4 * S, S), ("mlp4.b", (S,), 4 * S, S)]
 
 
-def _gnnml3_update(w: WeightSet, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _gnnml3_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Each layer emits width (conv part) + width (Hadamard part)."""
     conv = _conv(C, H, w[f"W{l}"])
     conv += w[f"b{l}"]
@@ -354,8 +347,9 @@ MODELS: dict[str, Model] = {
     "gcn": Model(_gcn_supports, _conv_layer(lambda spec: 1), _conv_update, gain=0.57),
     "graphsage": Model(_graphsage_supports, _conv_layer(lambda spec: 2), _conv_update,
                        identity=True, gain=0.345),
-    "gin": Model(lambda spec, A: _stack(A, A + (1.0 + spec.gin_eps) * np.eye(A.shape[-1])),
-                 _gin_layer, _gin_update),
+    # A + (1 + eps) I with GIN's eps = 0.1
+    "gin": Model(lambda spec, A: _stack(A, A + 1.1 * np.eye(A.shape[-1])), _gin_layer,
+                 _gin_update),
     # attention is computed over the self-connected neighborhood
     "gat": Model(lambda spec, A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer,
                  _gat_update, gain=0.64),
@@ -371,59 +365,45 @@ MODEL_KINDS = tuple(MODELS)
 # --- batched forward pass ----------------------------------------------------
 
 
-class _StackedGroup:
-    """The graphs of one order, stacked into contiguous batch arrays and
-    split into tiles of TILE_NODES nodes, each with its own supports."""
+class _Tile:
+    """Up to TILE_NODES nodes of graphs of one order: their dataset
+    positions, their inputs and their supports."""
 
-    def __init__(self, indices: np.ndarray, graphs: list[Graph], A: np.ndarray):
-        self.indices = indices  # dataset position of each stacked graph
-        self.n = A.shape[-1]
-        H0 = A.sum(axis=-1, keepdims=True)  # degree features
-        if any(G.node_features is not None for G in graphs):
-            H0 = np.stack([h if G.node_features is None else G.node_features
-                           for G, h in zip(graphs, H0)])
-        self.H0 = H0  # (B, n, 1) degrees, or the graphs' node features
-        step = max(1, TILE_NODES // self.n)
-        self.tiles = [(lo, min(lo + step, len(graphs)))
-                      for lo in range(0, len(graphs), step)]
-        # per tile: the static (T, S, n, n) supports, or GNNML3's edge-feature
-        # rows (m, S), their dense positions (b, r, c) in the tile and centers
-        self.supports: list = [None] * len(self.tiles)
+    def __init__(self, indices: np.ndarray, H0: np.ndarray):
+        self.indices = indices  # dataset position of each graph
+        self.n = H0.shape[1]
+        self.H0 = H0  # (T, n, 1) degrees, or the graphs' node features
+        # the static (T, S, n, n) supports, or GNNML3's edge-feature rows
+        # (m, S), their dense positions (b, r, c) in the tile and centers
+        self.supports = None
 
-    def build_tile(self, spec: ModelSpec, t: int, A: np.ndarray) -> None:
-        """Tile t's supports, from the tile's adjacencies A."""
-        self.supports[t] = MODELS[spec.kind].supports(spec, A)
+    def build(self, spec: ModelSpec, A: np.ndarray) -> None:
+        """The supports of the tile's adjacencies A."""
+        self.supports = MODELS[spec.kind].supports(spec, A)
 
-    def tile_supports(self, weights: WeightSet, t: int) -> np.ndarray:
-        """Tile t's static (T, S, n, n) supports, or GNNML3's learned masked
-        supports (Eq. 8), which depend on the weights."""
-        supports = self.supports[t]
-        if isinstance(supports, np.ndarray):
-            return supports
-        edge_rows, index, _ = supports
+    def _layer_supports(self, weights: dict) -> np.ndarray:
+        """The supports the layers read: the static (T, S, n, n) ones, or
+        GNNML3's learned masked supports (Eq. 8), which depend on the
+        weights; a method of its own, so that its temporaries are freed
+        before the layers run."""
+        if isinstance(self.supports, np.ndarray):
+            return self.supports
+        edge_rows, index, _ = self.supports
         x1, x2, x3 = (_sigmoid(edge_rows @ weights[f"mlp{k}.W"] + weights[f"mlp{k}.b"])
                       for k in (1, 2, 3))
         C_vec = _bias_relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"],
                            weights["mlp4.b"])
-        lo, hi = self.tiles[t]
-        return _scatter_supports(C_vec, index, (hi - lo, self.n))
+        return _scatter_supports(C_vec, index, (len(self.indices), self.n))
 
-    def embed_tile(self, spec: ModelSpec, weights: WeightSet, t: int,
-                   out: np.ndarray) -> None:
-        """Every layer, the readout and the final linear of tile t, into its
+    def embed(self, spec: ModelSpec, weights: dict, out: np.ndarray) -> None:
+        """Every layer, the readout and the final linear, into the tile's
         graphs' rows of out."""
-        update = MODELS[spec.kind].update
-        C = self.tile_supports(weights, t)
-        lo, hi = self.tiles[t]
-        H = self.H0[lo:hi]
+        update, C, H = MODELS[spec.kind].update, self._layer_supports(weights), self.H0
         for l in range(spec.layers):
             H = update(weights, l, H, C)
-        s = H.max(axis=-2) if spec.readout == "max" else H.sum(axis=-2)
-        if spec.readout == "sum-linear10":
-            # one (1, d) @ (d, 10) product per graph: a graph's row does not
-            # depend on how many graphs share the product
-            s = (s[:, None, :] @ weights["final"])[:, 0]
-        out[self.indices[lo:hi]] = s
+        # one (1, d) @ (d, 10) product per graph: a graph's row does not
+        # depend on how many graphs share the product
+        out[self.indices] = (H.sum(axis=-2)[:, None, :] @ weights["final"])[:, 0]
 
 
 @cache
@@ -469,8 +449,8 @@ def _run_tiles(tasks: list[Callable[[], None]]) -> None:
 
 
 class DatasetBatch:
-    """Graphs grouped by order, each order bucket stacked and tiled with its
-    tiles' supports, ready for repeated seed runs.
+    """Graphs split by order into tiles, each with its supports, ready for
+    repeated seed runs.
 
     Building the stacks and supports costs one pass, its tiles on the tile
     threads; every embed_all call reuses it, which is what makes 100-run
@@ -481,12 +461,17 @@ class DatasetBatch:
         self.spec = spec
         self.graphs = graphs
         self.size = len(graphs)
-        self.groups, builds = [], []
+        self.groups, builds = [], []  # the tiles, and their support builds
         for idx, A in order_stacks(graphs):
-            grp = _StackedGroup(idx, [graphs[i] for i in idx], A)
-            self.groups.append(grp)
-            builds += [partial(grp.build_tile, spec, t, A[lo:hi])
-                       for t, (lo, hi) in enumerate(grp.tiles)]
+            H0 = A.sum(axis=-1, keepdims=True)  # degree features
+            if any(graphs[i].node_features is not None for i in idx):
+                H0 = np.stack([h if graphs[i].node_features is None
+                               else graphs[i].node_features for i, h in zip(idx, H0)])
+            step = max(1, TILE_NODES // A.shape[-1])
+            for lo in range(0, len(idx), step):
+                tile = _Tile(idx[lo:lo + step], H0[lo:lo + step])
+                self.groups.append(tile)
+                builds.append(partial(tile.build, spec, A[lo:lo + step]))
         _run_tiles(builds)
 
     def subset(self, indices: list[int]) -> "DatasetBatch":
@@ -494,13 +479,10 @@ class DatasetBatch:
         return DatasetBatch(self.spec, [self.graphs[i] for i in indices])
 
     def embed_all(self, seed: int) -> np.ndarray:
-        """Embeddings of every graph, shape (N, 10) (or (N, d) readouts)."""
-        spec = self.spec
-        weights = make_weights(spec, seed)
-        d, e = weights["final"].shape
-        out = np.empty((self.size, e if spec.readout == "sum-linear10" else d))
-        _run_tiles([partial(grp.embed_tile, spec, weights, t, out)
-                    for grp in self.groups for t in range(len(grp.tiles))])
+        """Embeddings of every graph, shape (N, 10)."""
+        weights = make_weights(self.spec, seed)
+        out = np.empty((self.size, EMBED_DIM))
+        _run_tiles([partial(tile.embed, self.spec, weights, out) for tile in self.groups])
         return out
 
 

@@ -4,7 +4,9 @@ Supports are built by designing Gaussian frequency responses
 Phi_s(lambda) = exp(-b (lambda - f_s)^2) over the eigenvalues of a basis
 matrix (normalized Laplacian by default), reconstructing the dense matrix
 U diag(Phi_s(lambda)) U^T, and masking it to the 1-hop receptive field
-M = A + I. The masked entries are stored as sparse edge-feature rows.
+M = A + I. Of the S supports, S - 1 are Gaussian bands and the last is
+the all-pass support (Phi = 1, the identity). The masked entries are
+stored as sparse edge-feature rows.
 
 `eig_sym` and `stacked_supports` work on a whole (B, n, n) stack of
 equal-order graphs at once; a single graph is a stack of one.
@@ -91,8 +93,7 @@ def band_centers(lam_min: np.ndarray, lam_max: np.ndarray, S: int) -> np.ndarray
 class SupportSpec:
     basis_kind: str = "normalized-laplacian"
     b: float = 5.0
-    S: int = 5
-    include_allpass: bool = True
+    S: int = 5  # S - 1 Gaussian bands plus the all-pass support
 
     def __post_init__(self):
         if self.basis_kind not in ("normalized-laplacian", "adjacency"):
@@ -131,14 +132,12 @@ def stacked_supports(
     """
     basis = _eig_sym(basis_matrix(A, spec.basis_kind))
     index = np.nonzero(A + np.eye(A.shape[-1]))
-    bands = spec.S - 1 if spec.include_allpass else spec.S
-    centers = band_centers(basis.lam[:, :1], basis.lam[:, -1:], bands + 1)
+    centers = band_centers(basis.lam[:, :1], basis.lam[:, -1:], spec.S)
     columns = [
         basis.reconstruct(frequency_response(basis.lam, spec.b, centers[:, s:s + 1]))[index]
-        for s in range(bands)
+        for s in range(spec.S - 1)
     ]
-    if spec.include_allpass:
-        columns.append((index[1] == index[2]).astype(np.float64))
+    columns.append((index[1] == index[2]).astype(np.float64))
     return np.column_stack(columns), index, centers
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from matgraph.harness import _candidate_pairs
 from matgraph.models import (
     MODEL_KINDS,
     MODELS,
-    TILE_NODES,
     DatasetBatch,
     ModelSpec,
     embed,
@@ -37,22 +37,20 @@ def test_stacked_supports_equal_one_graph_builder(spec, mixed):
     # every tile keeps its graphs' static_supports, less a declared identity
     kind, skip = spec.kind, MODELS[spec.kind].identity
     batch = DatasetBatch(spec, mixed)
-    assert sorted(grp.n for grp in batch.groups) == [1, 3, 8, 25]
-    assert sum(len(grp.tiles) for grp in batch.groups) > len(batch.groups)
-    for grp in batch.groups:
-        assert len(grp.supports) == len(grp.tiles)
-        for (lo, hi), supports in zip(grp.tiles, grp.supports):
-            idx = grp.indices[lo:hi]
-            ones = [static_supports(spec, mixed[i]) for i in idx]
-            want = np.stack([np.array(C[skip:]).reshape(-1, grp.n, grp.n) for C in ones])
-            if kind == "gnnml3":
-                # the tile's mask rows sit at the nonzero positions of its A + I
-                rows, index, _ = supports
-                A = np.stack([mixed[i].adjacency for i in idx])
-                assert all(np.array_equal(got, i)
-                           for got, i in zip(index, np.nonzero(A + np.eye(grp.n))))
-                supports = scatter_supports(rows, index, (hi - lo, grp.n))
-            assert same_bytes(supports, want)
+    assert sorted({tile.n for tile in batch.groups}) == [1, 3, 8, 25]
+    assert len(batch.groups) > 4  # order 8 spans several tiles
+    for tile in batch.groups:
+        idx, n, supports = tile.indices, tile.n, tile.supports
+        ones = [static_supports(spec, mixed[i]) for i in idx]
+        want = np.stack([np.array(C[skip:]).reshape(-1, n, n) for C in ones])
+        if kind == "gnnml3":
+            # the tile's mask rows sit at the nonzero positions of its A + I
+            rows, index, _ = supports
+            A = np.stack([mixed[i].adjacency for i in idx])
+            assert all(np.array_equal(got, i)
+                       for got, i in zip(index, np.nonzero(A + np.eye(n))))
+            supports = scatter_supports(rows, index, (len(idx), n))
+        assert same_bytes(supports, want)
 
 
 def test_identity_supports_declared(mixed):
@@ -97,12 +95,28 @@ def test_tile_threads_call_no_traced_name(kind, graph8c, monkeypatch):
         monkeypatch.setattr(cls, meth, wrap(vars(cls)[meth], f"{m}.{cls_name}.{meth}"))
 
     batch = models.DatasetBatch(ModelSpec(kind), graph8c[:1000])
-    assert len(batch.groups[0].tiles) >= 4
+    assert len(batch.groups) >= 4
     batch.embed_all(3)
     names = {name for name, _ in calls}
     assert {"models.DatasetBatch.__init__", "models.DatasetBatch.embed_all"} <= names
     off_thread = {name for name, thread in calls if thread is not threading.current_thread()}
     assert not off_thread
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_traced_flops_read_the_tiles(kind, mixed):
+    # perfbench's tracer counts an embed_all's flops from the tiles'
+    # (len(indices), n) in `batch.groups`, reading spec.cheb_k and
+    # spec.readout; the count is linear in B, so the tiles of one order
+    # add up to that order's (B, n)
+    tracing = load_tracing()
+    spec = ModelSpec(kind)
+    width = spec.resolved_width()
+    batch = DatasetBatch(spec, mixed)
+    tiles = tracing.embed_flops(spec, width, [(len(t.indices), t.n) for t in batch.groups])
+    orders = [(B, n) for n, B in Counter(G.n for G in mixed).items()]
+    assert len(batch.groups) > len(orders)
+    assert tiles == tracing.embed_flops(spec, width, orders) > 0
 
 
 def test_adjacency_basis_supports(mixed):
@@ -123,12 +137,13 @@ def test_adjacency_basis_supports(mixed):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_node_features_replace_degrees(kind, mixed):
     batch = DatasetBatch(ModelSpec(kind), mixed)
-    (grp,) = [g for g in batch.groups if g.n == 8]
-    assert len(grp.indices) > TILE_NODES // 8  # the bucket spans several tiles
-    for k, i in enumerate(grp.indices):
-        G = mixed[i]
-        want = G.node_features if G.node_features is not None else G.adjacency.sum(1)[:, None]
-        assert np.array_equal(grp.H0[k], want)
+    tiles = [tile for tile in batch.groups if tile.n == 8]
+    assert len(tiles) > 1  # the order-8 graphs span several tiles
+    for tile in tiles:
+        for k, i in enumerate(tile.indices):
+            G = mixed[i]
+            want = G.node_features if G.node_features is not None else G.adjacency.sum(1)[:, None]
+            assert np.array_equal(tile.H0[k], want)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -153,11 +168,10 @@ def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
         runs = [batch.embed_all(13) for _ in range(5)]
     finally:
         sys.setswitchinterval(interval)
-    tiles = [(grp, lo, hi) for grp in batch.groups for lo, hi in grp.tiles]
-    assert len(tiles) >= 4
+    assert len(batch.groups) >= 4
     assert all(same_bytes(e, runs[0]) for e in runs[1:])
-    for grp, lo, hi in tiles:  # each a batch of one tile, which runs inline
-        idx = grp.indices[lo:hi]
+    for tile in batch.groups:  # each a batch of one tile, which runs inline
+        idx = tile.indices
         alone = DatasetBatch(spec, [mixed[i] for i in idx]).embed_all(13)
         assert same_bytes(runs[0][idx], alone)
 

@@ -227,6 +227,16 @@ class TestDistinguish:
         assert err.count("\n") == 1
         assert "bogus" in err
 
+    def test_config_dataset_key_is_unknown(self, capsys, tmp_path, small_dataset):
+        # the positional DATASET is the only way to name the dataset
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs = 1\ndataset = data/sr25.g6\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:2: unknown config key 'dataset'\n"
+
     def test_bad_config_value_names_file_and_line(self, capsys, tmp_path, small_dataset):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("# runs below\nmodels = gcn\nruns = ten\n")
@@ -361,6 +371,23 @@ class TestDistinguish:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("flag, command", [
+        (["--config", "/nonexistent.cfg"], "census"),
+        (["--seed", "3"], "wl"),
+        (["--format", "csv"], "wl"),
+        (["--dataset-format", "graph6"], "golden"),
+    ])
+    def test_global_flag_the_subcommand_does_not_read(self, capsys, small_dataset, flag,
+                                                      command):
+        argv = {"census": ["census", small_dataset],
+                "wl": ["wl", "--graph", small_dataset + ":0", "--other", small_dataset + ":1"],
+                "golden": ["golden"]}[command]
+        code = main([*flag, *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {command} does not read {flag[0]}\n"
 
     def test_missing_dataset(self):
         assert main(["census", "/nonexistent.g6"]) in (1, 2)

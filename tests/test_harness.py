@@ -164,12 +164,12 @@ class TestConfigAndRendering:
     def test_config_from_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(
-            "dataset = data/graph8c.g6\n"
             "runs = 17  # fewer for a smoke run\n"
             "threshold = 1e-4\n"
             "models = gcn,gin\n"
         )
-        cfg = ExperimentConfig.from_file(str(p))
+        cfg = ExperimentConfig.from_file(str(p), dataset="data/graph8c.g6")
+        assert cfg.dataset == "data/graph8c.g6"
         assert cfg.runs == 17
         assert cfg.threshold == 1e-4
         assert cfg.models == ("gcn", "gin")

@@ -43,7 +43,7 @@ class TestSpec:
     def test_weight_count_matches_declared(self, kind):
         spec = ModelSpec(kind=kind)
         weights = make_weights(spec, seed=1)
-        total = sum(w.size for w in weights.arrays.values())
+        total = sum(w.size for w in weights.values())
         assert total == parameter_count(spec)
 
 
@@ -67,7 +67,7 @@ class TestStaticSupports:
 
     def test_chebnet_support_count(self):
         G = Graph.from_edges(3, [(0, 1), (1, 2)])
-        C = static_supports(ModelSpec(kind="chebnet", cheb_k=3), G)
+        C = static_supports(ModelSpec(kind="chebnet"), G)
         assert len(C) == 3
         assert np.allclose(C[0], np.eye(3))
 

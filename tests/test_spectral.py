@@ -106,7 +106,7 @@ class TestSupports:
         assert np.all(C[:, M == 0] == 0.0)
 
     def test_allpass_support(self):
-        spec = SupportSpec(include_allpass=True)
+        spec = SupportSpec()
         G = Graph.from_edges(3, [(0, 1), (1, 2)])
         C = dense_supports(G.adjacency[None], spec)[0]
         assert np.allclose(C[-1], np.eye(3))
