@@ -18,8 +18,8 @@ A global flag that the subcommand does not read (`--format` for `wl`, say)
 is a usage error, not silently ignored.
 
 Exit codes: 0 success, 1 golden failure or a model that raised in
-`distinguish` (the report is still printed), 2 usage error, bad input or
-a file that cannot be read or written.
+`distinguish` (the report is still printed), 2 usage error, bad input,
+a file that cannot be read or written, or out of memory.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from matgraph.graphcore import (DATASET_FORMATS, Graph, GraphFormatError, load_dataset,
                                 parse_graph6)
-from matgraph.graphlets import CLOSED_FORMS, PATTERN_KINDS, enumerate_pattern
+from matgraph.graphlets import PATTERN_KINDS, count, enumerate_pattern
 from matgraph.harness import (
     ExperimentConfig,
     PairReport,
@@ -52,7 +52,7 @@ from matgraph.matlang import (
     parse,
     shape_check,
 )
-from matgraph.models import MODEL_KINDS, ModelSpec, embed, run_seeds
+from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 from matgraph.spectral import SupportSpec, stacked_supports
 from matgraph.wl import fwl2_equivalent, wl1_equivalent, wl2_equivalent
 
@@ -197,8 +197,7 @@ def cmd_count(args) -> int:
     kinds = PATTERN_KINDS if args.pattern == "all" else (args.pattern,)
     lines = []
     for kind in kinds:
-        value = CLOSED_FORMS[kind](G)
-        row = f"{kind:16s} {value}"
+        row = f"{kind:16s} {count(G, kind)}"
         if args.oracle:
             row += f"  (oracle {enumerate_pattern(G, kind)})"
         lines.append(row)
@@ -209,11 +208,12 @@ def cmd_count(args) -> int:
 def cmd_embed(args) -> int:
     G = _load_graph(args.graph, args.dataset_format)
     spec = ModelSpec(args.model)
+    batch = DatasetBatch(spec, [G])  # supports built once for every seed
     result = {
         "model": args.model,
         "width": spec.resolved_width(),
         "embeddings": [
-            embed(spec, G, s).tolist() for s in run_seeds(args.seed, args.seeds)
+            batch.embed_all(s)[0].tolist() for s in run_seeds(args.seed, args.seeds)
         ],
     }
     args.stream.write(json.dumps(result, indent=2) + "\n")
@@ -336,8 +336,8 @@ def main(argv=None) -> int:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             args.stream = out
             return args.func(args)
-    except (GraphFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphFormatError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -55,10 +55,15 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         A = np.zeros((n, n))
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            if not (_is_node(u, n) and _is_node(v, n)) or u == v:
                 raise ValueError(f"invalid edge ({u},{v}) for n={n}")
             A[u, v] = A[v, u] = 1.0
         return cls(A)
+
+
+def _is_node(x, n: int) -> bool:
+    """True iff x is an integer (not a bool or a float) in 0..n-1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _graph6_order(data: bytes) -> tuple[int, int]:
@@ -83,6 +88,8 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= b <= 126:
             raise GraphFormatError(f"character outside [63,126] at byte offset {off}")
     n, head = _graph6_order(data)
+    if n < 1:
+        raise GraphFormatError("graph6 order 0: a graph needs n >= 1")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - head != need:
@@ -196,5 +203,7 @@ def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
                 graphs.append(Graph.from_edges(rec["n"], rec["edges"]))
             except (KeyError, TypeError, ValueError) as e:
                 raise GraphFormatError(f"{path}: record {i}: {e}") from e
+            except MemoryError as e:
+                raise MemoryError(f"{path}: record {i}: {e}") from e
         return graphs
     raise ValueError(f"unknown dataset format: {format!r}")

@@ -1,15 +1,11 @@
-"""Closed-form graphlet counters with an exhaustive enumeration oracle.
+"""Graphlet counts as matrix-language sentences, with an exhaustive
+enumeration oracle.
 
-Counts follow partial-subgraph semantics (a 4-clique contains three
-4-cycles, not zero), matching the trace formulas:
-
-  3-star          sum_v C(d(v), 3)
-  triangle        tr(A^3) / 6
-  4-cycle         (tr(A^4) + tr(A^2) - 2 * 1'A^2 1) / 8
-  tailed triangle (1/2) 1' (A^3 (.) diag(A1 - 2)) 1
-
-The enumeration oracle iterates over vertex subsets directly and is the
-testing ground truth (guarded to n <= 16).
+Each count is a sentence of `SENTENCES`, evaluated by `matlang` and
+divided by its divisor. Counts follow partial-subgraph semantics (a
+4-clique contains three 4-cycles, not zero). The enumeration oracle
+iterates over vertex subsets directly and is the testing ground truth
+(guarded to n <= 16).
 """
 
 from __future__ import annotations
@@ -18,51 +14,27 @@ from itertools import combinations
 
 import numpy as np
 
-from matgraph.graphcore import Graph, degree_vector
+from matgraph.graphcore import Graph
 from matgraph.matlang import eval_sentence, parse
 
-PATTERN_KINDS = ("three_star", "triangle", "tailed_triangle", "four_cycle")
+# kind -> (sentence, divisor)
+SENTENCES = {
+    "three_star": ("ones' * f:binom3(A * ones)", 1),
+    "triangle": ("tr(A^3)", 6),
+    "tailed_triangle": ("tr(A^3 * diag(A * ones + -2 * ones))", 2),
+    "four_cycle": ("tr(A^4) + tr(A^2) + -2 * (ones' * A^2 * ones)", 8),
+}
+PATTERN_KINDS = tuple(SENTENCES)
 
 
-def _as_int(x: float) -> int:
+def count(G: Graph, kind: str) -> int:
+    """The number of `kind` graphlets in G, from its sentence."""
+    sentence, divisor = SENTENCES[kind]
+    x = eval_sentence(parse(sentence), G.adjacency) / divisor
     r = round(x)
     if abs(x - r) > 1e-6:
         raise AssertionError(f"count {x!r} is not integral; broken adjacency?")
     return int(r)
-
-
-def count_3star(G: Graph) -> int:
-    d = degree_vector(G).ravel()
-    return _as_int(float(np.sum(d * (d - 1) * (d - 2) / 6.0)))
-
-
-def count_triangle(G: Graph) -> int:
-    A = G.adjacency
-    return _as_int(float(np.trace(A @ A @ A)) / 6.0)
-
-
-def count_4cycle(G: Graph) -> int:
-    A = G.adjacency
-    A2 = A @ A
-    tr4 = float(np.trace(A2 @ A2))
-    tr2 = float(np.trace(A2))
-    quad = float(np.ones(G.n) @ A2 @ np.ones(G.n))
-    return _as_int((tr4 + tr2 - 2.0 * quad) / 8.0)
-
-
-def count_tailed_triangle(G: Graph) -> int:
-    A = G.adjacency
-    A3 = A @ A @ A
-    d = degree_vector(G).ravel()
-    return _as_int(0.5 * float(np.sum(np.diag(A3) * (d - 2.0))))
-
-
-CLOSED_FORMS = {
-    "three_star": count_3star,
-    "triangle": count_triangle,
-    "tailed_triangle": count_tailed_triangle,
-    "four_cycle": count_4cycle,
-}
 
 
 def enumerate_pattern(G: Graph, kind: str) -> int:

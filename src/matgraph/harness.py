@@ -352,7 +352,7 @@ def golden_pairs_suite() -> list[GoldenCheck]:
     checks = []
 
     def tr_power(G, k):
-        return float(np.trace(np.linalg.matrix_power(G.adjacency, k)))
+        return eval_sentence(parse(f"tr(A^{k})"), G.adjacency)
 
     checks.append(_check("decalin tr(A^5)", 0.0, tr_power(dec, 5)))
     checks.append(_check("bicyclopentyl tr(A^5)", 20.0, tr_power(bic, 5)))

@@ -1,6 +1,11 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +126,16 @@ class TestGraphAddress:
         assert captured.out == ""
         assert captured.err == f"error: graph index {index!r} is not in 0..2\n"
 
+    def test_graph6_order_zero_names_file_and_line(self, capsys, tmp_path, small_dataset):
+        path = tmp_path / "order0.g6"
+        path.write_text(open(small_dataset).readline() + "?\n")
+        code = main(["count", "--graph", f"{path}:1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:2: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("address", ["", ":0"])
     def test_file_without_graphs_says_so(self, capsys, tmp_path, address):
         path = tmp_path / "empty.g6"
@@ -172,6 +187,25 @@ class TestSupportsAndEmbed:
             "embed", "--graph", small_dataset, "--model", "gcn", "--seeds", "2",
         )
         assert code == 0
+
+    def test_embed_builds_one_batch_for_all_seeds(self, capsys, monkeypatch, small_dataset):
+        built = []
+
+        class CountingBatch(models.DatasetBatch):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cli, "DatasetBatch", CountingBatch)
+        G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        for kind in models.MODEL_KINDS:
+            built.clear()
+            code, out = run_cli(capsys, "--seed", "4", "embed", "--graph", small_dataset + ":1",
+                                "--model", kind, "--seeds", "3")
+            assert code == 0 and len(built) == 1
+            want = [models.embed(models.ModelSpec(kind), G, s).tolist()
+                    for s in models.run_seeds(4, 3)]
+            assert json.loads(out)["embeddings"] == want
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_embed_needs_one_seed(self, capsys, small_dataset, seeds):
@@ -256,6 +290,15 @@ class TestDistinguish:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: Expecting ',' delimiter")
         assert captured.err.count("\n") == 1
+
+    def test_non_integer_edge_endpoint_names_the_record(self, capsys, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text('[{"n": 3, "edges": [[0, 1]]}, {"n": 3, "edges": [[0.5, 1]]}]')
+        code = main(["--dataset-format", "edgelist-json", "census", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: record 1: invalid edge (0.5,1) for n=3\n"
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
     def test_threshold_must_be_finite_and_positive(
@@ -423,3 +466,43 @@ class TestUsage:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(path.read_text())["value"] == 8.0
+
+
+class TestOutOfMemory:
+    """Out of memory exits 2 with one line. Each command runs in a child
+    process whose address space is capped at 512 MiB, so an allocation past
+    the cap fails at once, whatever the host's overcommit setting."""
+
+    CAP = 512 << 20
+
+    def run_capped(self, tmp_path, *argv):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "matgraph.cli", *argv], cwd=tmp_path,
+                              env=env, preexec_fn=cap, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_allocation_during_the_work(self, tmp_path):
+        # 2-WL's first round on 134 disjoint triangles needs a
+        # (2, 402, 402, 804) int64 array: 1.94 GiB, past the cap by itself
+        G = Graph.from_edges(402, [(t + a, t + b) for t in range(0, 402, 3)
+                                   for a, b in ((0, 1), (1, 2), (0, 2))])
+        (tmp_path / "tri.g6").write_text(encode_graph6(G) + "\n")
+        proc = self.run_capped(tmp_path, "wl", "--graph", "tri.g6", "--other", "tri.g6")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_edgelist_record_too_large_names_file_and_record(self, tmp_path):
+        (tmp_path / "big.json").write_text('[{"n": 3, "edges": []}, {"n": 200000, "edges": []}]')
+        proc = self.run_capped(tmp_path, "--dataset-format", "edgelist-json", "count",
+                               "--graph", "big.json:1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: big.json: record 1: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1

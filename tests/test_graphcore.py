@@ -25,6 +25,11 @@ class TestGraph:
         assert G.adjacency[0, 1] == 1.0
         assert G.adjacency[0, 2] == 0.0
 
+    @pytest.mark.parametrize("edge", [(0.5, 1), (1.0, 2), (True, 2), ("0", 1)])
+    def test_from_edges_rejects_non_integer_endpoints(self, edge):
+        with pytest.raises(ValueError, match="invalid edge"):
+            Graph.from_edges(3, [edge])
+
     def test_rejects_asymmetric(self):
         A = np.zeros((2, 2))
         A[0, 1] = 1.0
@@ -76,6 +81,11 @@ class TestGraph6:
         # `~` then n in three 6-bit groups, e.g. 63 -> "~??~"
         assert text[:4] == "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
         assert np.array_equal(parse_graph6(text).adjacency, G.adjacency)
+
+    @pytest.mark.parametrize("text", ["?", "~???"])
+    def test_rejects_order_zero(self, text):
+        with pytest.raises(GraphFormatError, match="order 0"):
+            parse_graph6(text)
 
     def test_rejects_eight_byte_header(self):
         with pytest.raises(GraphFormatError, match="258047"):

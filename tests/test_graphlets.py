@@ -10,15 +10,13 @@ from matgraph.appendix_data import (
 )
 from matgraph.graphcore import Graph
 from matgraph.graphlets import (
-    CLOSED_FORMS,
     PATTERN_KINDS,
-    count_3star,
-    count_4cycle,
-    count_tailed_triangle,
-    count_triangle,
+    SENTENCES,
+    count,
     custom_sentence,
     enumerate_pattern,
 )
+from matgraph.matlang import OpSet, fragment_check, parse
 
 from .conftest import graphs
 
@@ -29,20 +27,20 @@ STAR4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 
 class TestKnownCounts:
     def test_k4(self):
-        assert count_triangle(K4) == 4
-        assert count_4cycle(K4) == 3
-        assert count_3star(K4) == 4
-        assert count_tailed_triangle(K4) == 12
+        assert count(K4, "triangle") == 4
+        assert count(K4, "four_cycle") == 3
+        assert count(K4, "three_star") == 4
+        assert count(K4, "tailed_triangle") == 12
 
     def test_c4(self):
-        assert count_triangle(C4) == 0
-        assert count_4cycle(C4) == 1
-        assert count_3star(C4) == 0
-        assert count_tailed_triangle(C4) == 0
+        assert count(C4, "triangle") == 0
+        assert count(C4, "four_cycle") == 1
+        assert count(C4, "three_star") == 0
+        assert count(C4, "tailed_triangle") == 0
 
     def test_star(self):
-        assert count_3star(STAR4) == 1
-        assert count_triangle(STAR4) == 0
+        assert count(STAR4, "three_star") == 1
+        assert count(STAR4, "triangle") == 0
 
 
 class TestOracleEquivalence:
@@ -50,11 +48,11 @@ class TestOracleEquivalence:
     @given(graphs(min_n=4, max_n=10))
     def test_closed_forms_match_enumeration(self, G):
         for kind in PATTERN_KINDS:
-            assert CLOSED_FORMS[kind](G) == enumerate_pattern(G, kind)
+            assert count(G, kind) == enumerate_pattern(G, kind)
 
     def test_counts_are_ints(self):
         for kind in PATTERN_KINDS:
-            assert isinstance(CLOSED_FORMS[kind](K4), int)
+            assert isinstance(count(K4, kind), int)
 
 
 class TestCustomSentence:
@@ -70,3 +68,21 @@ class TestCustomSentence:
         assert custom_sentence(ROOK4X4) == pytest.approx(
             custom_sentence(SHRIKHANDE)
         )
+
+
+class TestSentenceFragments:
+    # the least fragment of each count's sentence, so that a rewrite into a
+    # stronger fragment fails here
+    LEAST = {
+        "three_star": "L1+",
+        "triangle": "L2",
+        "tailed_triangle": "L2+",
+        "four_cycle": "L2+",
+    }
+
+    @pytest.mark.parametrize("kind", PATTERN_KINDS)
+    def test_least_fragment_pinned(self, kind):
+        expr = parse(SENTENCES[kind][0])
+        accepted = [name for name in ("L1", "L1+", "L2", "L2+", "L3", "L3+")
+                    if fragment_check(expr, OpSet.named(name))]
+        assert accepted[0] == self.LEAST[kind]
