@@ -31,8 +31,8 @@ import sys
 
 import numpy as np
 
-from matgraph.graphcore import (DATASET_FORMATS, Graph, GraphFormatError, load_dataset,
-                                parse_graph6)
+from matgraph.graphcore import (DATASET_FORMATS, Graph, GraphFormatError, graph6_lines,
+                                load_dataset, parse_graph6)
 from matgraph.graphlets import PATTERN_KINDS, count, enumerate_pattern
 from matgraph.harness import (
     ExperimentConfig,
@@ -62,9 +62,7 @@ def _load_graph(path_spec: str, format: str) -> Graph:
     graph6 file only the addressed line is decoded."""
     path, _, idx = path_spec.partition(":")
     if format == "graph6":
-        with open(path) as f:
-            entries = [(lineno, line) for lineno, line in enumerate(f, start=1)
-                       if line.strip()]
+        entries = graph6_lines(path)
     else:
         entries = load_dataset(path, format=format)
     try:

@@ -26,14 +26,7 @@ class Graph:
 
     def __post_init__(self):
         A = np.asarray(self.adjacency, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-            raise ValueError("adjacency must be a square matrix with n >= 1")
-        if not np.array_equal(A, A.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.diag(A).any():
-            raise ValueError("adjacency must have zero diagonal")
-        if not np.isin(A, (0.0, 1.0)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
+        _check_adjacency(A, 2)
         A.setflags(write=False)
         object.__setattr__(self, "adjacency", A)
         if self.node_features is not None:
@@ -60,6 +53,34 @@ class Graph:
             A[u, v] = A[v, u] = 1.0
         return cls(A)
 
+    @classmethod
+    def _views(cls, A: np.ndarray) -> list["Graph"]:
+        """One graph per matrix of a `(B, n, n)` float stack that has passed
+        `_check_adjacency`: read-only views of the stack, built without a
+        second per-graph check."""
+        A.setflags(write=False)
+        graphs = []
+        for a in A:
+            G = object.__new__(cls)
+            object.__setattr__(G, "adjacency", a)
+            object.__setattr__(G, "node_features", None)
+            graphs.append(G)
+        return graphs
+
+
+def _check_adjacency(A: np.ndarray, ndim: int) -> None:
+    """Raise ValueError unless `A`, with `ndim` axes, holds n x n matrices
+    (n >= 1) that are symmetric, 0/1 and zero on the diagonal: one
+    adjacency for ndim 2, a `(B, n, n)` stack for ndim 3."""
+    if A.ndim != ndim or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
+        raise ValueError("adjacency must be a square matrix with n >= 1")
+    if not np.array_equal(A, A.swapaxes(-1, -2)):
+        raise ValueError("adjacency must be symmetric")
+    if np.diagonal(A, axis1=-2, axis2=-1).any():
+        raise ValueError("adjacency must have zero diagonal")
+    if not ((A == 0) | (A == 1)).all():
+        raise ValueError("adjacency entries must be 0 or 1")
+
 
 def _is_node(x, n: int) -> bool:
     """True iff x is an integer (not a bool or a float) in 0..n-1."""
@@ -67,50 +88,104 @@ def _is_node(x, n: int) -> bool:
 
 
 def _graph6_order(data: bytes) -> tuple[int, int]:
-    """Order n and header length of a graph6 string: one byte n + 63 for
-    n <= 62, else `~` and n in three big-endian 6-bit groups."""
+    """Order n >= 1 and header length of a graph6 string: one byte n + 63
+    for n <= 62, else `~` and n in three big-endian 6-bit groups."""
     if data[0] != 126:
-        return data[0] - 63, 1
-    if data[1:2] == b"~":
+        n, head = data[0] - 63, 1
+    elif data[1:2] == b"~":
         raise GraphFormatError("graph6 headers for n > 258047 are not supported")
-    if len(data) < 4:
+    elif len(data) < 4:
         raise GraphFormatError("truncated graph6 header")
-    return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
-
-
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (node counts up to 258047)."""
-    s = text.strip()
-    if not s:
-        raise GraphFormatError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
-    for off, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise GraphFormatError(f"character outside [63,126] at byte offset {off}")
-    n, head = _graph6_order(data)
+    else:
+        n, head = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
     if n < 1:
         raise GraphFormatError("graph6 order 0: a graph needs n >= 1")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(data) - head != need:
-        raise GraphFormatError(
-            f"payload length {len(data) - head} does not match n={n} (expected {need})"
-        )
-    bits = []
-    for b in data[head:]:
-        v = b - 63
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
-        off = head + nbits // 6
-        raise GraphFormatError(f"nonzero trailing bits at byte offset {off}")
-    A = np.zeros((n, n))
-    k = 0
-    for j in range(1, n):  # upper triangle in column order
-        for i in range(j):
-            if bits[k]:
-                A[i, j] = A[j, i] = 1.0
-            k += 1
-    return Graph(A)
+    return n, head
+
+
+class _BadLine(GraphFormatError):
+    """A graph6 line that fails a check: `index` is its position in the
+    lines handed to `_graph6_stack`."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _graph6_stack(lines: list[bytes]) -> np.ndarray:
+    """Decode stripped graph6 lines that share one header into one
+    `(B, n, n)` float adjacency stack, checked once.
+
+    Every line is checked at once: characters in [63,126], a supported
+    header of order n >= 1, the payload length n needs and zero trailing
+    bits. The first line that fails raises `_BadLine` with the message of
+    the first check it fails, in that order.
+    """
+    B = len(lines)
+    width = max(map(len, lines))
+    # `?` pads the shorter lines: in range, and wrong-length lines fail anyway
+    rows = np.frombuffer(b"".join(s.ljust(width, b"?") for s in lines), np.uint8)
+    rows = rows.reshape(B, width)
+    outside = (rows < 63) | (rows > 126)
+    lengths = np.fromiter(map(len, lines), np.int64, B)
+    bad = outside.any(axis=1)
+    try:
+        n, head = _graph6_order(lines[0])
+        header_error = None
+    except GraphFormatError as e:
+        header_error = str(e)
+        bad[:] = True
+    else:
+        nbits = n * (n - 1) // 2
+        need = (nbits + 5) // 6
+        bad |= lengths != head + need
+        trailing = 6 * need - nbits
+        if trailing and head + need <= width:
+            bad |= ((rows[:, head + need - 1] - 63) & ((1 << trailing) - 1)) != 0
+    if bad.any():
+        i = int(bad.argmax())
+        off = np.flatnonzero(outside[i])
+        if off.size:
+            message = f"character outside [63,126] at byte offset {off[0]}"
+        elif header_error is not None:
+            message = header_error
+        elif lengths[i] != head + need:
+            message = (f"payload length {lengths[i] - head} does not match n={n} "
+                       f"(expected {need})")
+        else:
+            message = f"nonzero trailing bits at byte offset {head + nbits // 6}"
+        raise _BadLine(i, message)
+    # each payload byte holds 6 bits, most significant first
+    bits = np.unpackbits(rows[:, head:] - 63, axis=1).reshape(B, need, 8)[:, :, 2:]
+    bits = bits.reshape(B, 6 * need)[:, :nbits]
+    j, i = np.tril_indices(n, -1)  # the upper triangle (i, j) in column order
+    A = np.zeros((B, n, n))
+    A[:, i, j] = bits
+    A[:, j, i] = bits
+    _check_adjacency(A, 3)
+    return A
+
+
+# the ASCII characters that str.strip() removes
+_BLANK = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def graph6_lines(path: str) -> list[tuple[int, bytes]]:
+    """`(line number, stripped line)` of every non-blank line of a graph6
+    file, read as bytes; lines end at `\\n`, `\\r\\n` or `\\r`."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    return [(lineno, s) for lineno, s in enumerate((line.strip(_BLANK) for line in lines), 1)
+            if s]
+
+
+def parse_graph6(text: str | bytes) -> Graph:
+    """Decode one graph6 line (node counts up to 258047): the one-line
+    case of `load_dataset`'s stack decoder."""
+    s = (text.encode() if isinstance(text, str) else text).strip(_BLANK)
+    if not s:
+        raise GraphFormatError("empty graph6 string")
+    return Graph._views(_graph6_stack([s]))[0]
 
 
 def encode_graph6(G: Graph) -> str:
@@ -134,11 +209,6 @@ def encode_graph6(G: Graph) -> str:
             v = (v << 1) | b
         chars.append(chr(v + 63))
     return "".join(chars)
-
-
-def degree_vector(G: Graph) -> np.ndarray:
-    """Row sums of the adjacency, as an n x 1 column."""
-    return G.adjacency.sum(axis=1, keepdims=True)
 
 
 def laplacian(G: Graph | np.ndarray, kind: str = "normalized") -> np.ndarray:
@@ -179,15 +249,24 @@ def order_stacks(graphs: list[Graph]):
 def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
     """Load a list of graphs from a graph6 file or an edge-list JSON file."""
     if format == "graph6":
-        graphs = []
-        with open(path) as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    graphs.append(parse_graph6(line))
-                except GraphFormatError as e:
-                    raise GraphFormatError(f"{path}:{lineno}: {e}") from e
+        # one stack per header: all lines of one header have one order
+        groups: dict[bytes, list[int]] = {}
+        entries = graph6_lines(path)
+        for k, (_, s) in enumerate(entries):
+            groups.setdefault(s[:4] if s[0] == 126 else s[:1], []).append(k)
+        graphs: list = [None] * len(entries)
+        errors = []
+        for members in groups.values():
+            try:
+                A = _graph6_stack([entries[k][1] for k in members])
+            except _BadLine as e:
+                errors.append((entries[members[e.index]][0], str(e)))
+                continue
+            for k, G in zip(members, Graph._views(A)):
+                graphs[k] = G
+        if errors:
+            lineno, message = min(errors)
+            raise GraphFormatError(f"{path}:{lineno}: {message}")
         return graphs
     if format == "edgelist-json":
         with open(path) as f:

@@ -31,8 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from matgraph import appendix_data
-from matgraph.graphcore import (DATASET_FORMATS, Graph, degree_vector, laplacian, load_dataset,
-                                order_stacks)
+from matgraph.graphcore import DATASET_FORMATS, Graph, laplacian, load_dataset, order_stacks
 from matgraph.graphlets import custom_sentence
 from matgraph.matlang import eval_sentence, parse
 from matgraph.models import (
@@ -298,7 +297,10 @@ def naive_undistinguished_pairs(
 
 def degree_multiset_pairs(graphs: list[Graph]) -> list[tuple[int, int]]:
     """Exact oracle for the MLP row: pairs with equal sorted degrees."""
-    keys = [tuple(sorted(degree_vector(G).ravel().tolist())) for G in graphs]
+    keys: list = [None] * len(graphs)
+    for pos, A in order_stacks(graphs):
+        for i, degrees in zip(pos.tolist(), np.sort(A.sum(axis=-1))):
+            keys[i] = degrees.tobytes()
     return _bucket_pairs(keys)
 
 

@@ -72,9 +72,12 @@ def _next_colors(A: np.ndarray, C: np.ndarray, classes: int, test: str) -> np.nd
             axis=3,
         )
     else:
-        rows = np.sort(C, axis=2)[:, :, None, :]
-        cols = np.sort(C, axis=1).transpose(0, 2, 1)[:, None, :, :]
-        multiset = np.concatenate(np.broadcast_arrays(rows, cols), axis=3)
+        # the sorted row depends only on v and the sorted column only on u:
+        # their ranks among the stack's rows order cells as the vectors do
+        B, n, _ = C.shape
+        rows = _rank_rows(np.sort(C, axis=2).reshape(B * n, n)).reshape(B, n, 1)
+        cols = _rank_rows(np.sort(C, axis=1).transpose(0, 2, 1).reshape(B * n, n))
+        multiset = np.stack(np.broadcast_arrays(rows, cols.reshape(B, 1, n)), axis=3)
     flat = np.concatenate([C.reshape(-1, 1), multiset.reshape(C.size, -1)], axis=1)
     return _rank_rows(flat).reshape(C.shape)
 

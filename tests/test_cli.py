@@ -136,6 +136,15 @@ class TestGraphAddress:
         assert captured.err.startswith(f"error: {path}:2: ")
         assert captured.err.count("\n") == 1
 
+    def test_graph6_non_ascii_names_file_line_and_offset(self, capsys, tmp_path):
+        path = tmp_path / "x.g6"
+        path.write_bytes("Gé????\n".encode())
+        code = main(["count", "--graph", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:1: character outside [63,126] at byte offset 1\n"
+
     @pytest.mark.parametrize("address", ["", ":0"])
     def test_file_without_graphs_says_so(self, capsys, tmp_path, address):
         path = tmp_path / "empty.g6"
@@ -487,8 +496,8 @@ class TestOutOfMemory:
                               timeout=120)
 
     def test_allocation_during_the_work(self, tmp_path):
-        # 2-WL's first round on 134 disjoint triangles needs a
-        # (2, 402, 402, 804) int64 array: 1.94 GiB, past the cap by itself
+        # 2-FWL's first round on 134 disjoint triangles needs a
+        # (2, 402, 402, 402) int64 array: 991 MiB, past the cap by itself
         G = Graph.from_edges(402, [(t + a, t + b) for t in range(0, 402, 3)
                                    for a, b in ((0, 1), (1, 2), (0, 2))])
         (tmp_path / "tri.g6").write_text(encode_graph6(G) + "\n")

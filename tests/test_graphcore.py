@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matgraph.graphcore import (
     Graph,
     GraphFormatError,
-    degree_vector,
+    _check_adjacency,
     encode_graph6,
     laplacian,
     load_dataset,
@@ -14,7 +15,28 @@ from matgraph.graphcore import (
 )
 from matgraph.spectral import eig_sym
 
-from .conftest import graphs, make_graph
+from .conftest import DATA_DIR, graphs, make_graph
+
+
+def graph6_by_bits(line: str) -> np.ndarray:
+    """Decode one valid graph6 line bit by bit, the way the per-line
+    decoder did before the stack decoder: the reference for it."""
+    data = line.strip().encode("ascii")
+    if data[0] != 126:
+        n, head = data[0] - 63, 1
+    else:
+        n, head = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
+    bits = []
+    for b in data[head:]:
+        bits.extend(((b - 63) >> k) & 1 for k in range(5, -1, -1))
+    A = np.zeros((n, n))
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                A[i, j] = A[j, i] = 1.0
+            k += 1
+    return A
 
 
 class TestGraph:
@@ -44,6 +66,24 @@ class TestGraph:
         A = np.array([[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ValueError):
             Graph(A)
+
+    @pytest.mark.parametrize("A, message", [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros((0, 0)), "square"),
+        (np.zeros((1, 2, 2)), "square"),
+        ([[0.0, 1.0], [0.0, 0.0]], "symmetric"),
+        (np.eye(2), "zero diagonal"),
+        ([[0.0, 2.0], [2.0, 0.0]], "0 or 1"),
+    ])
+    def test_one_checker_for_a_graph_and_a_stack(self, A, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(A)
+        A = np.asarray(A)
+        if A.ndim == 2:  # the same fault in one matrix of a stack
+            stack = np.zeros((3, *A.shape))
+            stack[1] = A
+            with pytest.raises(ValueError, match=message):
+                _check_adjacency(stack, 3)
 
     def test_adjacency_is_readonly(self):
         G = Graph.from_edges(2, [(0, 1)])
@@ -102,6 +142,89 @@ class TestGraph6:
             assert np.array_equal(G.adjacency, H.adjacency)
 
 
+class TestGraph6Stacks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 8, 62, 63, 100]),
+                              st.integers(0, 2**32 - 1), st.booleans()),
+                    min_size=1, max_size=12))
+    def test_load_dataset_matches_bit_loop(self, tmp_path_factory, drawn):
+        # n = 2 and n = 3 lines have one length and different headers;
+        # 63 and 100 have 4-byte headers; True adds a blank line before
+        lines = [encode_graph6(make_graph(np.random.default_rng(seed), n))
+                 for n, seed, _ in drawn]
+        path = tmp_path_factory.mktemp("g6") / "mixed.g6"
+        path.write_text("".join(("\n  \n" if blank else "") + line + "\n"
+                                for line, (_, _, blank) in zip(lines, drawn)))
+        loaded = load_dataset(str(path))
+        assert len(loaded) == len(lines)
+        bases = {}
+        for line, G in zip(lines, loaded):
+            A = graph6_by_bits(line)
+            assert G.adjacency.dtype == A.dtype and G.adjacency.shape == A.shape
+            assert G.adjacency.tobytes() == A.tobytes()
+            assert not G.adjacency.flags.writeable and G.adjacency.base is not None
+            # one read-only stack per header, the graphs are views of it
+            assert bases.setdefault(line[:4] if line[0] == "~" else line[0],
+                                    G.adjacency.base) is G.adjacency.base
+
+    @pytest.mark.parametrize("name", ["graph8c", "sr25"])
+    def test_shipped_files_encode_to_their_lines(self, name):
+        path = DATA_DIR / f"{name}.g6"
+        lines = path.read_text().split()
+        assert [encode_graph6(G) for G in load_dataset(str(path))] == lines
+
+    @pytest.mark.parametrize("bad, message", [
+        ("G?\x01???", "character outside [63,126] at byte offset 2"),
+        ("G??\x7f??", "character outside [63,126] at byte offset 3"),
+        ("~??", "truncated graph6 header"),
+        ("~~??????", "graph6 headers for n > 258047 are not supported"),
+        ("?", "graph6 order 0: a graph needs n >= 1"),
+        ("~???", "graph6 order 0: a graph needs n >= 1"),
+        ("G????", "payload length 4 does not match n=8 (expected 5)"),
+        ("G??????", "payload length 6 does not match n=8 (expected 5)"),
+        ("A@", "nonzero trailing bits at byte offset 1"),
+        ("G????@", "nonzero trailing bits at byte offset 5"),
+    ])
+    def test_bad_line_between_good_lines(self, tmp_path, bad, message):
+        good = [encode_graph6(make_graph(np.random.default_rng(n), n)) for n in (8, 2, 63)]
+        path = tmp_path / "bad.g6"
+        path.write_text("\n".join([*good, "", bad, *good]) + "\n")
+        with pytest.raises(GraphFormatError) as e:
+            load_dataset(str(path))
+        assert str(e.value) == f"{path}:5: {message}"
+        with pytest.raises(GraphFormatError) as e:
+            parse_graph6(bad)
+        assert str(e.value) == message
+
+    def test_blank_text_is_empty(self):
+        with pytest.raises(GraphFormatError, match="^empty graph6 string$"):
+            parse_graph6(" \t\n")
+
+    def test_earliest_bad_line_in_the_file_is_reported(self, tmp_path):
+        # the order-8 group comes first, but line 3's order-5 error is earlier
+        good = encode_graph6(make_graph(np.random.default_rng(0), 8))
+        path = tmp_path / "two.g6"
+        path.write_text("\n".join([good, good, "D????", "G????", good]) + "\n")
+        with pytest.raises(GraphFormatError) as e:
+            load_dataset(str(path))
+        assert str(e.value) == (f"{path}:3: payload length 4 does not match n=5 "
+                                "(expected 2)")
+
+    @pytest.mark.parametrize("line", ["Gé????".encode(), b"G\xff????"])
+    def test_rejects_bytes_outside_ascii(self, tmp_path, line):
+        path = tmp_path / "utf8.g6"
+        path.write_bytes(b"G?????\n" + line + b"\n")
+        with pytest.raises(GraphFormatError) as e:
+            load_dataset(str(path))
+        assert str(e.value) == f"{path}:2: character outside [63,126] at byte offset 1"
+        with pytest.raises(GraphFormatError, match="outside .* at byte offset 1$"):
+            parse_graph6(line)
+
+    def test_rejects_text_outside_ascii(self):
+        with pytest.raises(GraphFormatError, match="outside .* at byte offset 1$"):
+            parse_graph6("Gé????")
+
+
 class TestOrderStacks:
     def test_mixed_orders(self, mixed):
         stacks = order_stacks(mixed)
@@ -117,10 +240,6 @@ class TestOrderStacks:
 
 
 class TestLaplacian:
-    def test_degree_vector(self):
-        G = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert degree_vector(G).ravel().tolist() == [1.0, 2.0, 1.0]
-
     @settings(max_examples=120, deadline=None)
     @given(graphs(min_n=2, max_n=10))
     def test_normalized_spectrum_in_0_2(self, G):

@@ -150,14 +150,15 @@ class TestCensus:
         report = lambda_census(graphs)
         assert report.counts["equal-lambda-max"] <= report.counts["1-WL"]
 
-    def test_degree_multiset_pairs(self):
+    def test_degree_multiset_pairs(self, mixed):
         rng = np.random.default_rng(3)
-        graphs = [make_graph(rng, 5) for _ in range(30)]
-        pairs = degree_multiset_pairs(graphs)
-        for i, j in pairs:
-            di = sorted(graphs[i].adjacency.sum(axis=1))
-            dj = sorted(graphs[j].adjacency.sum(axis=1))
-            assert di == dj
+        graphs = [make_graph(rng, 5) for _ in range(30)] + mixed
+        # the same pairs in the same order as one sorted-degree key per graph
+        buckets: dict = {}
+        for i, G in enumerate(graphs):
+            buckets.setdefault(tuple(sorted(G.adjacency.sum(axis=1).tolist())), []).append(i)
+        expected = [p for members in buckets.values() for p in combinations(members, 2)]
+        assert degree_multiset_pairs(graphs) == expected
 
 
 class TestConfigAndRendering:

@@ -12,6 +12,9 @@ from matgraph.appendix_data import (
 )
 from matgraph.graphcore import Graph
 from matgraph.wl import (
+    _initial_colors,
+    _next_colors,
+    _rank_rows,
     _refine,
     fwl2_equivalent,
     fwl3_tensor_statistic,
@@ -142,7 +145,33 @@ class TestWL1:
         assert wl1_equivalent(G, H).equivalent
 
 
+def wl2_round_by_vectors(C):
+    """2-WL's round with each cell's sorted row and sorted column in full:
+    a `(B, n, n, 2n)` array, the reference the ranked form must match."""
+    rows = np.sort(C, axis=2)[:, :, None, :]
+    cols = np.sort(C, axis=1).transpose(0, 2, 1)[:, None, :, :]
+    multiset = np.concatenate(np.broadcast_arrays(rows, cols), axis=3)
+    flat = np.concatenate([C.reshape(-1, 1), multiset.reshape(C.size, -1)], axis=1)
+    return _rank_rows(flat).reshape(C.shape)
+
+
 class TestWL2:
+    def test_round_matches_vector_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            B, n = rng.integers(1, 5), rng.integers(1, 10)
+            A = np.stack([random_adjacency(rng, n, rng.choice([0.3, 0.5, 0.7]))
+                          for _ in range(B)]) != 0
+            # graph colors over four rounds, and arbitrary colors
+            C = _initial_colors(A, "WL2")
+            for _ in range(4):
+                expected = wl2_round_by_vectors(C)
+                assert np.array_equal(_next_colors(A, C, int(C.max()) + 1, "WL2"), expected)
+                C = expected
+            C = _rank_rows(rng.integers(0, 4, (B * n * n, 1))).reshape(B, n, n)
+            assert np.array_equal(_next_colors(A, C, int(C.max()) + 1, "WL2"),
+                                  wl2_round_by_vectors(C))
+
     def test_no_stronger_than_wl1_on_c6_pair(self):
         # non-folklore 2-WL matches 1-WL in power: cannot separate these
         assert wl2_equivalent(C6, TWO_TRIANGLES).equivalent
