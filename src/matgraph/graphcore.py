@@ -25,12 +25,13 @@ class Graph:
     node_features: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        A = np.asarray(self.adjacency, dtype=float)
+        # copies: the graph's arrays are made read-only, the caller's stay as they were
+        A = np.array(self.adjacency, dtype=float)
         _check_adjacency(A, 2)
         A.setflags(write=False)
         object.__setattr__(self, "adjacency", A)
         if self.node_features is not None:
-            X = np.asarray(self.node_features, dtype=float)
+            X = np.array(self.node_features, dtype=float)
             if X.ndim != 2 or X.shape[0] != A.shape[0]:
                 raise ValueError("node_features row count must equal n")
             X.setflags(write=False)

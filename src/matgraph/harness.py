@@ -17,7 +17,14 @@ undistinguished iff its Manhattan distance stays at or below the
 threshold in every run. The survivors stay one (P, 2) integer array
 until the final sorted list of tuples is made. A graph's embedding does
 not depend on the batch that holds it, so shrinking the batch between
-runs changes no distance.
+runs changes no distance. Later runs may be embedded several at once
+(`DatasetBatch.runs_per_call`, so that a batch of few tiles keeps every
+core busy) and are then applied in seed order. The pair set is the same
+as one run per call: a pair must stay within the threshold in every run,
+so which runs share a call does not matter, and a run embedded on a batch
+not yet shrunk gives the same rows. A pair set that empties part-way
+through a call costs at most runs_per_call - 1 extra runs, on threads that
+would otherwise be idle.
 """
 
 from __future__ import annotations
@@ -248,8 +255,9 @@ def undistinguished_pairs(
 
     Run 0 scans the whole dataset for candidates; afterwards only graphs
     appearing in surviving pairs are re-embedded, shrinking the batch
-    whenever the active set halves. The survivors stay one (P, 2) array
-    until the sorted list is returned.
+    whenever the active set halves, and the next `batch.runs_per_call`
+    runs are embedded in one call, then applied in seed order. The
+    survivors stay one (P, 2) array until the sorted list is returned.
     """
     if not seeds:
         raise ValueError("at least one seed required")
@@ -257,9 +265,8 @@ def undistinguished_pairs(
     batch = DatasetBatch(spec, graphs)
     pairs = _candidate_pairs(batch.embed_all(seeds[0]), threshold)
     local = np.arange(N)  # dataset index -> position in batch
-    for seed in seeds[1:]:
-        if len(pairs) == 0:
-            break
+    done = 1  # runs applied
+    while len(pairs) and done < len(seeds):
         in_pairs = np.zeros(N, dtype=bool)
         in_pairs[pairs.ravel()] = True
         active = np.flatnonzero(in_pairs)  # dataset indices, a subset of batch
@@ -267,9 +274,11 @@ def undistinguished_pairs(
             batch = batch.subset(local[active].tolist())
             local = np.full(N, -1)
             local[active] = np.arange(len(active))
-        emb = batch.embed_all(seed)
-        d = np.abs(emb[local[pairs[:, 0]]] - emb[local[pairs[:, 1]]]).sum(axis=1)
-        pairs = pairs[d <= threshold]
+        chunk = seeds[done:done + batch.runs_per_call]
+        done += len(chunk)
+        for emb in batch.embed_all(chunk):
+            d = np.abs(emb[local[pairs[:, 0]]] - emb[local[pairs[:, 1]]]).sum(axis=1)
+            pairs = pairs[d <= threshold]
     i, j = np.divmod(np.sort(pairs[:, 0] * N + pairs[:, 1]), N)
     return list(zip(i.tolist(), j.tolist()))
 

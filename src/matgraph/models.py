@@ -51,12 +51,18 @@ logits and the aggregation att @ (H W) both read it.
 
 The tiles are independent: each builds its own supports and writes its
 own rows of the output. Both the support builds and an `embed_all` call
-run their tiles on one thread per available CPU (the calling thread plus
-a shared pool of `WORKERS - 1` threads), so that numpy's matmuls, ufuncs
-and eigendecompositions, which release the GIL, use every core. There is
-no setting for this; a batch of one tile runs inline. Every tile does the
-same operations in the same order on whichever thread takes it, so the
-embeddings are bit-identical to a one-thread pass.
+run as a list of tasks on one thread per available CPU (the calling
+thread plus a shared pool of `WORKERS - 1` threads), so that numpy's
+matmuls, ufuncs and eigendecompositions, which release the GIL, use every
+core. There is no setting for this; a list of one task runs inline. An
+`embed_all` call takes one seed or a sequence of seeds, and its tasks are
+seeds x tiles: each embeds one tile under one seed into that seed's rows.
+It takes `runs_per_call` = ceil(WORKERS / tiles) seeds at a time, so that
+a batch with fewer tiles than threads still gives every thread a task and
+only that many weight sets are held; the weights are drawn on the calling
+thread. Every task does the same operations in the same order on
+whichever thread takes it, so the embeddings are bit-identical to a
+one-thread, one-seed pass.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cache, partial
 from math import prod
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -77,7 +83,7 @@ from matgraph.spectral import (SupportSpec, _eig_sym, _scatter_supports, _stacke
 PARAM_BUDGET = 30_000
 EMBED_DIM = 10
 TILE_NODES = 1024  # nodes per forward-pass tile: 128 graphs of order 8
-# threads that run an embed_all call's tiles: one per CPU this process may use
+# threads that run an embed_all call's tasks: one per CPU this process may use
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -478,12 +484,29 @@ class DatasetBatch:
         """A batch of the graphs at `indices`, in that order."""
         return DatasetBatch(self.spec, [self.graphs[i] for i in indices])
 
-    def embed_all(self, seed: int) -> np.ndarray:
-        """Embeddings of every graph, shape (N, 10)."""
-        weights = make_weights(self.spec, seed)
-        out = np.empty((self.size, EMBED_DIM))
-        _run_tiles([partial(tile.embed, self.spec, weights, out) for tile in self.groups])
-        return out
+    @property
+    def runs_per_call(self) -> int:
+        """Seeds that one embed_all task list needs to give every tile
+        thread a task: ceil(WORKERS / tiles), WORKERS for an empty batch."""
+        return -(-WORKERS // max(1, len(self.groups)))
+
+    def embed_all(self, seeds: int | Sequence[int]) -> np.ndarray:
+        """Embeddings of every graph: shape (N, 10) under one seed (an int
+        or a numpy integer), (K, N, 10) under a sequence of K seeds, run k
+        under seeds[k]. The seeds are taken runs_per_call at a time, each
+        such chunk's seeds x tiles tasks run together on the tile threads,
+        and only one chunk's weights are held."""
+        one = isinstance(seeds, (int, np.integer))
+        seeds = [seeds] if one else list(seeds)
+        out = np.empty((len(seeds), self.size, EMBED_DIM))
+        step = self.runs_per_call
+        for lo in range(0, len(seeds), step):
+            # drawn on the calling thread: perfbench's tracer wraps
+            # make_weights and keeps one span stack
+            weights = [make_weights(self.spec, s) for s in seeds[lo:lo + step]]
+            _run_tiles([partial(tile.embed, self.spec, w, run)
+                        for w, run in zip(weights, out[lo:lo + step]) for tile in self.groups])
+        return out[0] if one else out
 
 
 def embed(spec: ModelSpec, G: Graph, seed: int) -> np.ndarray:

@@ -97,6 +97,9 @@ def test_tile_threads_call_no_traced_name(kind, graph8c, monkeypatch):
     batch = models.DatasetBatch(ModelSpec(kind), graph8c[:1000])
     assert len(batch.groups) >= 4
     batch.embed_all(3)
+    one_tile = models.DatasetBatch(ModelSpec(kind), graph8c[:100])
+    assert one_tile.runs_per_call >= 3
+    one_tile.embed_all([3, 4, 5])  # several seeds' tasks in one task list
     names = {name for name, _ in calls}
     assert {"models.DatasetBatch.__init__", "models.DatasetBatch.embed_all"} <= names
     off_thread = {name for name, thread in calls if thread is not threading.current_thread()}
@@ -174,6 +177,27 @@ def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
         idx = tile.indices
         alone = DatasetBatch(spec, [mixed[i] for i in idx]).embed_all(13)
         assert same_bytes(runs[0][idx], alone)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_multi_seed_runs_equal_one_seed_runs(kind, workers, mixed, sr25, monkeypatch):
+    # run k of embed_all(seeds) is embed_all(seeds[k]), byte for byte, on a
+    # batch of one tile (sr25) and on one of six tiles (mixed); with 3 or 8
+    # workers, several seeds' tiles share one task list
+    monkeypatch.setattr(models, "WORKERS", workers)
+    spec = ModelSpec(kind)
+    seeds = [13, np.int64(2**40 + 5), 7]
+    for graphs, tiles in ((sr25, 1), (mixed, 6)):
+        batch = DatasetBatch(spec, graphs)
+        assert len(batch.groups) == tiles
+        assert batch.runs_per_call == -(-workers // tiles)
+        runs = batch.embed_all(seeds)
+        assert runs.shape == (len(seeds), len(graphs), models.EMBED_DIM)
+        for run, s in zip(runs, seeds):
+            alone = batch.embed_all(s)
+            assert alone.shape == (len(graphs), models.EMBED_DIM)
+            assert same_bytes(run, alone)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

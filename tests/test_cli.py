@@ -216,6 +216,20 @@ class TestSupportsAndEmbed:
                     for s in models.run_seeds(4, 3)]
             assert json.loads(out)["embeddings"] == want
 
+    @pytest.mark.parametrize("seeds", [1, 5])
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_embed_output_is_one_embedding_per_seed(self, capsys, small_dataset, kind, seeds):
+        # the bytes that embedding the graph once per seed gives
+        G = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        spec = models.ModelSpec(kind)
+        want = {"model": kind, "width": spec.resolved_width(),
+                "embeddings": [models.embed(spec, G, s).tolist()
+                               for s in models.run_seeds(9, seeds)]}
+        code, out = run_cli(capsys, "--seed", "9", "embed", "--graph", small_dataset + ":2",
+                            "--model", kind, "--seeds", str(seeds))
+        assert code == 0
+        assert out == json.dumps(want, indent=2) + "\n"
+
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_embed_needs_one_seed(self, capsys, small_dataset, seeds):
         code = main(["embed", "--graph", small_dataset, "--model", "gcn",

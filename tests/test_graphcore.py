@@ -90,6 +90,17 @@ class TestGraph:
         with pytest.raises(ValueError):
             G.adjacency[0, 1] = 0.0
 
+    def test_caller_arrays_stay_writable(self):
+        # the graph keeps read-only copies; the caller's arrays stay its own
+        A, X = np.zeros((2, 2)), np.ones((2, 1))
+        G = Graph(A, node_features=X)
+        A[0, 1] = A[1, 0] = 1.0
+        X[0, 0] = 5.0
+        assert G.num_edges == 0 and G.node_features[0, 0] == 1.0
+        for own in (G.adjacency, G.node_features):
+            with pytest.raises(ValueError, match="read-only"):
+                own[0, 0] = 0.0
+
 
 class TestGraph6:
     def test_known_strings(self):

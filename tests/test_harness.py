@@ -12,6 +12,7 @@ from matgraph.appendix_data import (
     ROOK4X4,
     SHRIKHANDE,
 )
+from matgraph import models
 from matgraph.graphcore import Graph, laplacian
 from matgraph.harness import (
     ExperimentConfig,
@@ -74,14 +75,46 @@ class TestBucketedEngine:
         seeds = run_seeds(3, 10)
         small, copies = self.datasets()
         for graphs in (small, copies):
-            subsets.clear()
-            fast = undistinguished_pairs(spec, graphs, seeds, 1e-3)
             slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
-            assert fast == slow  # the same sorted list
-            assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
-                       for p in fast)
+            # with one worker every later run is one embed_all call; with 2
+            # or 3, ceil(workers / tiles) runs share a call, before and
+            # after the subset
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(models, "WORKERS", workers)
+                subsets.clear()
+                fast = undistinguished_pairs(spec, graphs, seeds, 1e-3)
+                assert fast == slow  # the same sorted list
+                assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
+                           for p in fast)
         assert subsets and subsets[0] <= len(copies) // 2
         assert len(fast) >= 12  # the relabelled copies are never separated
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pairs_empty_part_way_through_a_call(self, workers, monkeypatch):
+        # the one pair survives runs 0 and 1 and is dropped by run 2; each
+        # call after run 0 embeds ceil(workers / 1 tile) runs, so with 3
+        # workers the second run of the first such call drops the pair
+        monkeypatch.setattr(models, "WORKERS", workers)
+        spec = ModelSpec("gcn")
+        graphs = [Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+                  Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])]
+        batch = DatasetBatch(spec, graphs)
+        seeds = run_seeds(3, 6)
+        dist = {s: np.abs(np.subtract(*batch.embed_all(s))).sum() for s in seeds}
+        seeds.sort(key=dist.get)  # closest first
+        threshold = (dist[seeds[1]] + dist[seeds[2]]) / 2
+        drawn, make_weights = [], models.make_weights
+
+        def recorded(spec, seed):
+            drawn.append(seed)
+            return make_weights(spec, seed)
+
+        monkeypatch.setattr(models, "make_weights", recorded)
+        assert naive_undistinguished_pairs(spec, graphs, seeds[:2], threshold) == [(0, 1)]
+        assert naive_undistinguished_pairs(spec, graphs, seeds, threshold) == []
+        drawn.clear()
+        assert undistinguished_pairs(spec, graphs, seeds, threshold) == []
+        assert drawn == seeds[:1 + -(-2 // workers) * workers]
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_pair_distinguished_agrees(self, kind, graph8c):
