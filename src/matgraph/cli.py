@@ -36,7 +36,6 @@ from matgraph.graphcore import (DATASET_FORMATS, Graph, GraphFormatError, graph6
 from matgraph.graphlets import PATTERN_KINDS, count, enumerate_pattern
 from matgraph.harness import (
     ExperimentConfig,
-    PairReport,
     distinguishability_run,
     golden_pairs_suite,
     golden_report,
@@ -62,15 +61,13 @@ def _load_graph(path_spec: str, format: str) -> Graph:
     graph6 file only the addressed line is decoded."""
     path, _, idx = path_spec.partition(":")
     if format == "graph6":
-        entries = graph6_lines(path)
+        entries = graph6_lines(path) or load_dataset(path)  # no lines: it raises
     else:
         entries = load_dataset(path, format=format)
     try:
         i = int(idx) if idx else 0
     except ValueError:
         i = -1  # not a number: reported like an index out of range
-    if not entries:
-        raise GraphFormatError(f"{path} has no graphs")
     if not 0 <= i < len(entries):
         raise GraphFormatError(f"graph index {idx!r} is not in 0..{len(entries) - 1}")
     if format != "graph6":
@@ -82,19 +79,9 @@ def _load_graph(path_spec: str, format: str) -> Graph:
         raise GraphFormatError(f"{path}:{lineno}: {e}") from e
 
 
-def _report(args, report: PairReport) -> None:
-    args.stream.write(report_render(report, args.format))
-
-
 def cmd_census(args) -> int:
     graphs = load_dataset(args.dataset, format=args.dataset_format)
-    _report(args, wl_census(graphs))
-    return 0
-
-
-def cmd_lambda_census(args) -> int:
-    graphs = load_dataset(args.dataset, format=args.dataset_format)
-    _report(args, lambda_census(graphs))
+    args.stream.write(report_render(args.census(graphs), args.format))
     return 0
 
 
@@ -131,7 +118,7 @@ def cmd_distinguish(args) -> int:
 
 def cmd_golden(args) -> int:
     checks = golden_pairs_suite()
-    _report(args, golden_report(checks))
+    args.stream.write(report_render(golden_report(checks), args.format))
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -258,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="1-WL / 2-FWL pair census")
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_census)
+    p.set_defaults(func=cmd_census, census=wl_census)
 
     p = sub.add_parser("lambda-census", help="equal lambda-max pair census")
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_lambda_census)
+    p.set_defaults(func=cmd_census, census=lambda_census)
 
     p = sub.add_parser("distinguish", help="random-weight distinguishability")
     p.add_argument("dataset")

@@ -248,7 +248,7 @@ def order_stacks(graphs: list[Graph]):
 
 
 def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
-    """Load a list of graphs from a graph6 file or an edge-list JSON file."""
+    """The graphs of a graph6 or edge-list JSON file; raises GraphFormatError if none."""
     if format == "graph6":
         # one stack per header: all lines of one header have one order
         groups: dict[bytes, list[int]] = {}
@@ -268,8 +268,7 @@ def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
         if errors:
             lineno, message = min(errors)
             raise GraphFormatError(f"{path}:{lineno}: {message}")
-        return graphs
-    if format == "edgelist-json":
+    elif format == "edgelist-json":
         with open(path) as f:
             try:
                 records = json.load(f)
@@ -285,5 +284,8 @@ def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
                 raise GraphFormatError(f"{path}: record {i}: {e}") from e
             except MemoryError as e:
                 raise MemoryError(f"{path}: record {i}: {e}") from e
-        return graphs
-    raise ValueError(f"unknown dataset format: {format!r}")
+    else:
+        raise ValueError(f"unknown dataset format: {format!r}")
+    if not graphs:
+        raise GraphFormatError(f"{path} has no graphs")
+    return graphs

@@ -1,5 +1,8 @@
-"""Dataset-scale experiments: WL censuses, lambda-max census, random-weight
-distinguishability runs, and the golden pair suite.
+"""Dataset-scale experiments: exact pair censuses, random-weight
+distinguishability runs, and the golden pair suite. The censuses are the
+rungs of one table, `CENSUS`: a rung buckets every graph by a value, or
+splits a coarser rung's pairs by a value of only the graphs in them.
+Adding a rung is adding an entry.
 
 The distinguishability engine avoids the full O(N^2) distance pass: in
 the first run, candidate near-duplicate pairs are found by sorting the
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import combinations
@@ -134,6 +138,14 @@ class PairReport:
     extras: dict = field(default_factory=dict)
     PAIR_LIST_CAP = 1000
 
+    @classmethod
+    def of_graphs(cls, kind: str, graphs: list, pairs: dict | None = None) -> "PairReport":
+        n = len(graphs)
+        report = cls(kind=kind, graph_count=n, pair_count=n * (n - 1) // 2)
+        for method, p in (pairs or {}).items():
+            report.record(method, p)
+        return report
+
     def record(self, method: str, pairs: list[tuple[int, int]]):
         if len(pairs) > self.pair_count:
             raise ValueError("more pairs than C(graph_count, 2)")
@@ -141,16 +153,42 @@ class PairReport:
         self.pairs[method] = sorted(pairs)[: self.PAIR_LIST_CAP]
 
 
-def _bucket_pairs(keys: list) -> list[tuple[int, int]]:
-    groups: dict = defaultdict(list)
-    for i, k in enumerate(keys):
-        groups[k].append(i)
-    return [p for members in groups.values() for p in combinations(members, 2)]
+def _lambda_max(graphs: list[Graph]) -> np.ndarray:
+    """Normalized-Laplacian lambda-max of each graph, one eig_sym per order."""
+    lam = np.empty(len(graphs))
+    for pos, A in order_stacks(graphs):
+        lam[pos] = eig_sym(laplacian(A)).lam[:, -1]
+    return lam
 
 
-def _paired(pairs: list[tuple[int, int]]) -> list[int]:
-    """The graph indices that occur in `pairs`, ascending."""
-    return sorted({i for pair in pairs for i in pair})
+# rung -> (the rung it splits, or None; graphs -> one value each; the test
+# two values pass to keep their pair). The functions look `signatures` and
+# `eig_sym` up when called, so a wrapper put on those names sees each call.
+CENSUS = {
+    "1-WL@1": (None, lambda gs: signatures(gs, rounds=1), operator.eq),  # degree multisets
+    "1-WL": (None, lambda gs: signatures(gs), operator.eq),
+    "2-FWL": ("1-WL", lambda gs: signatures(gs, "FWL2"), operator.eq),
+    # within 1e-6 is not transitive: it splits pairs but cannot be a key
+    "equal-lambda-max": ("1-WL", _lambda_max, lambda a, b: abs(a - b) <= 1e-6),
+}
+
+
+def _census(graphs: list[Graph], rungs) -> dict[str, list[tuple[int, int]]]:
+    """Every pair of each of `rungs`, which lists a base before the rungs
+    that split it; those get values, in one call, for its paired graphs."""
+    found: dict = {}
+    for name in rungs:
+        base, values, keep = CENSUS[name]
+        if base is None:
+            buckets = defaultdict(list)
+            for i, key in enumerate(values(graphs)):
+                buckets[key].append(i)
+            found[name] = [p for b in buckets.values() for p in combinations(b, 2)]
+        else:
+            paired = sorted({i for pair in found[base] for i in pair})
+            value = dict(zip(paired, values([graphs[i] for i in paired])))
+            found[name] = [(i, j) for i, j in found[base] if keep(value[i], value[j])]
+    return found
 
 
 def wl_census(graphs: list[Graph]) -> PairReport:
@@ -160,14 +198,7 @@ def wl_census(graphs: list[Graph]) -> PairReport:
     call, only for the graphs that share their 1-WL key with another
     graph, and the 2-FWL pairs are the 1-WL pairs whose 2-FWL keys agree.
     """
-    n = len(graphs)
-    report = PairReport(kind="wl-census", graph_count=n, pair_count=n * (n - 1) // 2)
-    wl1_pairs = _bucket_pairs(signatures(graphs))
-    report.record("1-WL", wl1_pairs)
-    paired = _paired(wl1_pairs)
-    fwl2 = dict(zip(paired, signatures([graphs[i] for i in paired], "FWL2")))
-    report.record("2-FWL", [(i, j) for i, j in wl1_pairs if fwl2[i] == fwl2[j]])
-    return report
+    return PairReport.of_graphs("wl-census", graphs, _census(graphs, ("1-WL", "2-FWL")))
 
 
 def lambda_census(graphs: list[Graph]) -> PairReport:
@@ -178,19 +209,8 @@ def lambda_census(graphs: list[Graph]) -> PairReport:
     eigendecomposition per order. Each matrix of a stack is decomposed
     on its own, so a graph's lambda-max does not depend on the others.
     """
-    n = len(graphs)
-    report = PairReport(
-        kind="lambda-census", graph_count=n, pair_count=n * (n - 1) // 2
-    )
-    wl1_pairs = _bucket_pairs(signatures(graphs))
-    paired = np.array(_paired(wl1_pairs))
-    lam = np.empty(n)
-    for pos, A in order_stacks([graphs[i] for i in paired]):
-        lam[paired[pos]] = eig_sym(laplacian(A)).lam[:, -1]
-    equal = [(i, j) for i, j in wl1_pairs if abs(lam[i] - lam[j]) <= 1e-6]
-    report.record("1-WL", wl1_pairs)
-    report.record("equal-lambda-max", equal)
-    return report
+    pairs = _census(graphs, ("1-WL", "equal-lambda-max"))
+    return PairReport.of_graphs("lambda-census", graphs, pairs)
 
 
 def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
@@ -306,19 +326,12 @@ def naive_undistinguished_pairs(
 
 def degree_multiset_pairs(graphs: list[Graph]) -> list[tuple[int, int]]:
     """Exact oracle for the MLP row: pairs with equal sorted degrees."""
-    keys: list = [None] * len(graphs)
-    for pos, A in order_stacks(graphs):
-        for i, degrees in zip(pos.tolist(), np.sort(A.sum(axis=-1))):
-            keys[i] = degrees.tobytes()
-    return _bucket_pairs(keys)
+    return _census(graphs, ("1-WL@1",))["1-WL@1"]
 
 
 def distinguishability_run(config: ExperimentConfig) -> PairReport:
     graphs = load_dataset(config.dataset, format=config.format)
-    n = len(graphs)
-    report = PairReport(
-        kind="distinguishability", graph_count=n, pair_count=n * (n - 1) // 2
-    )
+    report = PairReport.of_graphs("distinguishability", graphs)
     seeds = run_seeds(config.base_seed, config.runs)
     report.extras["runs"] = config.runs
     report.extras["threshold"] = config.threshold
@@ -371,10 +384,8 @@ def golden_pairs_suite() -> list[GoldenCheck]:
         _check("decalin/bicyclopentyl 1-WL equivalent", True,
                wl1_equivalent(dec, bic).equivalent)
     )
-    lam_d = float(eig_sym(laplacian(dec)).lam[-1])
-    lam_b = float(eig_sym(laplacian(bic)).lam[-1])
-    checks.append(_check("decalin lambda-max", 2.0, lam_d, tol=1e-3))
-    checks.append(_check("bicyclopentyl lambda-max", 1.8418, lam_b, tol=1e-3))
+    for name, G, want in (("decalin", dec, 2.0), ("bicyclopentyl", bic, 1.8418)):
+        checks.append(_check(f"{name} lambda-max", want, float(_lambda_max([G])[0]), tol=1e-3))
     ones = np.ones(10)
     for name, G, want in (("decalin", dec, -9.9327), ("bicyclopentyl", bic, -9.9269)):
         C2 = static_supports(ModelSpec("chebnet"), G)[1]

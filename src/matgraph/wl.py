@@ -10,9 +10,9 @@ table, so colors of different graphs in one stack are comparable and
 no lossy hashing is involved. Refinement stops at the stable partition,
 the first round whose class count does not grow (every later round
 repeats it). `signatures` lets a graph leave the stack as soon as its
-sorted colors are unique there: its key is then final, and the graphs
-left are refined without it. Nothing is kept between calls, so the graph
-keys of `signatures` are comparable only within one call.
+sorted colors are unique there (or at round `rounds`): its key is then
+final, and the graphs left are refined without it. Nothing is kept
+between calls, so keys of `signatures` compare only within one call.
 """
 
 from __future__ import annotations
@@ -98,22 +98,24 @@ def _refine(A: np.ndarray, test: str):
             return
 
 
-def signatures(graphs: list[Graph], test: str = "WL1") -> list[tuple[int, int, bytes]]:
+def signatures(graphs: list[Graph], test: str = "WL1",
+               rounds: int | None = None) -> list[tuple[int, int, bytes]]:
     """One key per graph: `(n, settle round, sorted colors as bytes)`.
 
     Graphs are refined together, one stack per order, so two keys are
     equal iff `test` ("WL1", "WL2" or "FWL2") finds the two graphs
-    equivalent. A graph whose sorted colors are unique in the stack at
-    round t settles: it takes its key from that round and leaves the
-    stack. This is exact. A cell's color class in the union refinement
-    depends only on its own graph, so dropping graphs renumbers the
-    others' colors but leaves their partition, and two graphs whose
-    sorted colors differ at round t differ at every later round, so a
-    settled graph is equivalent to no other. The graphs still in the
-    stack are re-ranked and refined until their partition stops
-    growing; the round after that, all of them settle. Keys are comparable
-    only within one call: color numbers depend on the other graphs
-    refined alongside.
+    equivalent; with `rounds=k`, iff k rounds do not separate them
+    ("WL1" at k = 1 compares degree multisets). A graph whose sorted
+    colors are unique in the stack at round t settles: it takes its key
+    from that round and leaves the stack. This is exact. A cell's color
+    class in the union refinement depends only on its own graph, so
+    dropping graphs renumbers the others' colors but leaves their
+    partition, and two graphs whose sorted colors differ at round t
+    differ at every later round, so a settled graph is equivalent to no
+    other. The rest are re-ranked and refined until their partition
+    stops growing; the round after that, or at round k, all of them
+    settle. Keys are comparable only within one call: color numbers
+    depend on the other graphs refined alongside.
     """
     keys: list = [None] * len(graphs)
     for members, A in order_stacks(graphs):
@@ -124,7 +126,7 @@ def signatures(graphs: list[Graph], test: str = "WL1") -> list[tuple[int, int, b
         for t in count():
             hist = np.sort(C.reshape(len(C), -1), axis=1)
             ranks = _rank_rows(hist)
-            settled = stable | (np.bincount(ranks)[ranks] == 1)
+            settled = (stable or t == rounds) | (np.bincount(ranks)[ranks] == 1)
             for i, row in zip(members[settled].tolist(), hist[settled]):
                 keys[i] = (n, t, row.tobytes())
             if settled.all():
@@ -174,10 +176,7 @@ def fwl3_tensor_statistic(G: Graph) -> float:
     """
     A = G.adjacency.astype(np.int64)
     n = G.n
-    e_jk = np.broadcast_to(A[None, :, :], (n, n, n))
-    e_ik = np.broadcast_to(A[:, None, :], (n, n, n))
-    e_ij = np.broadcast_to(A[:, :, None], (n, n, n))
-    T = e_jk + 2 * e_ik + 4 * e_ij
+    T = A[None, :, :] + 2 * A[:, None, :] + 4 * A[:, :, None]  # edges jk, ik, ij
     i, j, k = np.ogrid[:n, :n, :n]
     T = np.where((i == j) & (j == k), 8, T)
     T2 = np.einsum("sjk,isk,ijs->ijk", T, T, T)

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matgraph import cli, models
+from matgraph import appendix_data, cli, models
 from matgraph.cli import main
 from matgraph.graphcore import Graph, encode_graph6
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, permute_graph
 
 GRAPH8C = DATA_DIR / "graph8c.g6"
 
@@ -43,7 +43,57 @@ class TestGolden:
         assert "passed" in out
 
 
+@pytest.fixture()
+def appendix_dataset(tmp_path):
+    """The appendix graphs and a relabelled copy of each, as graph6: every
+    census row counts some pairs."""
+    rng = np.random.default_rng(0)
+    graphs = list(appendix_data.GRAPHS.values())
+    graphs += [permute_graph(G, rng.permutation(G.n)) for G in graphs]
+    path = tmp_path / "appendix.g6"
+    path.write_text("".join(encode_graph6(G) + "\n" for G in graphs))
+    return str(path)
+
+
+# output of the census commands on `appendix_dataset`, as the two
+# hand-written census functions printed it before they became rungs of
+# `harness.CENSUS`
+CENSUS_OUTPUT = {
+    ("census", "text"): "wl-census: 12 graphs, 66 pairs\n  1-WL   18\n  2-FWL  10\n",
+    ("census", "json"): '{\n  "counts": {\n    "1-WL": 18,\n    "2-FWL": 10\n  },\n'
+                        '  "extras": {},\n  "graph_count": 12,\n  "kind": "wl-census",\n'
+                        '  "pair_count": 66\n}',
+    ("census", "csv"): "method,undistinguished_pairs\n1-WL,18\n2-FWL,10\n",
+    ("lambda-census", "text"): "lambda-census: 12 graphs, 66 pairs\n  1-WL              18\n"
+                               "  equal-lambda-max  14\n",
+    ("lambda-census", "json"): '{\n  "counts": {\n    "1-WL": 18,\n    "equal-lambda-max": 14\n'
+                               '  },\n  "extras": {},\n  "graph_count": 12,\n'
+                               '  "kind": "lambda-census",\n  "pair_count": 66\n}',
+    ("lambda-census", "csv"): "method,undistinguished_pairs\n1-WL,18\nequal-lambda-max,14\n",
+}
+
+
 class TestCensus:
+    @pytest.mark.parametrize("command, format", list(CENSUS_OUTPUT))
+    def test_output_is_pinned(self, capsys, appendix_dataset, command, format):
+        code, out = run_cli(capsys, "--format", format, command, appendix_dataset)
+        assert code == 0
+        assert out == CENSUS_OUTPUT[command, format]
+
+    @pytest.mark.parametrize("command", ["census", "lambda-census", "distinguish"])
+    @pytest.mark.parametrize("dataset_format, text", [("graph6", "\n \n"),
+                                                      ("edgelist-json", "[]")],
+                             ids=["graph6", "edgelist-json"])
+    def test_dataset_without_graphs_says_so(self, capsys, tmp_path, command,
+                                            dataset_format, text):
+        path = tmp_path / "empty"
+        path.write_text(text)
+        code = main(["--dataset-format", dataset_format, command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path} has no graphs\n"
+
     def test_census_json(self, capsys, small_dataset):
         code, out = run_cli(capsys, "--format", "json", "census", small_dataset)
         assert code == 0

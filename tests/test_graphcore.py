@@ -207,6 +207,16 @@ class TestGraph6Stacks:
             parse_graph6(bad)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("format, text", [("graph6", ""), ("graph6", " \n\r\n"),
+                                              ("edgelist-json", "[]")],
+                             ids=["empty", "blank-lines", "empty-array"])
+    def test_file_without_graphs_is_an_error(self, tmp_path, format, text):
+        path = tmp_path / "empty"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as e:
+            load_dataset(str(path), format=format)
+        assert str(e.value) == f"{path} has no graphs"
+
     def test_blank_text_is_empty(self):
         with pytest.raises(GraphFormatError, match="^empty graph6 string$"):
             parse_graph6(" \t\n")

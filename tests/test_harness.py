@@ -12,7 +12,7 @@ from matgraph.appendix_data import (
     ROOK4X4,
     SHRIKHANDE,
 )
-from matgraph import models
+from matgraph import harness, models
 from matgraph.graphcore import Graph, laplacian
 from matgraph.harness import (
     ExperimentConfig,
@@ -182,6 +182,34 @@ class TestCensus:
         graphs = [make_graph(rng, 5) for _ in range(20)]
         report = lambda_census(graphs)
         assert report.counts["equal-lambda-max"] <= report.counts["1-WL"]
+
+    def test_rungs_look_up_module_names_and_split_paired_graphs(self, monkeypatch):
+        """The rungs call `harness.signatures` and `harness.eig_sym` as they
+        are when called, so a wrapper put there sees every call, and a
+        splitting rung gets only the graphs in its base's pairs (here all
+        but the two graphs of order 3)."""
+        graphs = self.appendix_dataset() + [Graph.from_edges(3, [(0, 1), (1, 2)]),
+                                            Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])]
+        calls = []
+
+        def spy(name, f, size):
+            def wrapped(x, *args, **kwargs):
+                calls.append((name, size(x), args, kwargs))
+                return f(x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(harness, "signatures", spy("signatures", harness.signatures, len))
+        monkeypatch.setattr(harness, "eig_sym", spy("eig_sym", harness.eig_sym,
+                                                     lambda B: B.shape))
+        wl_census(graphs)
+        assert calls == [("signatures", 18, (), {}), ("signatures", 16, ("FWL2",), {})]
+        calls.clear()
+        lambda_census(graphs)
+        assert calls == [("signatures", 18, (), {}), ("eig_sym", (4, 16, 16), (), {}),
+                         ("eig_sym", (4, 6, 6), (), {}), ("eig_sym", (8, 10, 10), (), {})]
+        calls.clear()
+        degree_multiset_pairs(graphs)
+        assert calls == [("signatures", 18, (), {"rounds": 1})]
 
     def test_degree_multiset_pairs(self, mixed):
         rng = np.random.default_rng(3)

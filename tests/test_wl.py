@@ -307,3 +307,45 @@ def test_engine_matches_interned_reference(test, pair_test):
         v = pair_test(G, H)
         assert (v.equivalent, v.separating_iteration) == expected
         checked += 1
+
+
+@pytest.mark.parametrize("test", ["WL1", "FWL2"])
+def test_signature_rounds_match_reference(test):
+    """With `rounds=k`, two keys are equal iff the graphs have one order
+    and the reference's sorted colors agree in each of rounds 0..k, for
+    k = 0..3: random stacks of orders 4-7, relabelled copies, and pairs
+    that are separated late or never: 1-WL separates P6 / C4 + K2 at
+    round 2, P8 / C4 + P4 at round 3 and P10 / C4 + P6 at round 4, 2-FWL
+    separates C18 / 2 C9 at round 3; C6 / 2 C3 and the appendix pairs."""
+    rng = np.random.default_rng(7)
+    families = [Graph.from_edges(6, path_edges(6)),
+                Graph.from_edges(6, cycle_edges(4) + path_edges(2, 4)),
+                Graph.from_edges(8, path_edges(8)),
+                Graph.from_edges(8, cycle_edges(4) + path_edges(4, 4)),
+                Graph.from_edges(10, path_edges(10)),
+                Graph.from_edges(10, cycle_edges(4) + path_edges(6, 4)),
+                Graph.from_edges(18, cycle_edges(18)),
+                Graph.from_edges(18, cycle_edges(9) + cycle_edges(9, 9)),
+                C6, TWO_TRIANGLES, DECALIN, BICYCLOPENTYL, COSPECTRAL10_A, COSPECTRAL10_B]
+    separated_at = set()  # the rounds k at which some pair equal at k - 1 splits
+    for stack in range(15):
+        graphs = [make_graph(rng, int(rng.integers(4, 8)), rng.choice([0.3, 0.5, 0.7]))
+                  for _ in range(10)]
+        if stack == 0:
+            graphs += families
+        graphs += [permute_graph(G, rng.permutation(G.n)) for G in graphs[::3]]
+        ref = [[sorted(colors) for colors in rounds]
+               for rounds in reference_colors(graphs, test)]
+        pairs = [(i, j) for i in range(len(graphs)) for j in range(i + 1, len(graphs))]
+        equal_before = set(pairs)
+        for k in range(4):
+            keys = signatures(graphs, test, rounds=k)
+            for i, j in pairs:
+                expected = graphs[i].n == graphs[j].n and all(
+                    ref[i][t] == ref[j][t] for t in range(k + 1))
+                assert (keys[i] == keys[j]) == expected, (stack, k, i, j)
+            equal = {(i, j) for i, j in pairs if keys[i] == keys[j]}
+            if equal_before - equal:
+                separated_at.add(k)
+            equal_before = equal
+    assert separated_at == {0, 1, 2, 3}
