@@ -28,6 +28,23 @@ so which runs share a call does not matter, and a run embedded on a batch
 not yet shrunk gives the same rows. A pair set that empties part-way
 through a call costs at most runs_per_call - 1 extra runs, on threads that
 would otherwise be idle.
+
+Pairs that a model's WL bound keeps settle after run 0. A kind of
+`models.MODELS` with a bound `wl_rounds` = k gives, on degree inputs,
+equal embeddings to graphs that k rounds of 1-WL leave together (Morris
+et al., arXiv 1810.02244), so their computed distance is rounding in
+every run. When more runs follow, run 0's near candidates, within
+NEAR_EPS = 64 eps times the sum of their rows' L1 norms, have their
+graphs keyed by one `signatures(rounds=k)` call, and the near pairs of
+equal keys go straight into the result. The cut only picks the graphs to
+key; key equality decides. Every pair of equal keys among the keyed
+graphs must be near, or run 0 raises naming the kind, so the bound is
+checked on each dataset rather than assumed. Nothing settles when a
+graph has node features (the bound assumes degree inputs) or when a near
+cut could exceed the threshold. Later runs re-check only the unsettled
+pairs, each with its own graphs' embeddings, so the batch shrinks to
+their graphs; when every pair settles, as on sr25, no later run is
+embedded.
 """
 
 from __future__ import annotations
@@ -47,6 +64,7 @@ from matgraph.graphlets import custom_sentence
 from matgraph.matlang import eval_sentence, parse
 from matgraph.models import (
     MODEL_KINDS,
+    MODELS,
     DatasetBatch,
     ModelSpec,
     run_seeds,
@@ -166,6 +184,11 @@ def _lambda_max(graphs: list[Graph]) -> np.ndarray:
 # `eig_sym` up when called, so a wrapper put on those names sees each call.
 CENSUS = {
     "1-WL@1": (None, lambda gs: signatures(gs, rounds=1), operator.eq),  # degree multisets
+    # 1-WL cut off after k rounds: the bound of a (k - 1)-layer model (models.MODELS)
+    "1-WL@2": (None, lambda gs: signatures(gs, rounds=2), operator.eq),
+    "1-WL@3": (None, lambda gs: signatures(gs, rounds=3), operator.eq),
+    "1-WL@4": (None, lambda gs: signatures(gs, rounds=4), operator.eq),
+    "1-WL@5": (None, lambda gs: signatures(gs, rounds=5), operator.eq),
     "1-WL": (None, lambda gs: signatures(gs), operator.eq),
     "2-FWL": ("1-WL", lambda gs: signatures(gs, "FWL2"), operator.eq),
     # within 1e-6 is not transitive: it splits pairs but cannot be a key
@@ -265,6 +288,41 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
     return np.sort(order[pos], axis=1)
 
 
+# A run-0 pair is near when its L1 distance is at most NEAR_EPS times the
+# sum of its rows' L1 norms: rounding, not a difference the model computed
+# (graph8c and sr25 pairs of equal 1-WL colors measure at most ~2.5 eps).
+NEAR_EPS = 64 * np.finfo(float).eps
+
+
+def _settled(spec: ModelSpec, graphs: list[Graph], emb: np.ndarray,
+             pairs: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of run 0's candidate `pairs` that the kind's WL bound keeps in
+    every run: near pairs whose graphs have equal k-round 1-WL keys, k the
+    kind's `wl_rounds`. All False without a bound, with node features (the
+    bound assumes degree inputs) or when the cut of the largest rows would
+    exceed `threshold` (a pair of equal keys might then not be a candidate).
+    Raises when two keyed graphs of equal keys are not a near pair."""
+    rounds = MODELS[spec.kind].wl_rounds
+    norm = np.abs(emb).sum(axis=1)
+    settled = np.zeros(len(pairs), dtype=bool)
+    if (rounds is None or any(G.node_features is not None for G in graphs)
+            or 2 * NEAR_EPS * norm.max() > threshold):
+        return settled
+    cut = NEAR_EPS * norm[pairs].sum(axis=1)
+    near = np.abs(emb[pairs[:, 0]] - emb[pairs[:, 1]]).sum(axis=1) <= cut
+    keyed = np.unique(pairs[near])
+    ids: dict = {}
+    key = np.full(len(graphs), -1)
+    key[keyed] = [ids.setdefault(k, len(ids))
+                  for k in signatures([graphs[i] for i in keyed], rounds=rounds(spec))]
+    settled[near] = key[pairs[near, 0]] == key[pairs[near, 1]]
+    sizes = np.bincount(key[keyed])
+    if (sizes * (sizes - 1) // 2).sum() != settled.sum():
+        raise ValueError(f"{spec.kind}: graphs of equal {rounds(spec)}-round 1-WL colors "
+                         "differ in run 0, so its declared WL bound does not hold")
+    return settled
+
+
 def undistinguished_pairs(
     spec: ModelSpec,
     graphs: list[Graph],
@@ -273,17 +331,28 @@ def undistinguished_pairs(
 ) -> list[tuple[int, int]]:
     """Pairs whose embeddings stay within threshold in every run.
 
-    Run 0 scans the whole dataset for candidates; afterwards only graphs
-    appearing in surviving pairs are re-embedded, shrinking the batch
-    whenever the active set halves, and the next `batch.runs_per_call`
-    runs are embedded in one call, then applied in seed order. The
-    survivors stay one (P, 2) array until the sorted list is returned.
+    Run 0 scans the whole dataset for candidates. When more runs follow,
+    the pairs that the kind's WL bound keeps in every run settle at once
+    (`_settled`): the near ones, within a rounding cut of NEAR_EPS times
+    their rows' L1 norms, are keyed by one `signatures(rounds=k)` call,
+    and those of equal keys go straight into the result. Every pair of
+    equal keys among the keyed graphs must be near, or the bound is wrong
+    and this raises naming the kind. Afterwards only graphs appearing in
+    unsettled pairs are re-embedded, shrinking the batch whenever the
+    active set halves, and the next `batch.runs_per_call` runs are
+    embedded in one call, then applied in seed order. The survivors stay
+    one (P, 2) array until the sorted list is returned.
     """
     if not seeds:
         raise ValueError("at least one seed required")
     N = len(graphs)
     batch = DatasetBatch(spec, graphs)
-    pairs = _candidate_pairs(batch.embed_all(seeds[0]), threshold)
+    emb = batch.embed_all(seeds[0])
+    pairs = _candidate_pairs(emb, threshold)
+    settled = pairs[:0]
+    if len(pairs) and len(seeds) > 1:
+        keep = _settled(spec, graphs, emb, pairs, threshold)
+        settled, pairs = pairs[keep], pairs[~keep]
     local = np.arange(N)  # dataset index -> position in batch
     done = 1  # runs applied
     while len(pairs) and done < len(seeds):
@@ -299,6 +368,7 @@ def undistinguished_pairs(
         for emb in batch.embed_all(chunk):
             d = np.abs(emb[local[pairs[:, 0]]] - emb[local[pairs[:, 1]]]).sum(axis=1)
             pairs = pairs[d <= threshold]
+    pairs = np.concatenate([settled, pairs])
     i, j = np.divmod(np.sort(pairs[:, 0] * N + pairs[:, 1]), N)
     return list(zip(i.tolist(), j.tolist()))
 

@@ -11,6 +11,12 @@ Each kind is declared once, as a `Model` entry of `MODELS`: its support
 builder, its per-layer weight schema and its layer update. `make_weights`
 draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
 runs the update, so adding a model kind means adding one table entry.
+An entry may also declare its WL bound, `wl_rounds`: the number of 1-WL
+rounds whose colors, on degree inputs, fix its embedding up to rounding
+(1 for MLP, which sums a function of each degree; layers + 1 for GCN,
+GAT, GraphSage, GIN and GNNML1, each of whose layers reads a node and the
+multiset of its neighbors; none for Chebnet and GNNML3). `harness` settles
+pairs by it after the first run and checks it on every dataset it runs.
 
 Every kind runs in the paper's one configuration: 3 layers, the largest
 width within a ~30K parameter budget, a sum readout into a 10-dimensional
@@ -132,6 +138,9 @@ class Model:
     # the gains in MODELS put each model's count in the reference band on
     # the 8-node census.
     gain: float = 1.0
+    # 1-WL rounds after which, on degree inputs, graphs of equal colors get
+    # equal embeddings (None: no such bound); `harness` settles pairs by it
+    wl_rounds: Callable[[ModelSpec], int] | None = None
 
 
 def _schema(spec: ModelSpec, width: int) -> list[Entry]:
@@ -347,21 +356,30 @@ def _gnnml3_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _relu(np.concatenate([conv, h5], axis=-1))
 
 
+def _message_passing_rounds(spec: ModelSpec) -> int:
+    """The degree input is round 1, and each layer, a function of a node
+    and the multiset of its neighbors, adds one (Morris et al., arXiv 1810.02244)."""
+    return spec.layers + 1
+
+
 MODELS: dict[str, Model] = {
+    # a sum over nodes of a function of the degree: round 1
     "mlp": Model(lambda spec, A: _stack(A), _conv_layer(lambda spec: 1), _conv_update,
-                 identity=True),
-    "gcn": Model(_gcn_supports, _conv_layer(lambda spec: 1), _conv_update, gain=0.57),
+                 identity=True, wl_rounds=lambda spec: 1),
+    "gcn": Model(_gcn_supports, _conv_layer(lambda spec: 1), _conv_update, gain=0.57,
+                 wl_rounds=_message_passing_rounds),
     "graphsage": Model(_graphsage_supports, _conv_layer(lambda spec: 2), _conv_update,
-                       identity=True, gain=0.345),
+                       identity=True, gain=0.345, wl_rounds=_message_passing_rounds),
     # A + (1 + eps) I with GIN's eps = 0.1
     "gin": Model(lambda spec, A: _stack(A, A + 1.1 * np.eye(A.shape[-1])), _gin_layer,
-                 _gin_update),
+                 _gin_update, wl_rounds=_message_passing_rounds),
     # attention is computed over the self-connected neighborhood
     "gat": Model(lambda spec, A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer,
-                 _gat_update, gain=0.64),
+                 _gat_update, gain=0.64, wl_rounds=_message_passing_rounds),
     "chebnet": Model(_chebnet_supports, _conv_layer(lambda spec: spec.cheb_k),
                      _conv_update, identity=True),
-    "gnnml1": Model(lambda spec, A: _stack(A, A), _gnnml1_layer, _gnnml1_update),
+    "gnnml1": Model(lambda spec, A: _stack(A, A), _gnnml1_layer, _gnnml1_update,
+                    wl_rounds=_message_passing_rounds),
     "gnnml3": Model(lambda spec, A: _stacked_supports(A, spec.support_spec), _gnnml3_layer,
                     _gnnml3_update, emits=2, head=_gnnml3_head),
 }

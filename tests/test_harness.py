@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations
 
@@ -13,10 +14,11 @@ from matgraph.appendix_data import (
     SHRIKHANDE,
 )
 from matgraph import harness, models
-from matgraph.graphcore import Graph, laplacian
+from matgraph.graphcore import Graph, encode_graph6, laplacian
 from matgraph.harness import (
     ExperimentConfig,
     degree_multiset_pairs,
+    distinguishability_run,
     golden_pairs_suite,
     golden_report,
     lambda_census,
@@ -33,6 +35,7 @@ from .conftest import make_graph, permute_graph
 
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+BOUNDED = [k for k in MODEL_KINDS if models.MODELS[k].wl_rounds is not None]
 
 
 class TestGoldenSuite:
@@ -65,12 +68,18 @@ class TestBucketedEngine:
     @pytest.mark.parametrize("kind", ["mlp", "gcn", "graphsage", "gin", "chebnet"])
     def test_matches_naive_oracle(self, kind, monkeypatch):
         subsets, subset = [], DatasetBatch.subset
+        embedded, embed_all = [], DatasetBatch.embed_all
 
         def counted_subset(batch, indices):
             subsets.append(len(indices))
             return subset(batch, indices)
 
+        def recorded_embed_all(batch, seeds):
+            embedded.append(batch.graphs)
+            return embed_all(batch, seeds)
+
         monkeypatch.setattr(DatasetBatch, "subset", counted_subset)
+        monkeypatch.setattr(DatasetBatch, "embed_all", recorded_embed_all)
         spec = ModelSpec(kind=kind)
         seeds = run_seeds(3, 10)
         small, copies = self.datasets()
@@ -82,12 +91,88 @@ class TestBucketedEngine:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(models, "WORKERS", workers)
                 subsets.clear()
+                embedded.clear()
                 fast = undistinguished_pairs(spec, graphs, seeds, 1e-3)
                 assert fast == slow  # the same sorted list
                 assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
                            for p in fast)
-        assert subsets and subsets[0] <= len(copies) // 2
         assert len(fast) >= 12  # the relabelled copies are never separated
+        if kind in BOUNDED:
+            # the relabelled copies settle after run 0, so no later run
+            # embeds one of them, and what is left needs no subset
+            copied = {id(G) for G in copies[:12] + copies[120:]}
+            assert not copied & {id(G) for graphs in embedded[1:] for G in graphs}
+            assert subsets == []
+        else:
+            assert subsets and subsets[0] <= len(copies) // 2
+
+    @pytest.mark.parametrize("kind", BOUNDED)
+    def test_sr25_settles_after_run_0(self, kind, sr25, monkeypatch):
+        # all 15 sr25 graphs are one 1-WL class at every round
+        embedded, embed_all = [], DatasetBatch.embed_all
+
+        def counted_embed_all(batch, seeds):
+            embedded.append(batch.size)
+            return embed_all(batch, seeds)
+
+        monkeypatch.setattr(DatasetBatch, "embed_all", counted_embed_all)
+        pairs = undistinguished_pairs(ModelSpec(kind), sr25, run_seeds(7, 100), 1e-3)
+        assert len(pairs) == 105
+        assert embedded[0] == 15 and sum(embedded[1:]) == 0
+
+    def test_node_features_skip_settling(self, monkeypatch):
+        """The WL bound assumes degree inputs. Decalin and bicyclopentyl are
+        1-WL equivalent; with different node features each taken twice,
+        settling would key all four graphs and find the separated pairs of
+        equal keys, so it must be skipped, and no graph is keyed."""
+        dec = Graph(DECALIN.adjacency, node_features=np.ones((10, 1)))
+        bic = Graph(BICYCLOPENTYL.adjacency, node_features=np.arange(10.0)[:, None])
+        graphs, spec, seeds = [dec, bic, dec, bic], ModelSpec("gcn"), run_seeds(3, 4)
+        keyed = []
+        monkeypatch.setattr(harness, "signatures", lambda gs, **kw: keyed.append(gs))
+        slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
+        assert undistinguished_pairs(spec, graphs, seeds, 1e-3) == slow == [(0, 2), (1, 3)]
+        assert keyed == []
+
+    def test_threshold_below_rounding_skips_settling(self):
+        """A near cut above the threshold could leave rounding-apart pairs of
+        equal keys out of the candidates; settling is skipped, and the pairs
+        are those of the oracle: the exact copies, not the relabellings."""
+        rng = np.random.default_rng(2)
+        G = make_graph(rng, 8)
+        P = permute_graph(G, rng.permutation(8))
+        graphs, spec, seeds = [G, G, P, P], ModelSpec("gcn"), run_seeds(3, 3)
+        slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-300)
+        assert undistinguished_pairs(spec, graphs, seeds, 1e-300) == slow == [(0, 1), (2, 3)]
+        assert undistinguished_pairs(spec, graphs, seeds, 1e-3) == list(combinations(range(4), 2))
+
+    def test_wrong_wl_bound_raises(self, monkeypatch, tmp_path):
+        """A kind that declares a bound but reads node order: of two copies
+        each of a graph and of a relabelling, all four of equal keys, only
+        the copies are near, so run 0's check raises naming the kind, and
+        `distinguishability_run` reports it as error:<kind>."""
+        def ordered_update(w, l, H, C):
+            if l == 0:  # the node index in place of the degree
+                H = np.broadcast_to(np.arange(H.shape[1], dtype=float)[:, None], H.shape)
+            return models._conv_update(w, l, H, C)
+
+        monkeypatch.setitem(models.MODELS, "ordered",
+                            dataclasses.replace(models.MODELS["gcn"], update=ordered_update))
+        monkeypatch.setattr(models, "MODEL_KINDS", (*MODEL_KINDS, "ordered"))
+        monkeypatch.setattr(harness, "MODEL_KINDS", models.MODEL_KINDS)
+        rng = np.random.default_rng(7)
+        G = make_graph(rng, 8)
+        P = permute_graph(G, rng.permutation(8))
+        graphs = [G, G, P, P]
+        with pytest.raises(ValueError, match=r"^ordered: .*WL bound does not hold$"):
+            undistinguished_pairs(ModelSpec("ordered"), graphs, run_seeds(3, 2), 1e-3)
+        path = tmp_path / "copies.g6"
+        path.write_text("".join(encode_graph6(H) + "\n" for H in graphs))
+        report = distinguishability_run(
+            ExperimentConfig(str(path), models=("ordered", "gcn"), runs=2))
+        assert report.extras["error:ordered"].startswith("ordered: ")
+        assert "ordered" not in report.counts
+        assert report.counts["gcn"] == 6  # four isomorphic graphs
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pairs_empty_part_way_through_a_call(self, workers, monkeypatch):
@@ -210,6 +295,14 @@ class TestCensus:
         calls.clear()
         degree_multiset_pairs(graphs)
         assert calls == [("signatures", 18, (), {"rounds": 1})]
+
+    def test_bounded_round_rungs_on_graph8c(self, graph8c):
+        rungs = ("1-WL@2", "1-WL@3", "1-WL@4", "1-WL@5", "1-WL")
+        found = harness._census(graph8c, rungs)
+        assert [len(found[r]) for r in rungs] == [3752, 478, 320, 312, 312]
+        for coarse, fine in zip(rungs, rungs[1:]):
+            assert set(found[fine]) <= set(found[coarse])
+        assert found["1-WL@5"] == found["1-WL"]
 
     def test_degree_multiset_pairs(self, mixed):
         rng = np.random.default_rng(3)

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from matgraph.appendix_data import BICYCLOPENTYL, DECALIN
 from matgraph.graphcore import Graph
-from matgraph.harness import undistinguished_pairs
+from matgraph.harness import naive_undistinguished_pairs, undistinguished_pairs
 from matgraph.models import (
     EMBED_DIM,
     MODEL_KINDS,
+    MODELS,
     PARAM_BUDGET,
     ModelSpec,
     embed,
@@ -107,11 +108,22 @@ class TestEmbed:
 class TestWL1Bound:
     """Models bounded by 1-WL never separate 1-WL-equivalent graphs."""
 
+    def test_declared_bounds(self):
+        # 1-WL rounds: the degree input is round 1, and each of the 3 layers adds one
+        rounds = {k: MODELS[k].wl_rounds(ModelSpec(k)) for k in MODEL_KINDS
+                  if MODELS[k].wl_rounds is not None}
+        assert rounds == {"mlp": 1, "gcn": 4, "graphsage": 4, "gin": 4, "gat": 4, "gnnml1": 4}
+        assert set(rounds) == set(WL1_BOUNDED)
+        assert MODELS["gcn"].wl_rounds(ModelSpec("gcn", layers=2)) == 3
+
     @pytest.mark.parametrize("kind", WL1_BOUNDED)
     def test_decalin_pair_never_separated(self, kind):
+        # the engine settles the pair after run 0; the oracle checks all 100 runs
         spec = ModelSpec(kind=kind)
         seeds = run_seeds(11, 100)
-        assert undistinguished_pairs(spec, [DECALIN, BICYCLOPENTYL], seeds, 1e-3) == [(0, 1)]
+        graphs = [DECALIN, BICYCLOPENTYL]
+        assert undistinguished_pairs(spec, graphs, seeds, 1e-3) == [(0, 1)]
+        assert naive_undistinguished_pairs(spec, graphs, seeds, 1e-3) == [(0, 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -123,5 +135,6 @@ class TestWL1Bound:
         # isomorphic pairs are the strictest 1-WL-equivalent pairs
         perm = np.random.default_rng(seed).permutation(G.n)
         H = permute_graph(G, perm)
-        spec = ModelSpec(kind=kind)
-        assert undistinguished_pairs(spec, [G, H], [seed % 997, seed % 991], 1e-3) == [(0, 1)]
+        spec, seeds = ModelSpec(kind=kind), [seed % 997, seed % 991]
+        assert undistinguished_pairs(spec, [G, H], seeds, 1e-3) == [(0, 1)]
+        assert naive_undistinguished_pairs(spec, [G, H], seeds, 1e-3) == [(0, 1)]
