@@ -212,23 +212,18 @@ def encode_graph6(G: Graph) -> str:
     return "".join(chars)
 
 
-def laplacian(G: Graph | np.ndarray, kind: str = "normalized") -> np.ndarray:
-    """Graph Laplacian: D - A, or I - D^{-1/2} A D^{-1/2}, of a graph or of
+def laplacian(G: Graph | np.ndarray) -> np.ndarray:
+    """Normalized graph Laplacian I - D^{-1/2} A D^{-1/2} of a graph or of
     every adjacency in a (..., n, n) stack.
 
     Isolated nodes get a pseudo-inverse scaling entry of 0, which keeps the
-    normalized Laplacian symmetric positive semidefinite.
+    Laplacian symmetric positive semidefinite.
     """
     A = G.adjacency if isinstance(G, Graph) else G
-    I = np.eye(A.shape[-1])
     d = A.sum(axis=-1)
-    if kind == "combinatorial":
-        return I * d[..., :, None] - A
-    if kind == "normalized":
-        with np.errstate(divide="ignore"):
-            dinv = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-        return I - dinv[..., :, None] * A * dinv[..., None, :]
-    raise ValueError(f"unknown laplacian kind: {kind!r}")
+    with np.errstate(divide="ignore"):
+        dinv = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+    return np.eye(A.shape[-1]) - dinv[..., :, None] * A * dinv[..., None, :]
 
 
 def order_stacks(graphs: list[Graph]):

@@ -97,9 +97,11 @@ def _validate(key: str, value) -> None:
     if key == "models":
         if not value:
             raise ValueError("at least one model kind required")
-        unknown = [m for m in value if m not in MODEL_KINDS]
-        if unknown:
-            raise ValueError(f"unknown model kind {unknown[0]!r}")
+        for i, m in enumerate(value):
+            if m not in MODEL_KINDS:
+                raise ValueError(f"unknown model kind {m!r}")
+            if m in value[:i]:
+                raise ValueError(f"model kind {m!r} is repeated")
     if key == "threshold" and not (math.isfinite(value) and value > 0):
         raise ValueError("threshold must be finite and > 0")
     if key == "output_format" and value not in ("text", "json", "csv"):
@@ -124,10 +126,12 @@ class ExperimentConfig:
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """Key-value text config: one `key = value` per line, # comments.
         `overrides` take precedence over the file's values. `dataset` is
-        not a key: it comes from `overrides`. An unknown key, or a value
-        that does not parse or is not valid, raises naming its file and line."""
+        not a key: it comes from `overrides`. An unknown or repeated key, or
+        a value that does not parse or is not valid, raises naming its file
+        and line."""
         known = {f.name for f in fields(cls)} - {"dataset"}
         values: dict = {}
+        linenos: dict[str, int] = {}  # key -> the line that set it
         with open(path) as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -137,6 +141,10 @@ class ExperimentConfig:
                 key, raw = key.strip(), raw.strip()
                 if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in linenos:
+                    raise ValueError(f"{path}:{lineno}: config key {key!r} repeats "
+                                     f"line {linenos[key]}")
+                linenos[key] = lineno
                 try:
                     values[key] = _CONFIG_PARSERS.get(key, str)(raw)
                     _validate(key, values[key])
@@ -314,11 +322,11 @@ def _settled(spec: ModelSpec, graphs: list[Graph], emb: np.ndarray,
     ids: dict = {}
     key = np.full(len(graphs), -1)
     key[keyed] = [ids.setdefault(k, len(ids))
-                  for k in signatures([graphs[i] for i in keyed], rounds=rounds(spec))]
+                  for k in signatures([graphs[i] for i in keyed], rounds=rounds)]
     settled[near] = key[pairs[near, 0]] == key[pairs[near, 1]]
     sizes = np.bincount(key[keyed])
     if (sizes * (sizes - 1) // 2).sum() != settled.sum():
-        raise ValueError(f"{spec.kind}: graphs of equal {rounds(spec)}-round 1-WL colors "
+        raise ValueError(f"{spec.kind}: graphs of equal {rounds}-round 1-WL colors "
                          "differ in run 0, so its declared WL bound does not hold")
     return settled
 

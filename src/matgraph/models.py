@@ -13,14 +13,16 @@ draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
 runs the update, so adding a model kind means adding one table entry.
 An entry may also declare its WL bound, `wl_rounds`: the number of 1-WL
 rounds whose colors, on degree inputs, fix its embedding up to rounding
-(1 for MLP, which sums a function of each degree; layers + 1 for GCN,
+(1 for MLP, which sums a function of each degree; layers + 1 = 4 for GCN,
 GAT, GraphSage, GIN and GNNML1, each of whose layers reads a node and the
-multiset of its neighbors; none for Chebnet and GNNML3). `harness` settles
+multiset of its neighbors; None for Chebnet and GNNML3). `harness` settles
 pairs by it after the first run and checks it on every dataset it runs.
 
 Every kind runs in the paper's one configuration: 3 layers, the largest
 width within a ~30K parameter budget, a sum readout into a 10-dimensional
-linear, GIN's eps 0.1 and Chebnet's K = 3 supports.
+linear, GIN's eps 0.1, Chebnet's K = 3 supports and GNNML3's designed
+supports (`spectral.SupportSpec()`). These are constants: a `ModelSpec`
+is its kind, and the table's callables take no spec.
 Weights are never trained; they are drawn once per seed (scaled uniform,
 half-width sqrt(6/(fan_in+fan_out))), `make_weights` returns them as a
 dict of arrays by name, and the resulting embeddings are compared across
@@ -75,7 +77,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from math import prod
 from typing import Callable, ClassVar, Sequence
@@ -100,39 +102,34 @@ Entry = tuple[str, tuple[int, ...], int, int]
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
-    layers: int = 3
-    width: int | None = None  # None: largest width fitting the budget
-    support_spec: SupportSpec = field(default_factory=SupportSpec)
-    # constants, not fields; perfbench's flop count reads both
+    # the paper's one configuration, as constants; perfbench's flop count reads all four
+    layers: ClassVar[int] = 3
+    support_spec: ClassVar[SupportSpec] = SupportSpec()  # GNNML3's designed supports
     cheb_k: ClassVar[int] = 3  # Chebnet's supports T_0 .. T_{cheb_k - 1}
     readout: ClassVar[str] = "sum-linear10"  # sum over nodes, then the final linear
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        if self.width is not None and self.width < 1:
-            raise ValueError("width must be > 0")
 
     def resolved_width(self) -> int:
-        """Hidden width: `width`, or the largest that fits PARAM_BUDGET."""
-        return self.width if self.width is not None else _budget_width(self)
+        """Hidden width: the largest that fits PARAM_BUDGET."""
+        return _budget_width(self.kind)
 
 
 @dataclass(frozen=True)
 class Model:
     """One model kind: its supports, its weights and its layer update."""
 
-    # (spec, A (B,n,n)) -> (B,S,n,n) static supports of the stack, the
-    # identity left out when `identity`, or GNNML3's stacked_supports
+    # A (B,n,n) -> (B,S,n,n) static supports of the stack, the identity
+    # left out when `identity`, or GNNML3's stacked_supports
     # (features, (b, r, c), centers)
     supports: Callable
-    layer: Callable  # (spec, l, d_in, width) -> schema of layer l, in draw order
+    layer: Callable  # (l, d_in, width) -> schema of layer l, in draw order
     update: Callable  # (weights, l, H (B,n,d), C (B,S,n,n)) -> H after layer l
     identity: bool = False  # the first support is I, which `supports` leaves out
     emits: int = 1  # width of a layer's output, in multiples of `width`
-    head: Callable = lambda spec: []  # schema of the weights drawn after the layers
+    head: tuple[Entry, ...] = ()  # schema of the weights drawn after the layers
     # Uniform-init half-width multiplier. The stochastic distinguishability
     # counts depend on embedding scale relative to the comparison threshold;
     # the gains in MODELS put each model's count in the reference band on
@@ -140,35 +137,35 @@ class Model:
     gain: float = 1.0
     # 1-WL rounds after which, on degree inputs, graphs of equal colors get
     # equal embeddings (None: no such bound); `harness` settles pairs by it
-    wl_rounds: Callable[[ModelSpec], int] | None = None
+    wl_rounds: int | None = None
 
 
-def _schema(spec: ModelSpec, width: int) -> list[Entry]:
+def _schema(kind: str, width: int) -> list[Entry]:
     """Every weight of the model, in RNG draw order (final linear last)."""
-    model = MODELS[spec.kind]
+    model = MODELS[kind]
     entries, d = [], 1  # input features are 1-dim
-    for l in range(spec.layers):
-        entries += model.layer(spec, l, d, width)
+    for l in range(ModelSpec.layers):
+        entries += model.layer(l, d, width)
         d = model.emits * width
-    return entries + model.head(spec) + [("final", (d, EMBED_DIM), d, EMBED_DIM)]
+    return entries + list(model.head) + [("final", (d, EMBED_DIM), d, EMBED_DIM)]
 
 
-def _count(spec: ModelSpec, width: int) -> int:
-    return sum(prod(shape) for _, shape, _, _ in _schema(spec, width))
+def _count(kind: str, width: int) -> int:
+    return sum(prod(shape) for _, shape, _, _ in _schema(kind, width))
 
 
-@cache  # a pure function of the spec's fields: one entry per distinct spec
-def _budget_width(spec: ModelSpec) -> int:
+@cache  # one entry per kind
+def _budget_width(kind: str) -> int:
     """Largest width whose parameter count fits PARAM_BUDGET."""
     w = 1
-    while _count(spec, w + 1) <= PARAM_BUDGET:
+    while _count(kind, w + 1) <= PARAM_BUDGET:
         w += 1
     return w
 
 
 def parameter_count(spec: ModelSpec) -> int:
     """Total trainable scalars for the given spec (final linear included)."""
-    return _count(spec, spec.resolved_width())
+    return _count(spec.kind, spec.resolved_width())
 
 
 def make_weights(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
@@ -176,7 +173,7 @@ def make_weights(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gain = MODELS[spec.kind].gain
     weights: dict[str, np.ndarray] = {}
-    for name, shape, fan_in, fan_out in _schema(spec, spec.resolved_width()):
+    for name, shape, fan_in, fan_out in _schema(spec.kind, spec.resolved_width()):
         a = gain * np.sqrt(6.0 / (fan_in + fan_out))
         weights[name] = rng.uniform(-a, a, size=shape)
     return weights
@@ -208,7 +205,7 @@ def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
     For GNNML3 these are the S designed supports the learned part reads.
     A declared identity support comes first, as np.eye(n)."""
     model = MODELS[spec.kind]
-    supports = model.supports(spec, G.adjacency[None])
+    supports = model.supports(G.adjacency[None])
     if not isinstance(supports, np.ndarray):  # GNNML3's (rows, (b, r, c), centers)
         supports = scatter_supports(*supports[:2], (1, G.n))
     return [np.eye(G.n)] * model.identity + list(supports[0])
@@ -225,32 +222,31 @@ def _stack(A: np.ndarray, *C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gcn_supports(spec: ModelSpec, A: np.ndarray) -> np.ndarray:
+def _gcn_supports(A: np.ndarray) -> np.ndarray:
     s = 1.0 / np.sqrt(A.sum(axis=-1) + 1.0)
     return _stack(A, s[:, :, None] * (A + np.eye(A.shape[-1])) * s[:, None, :])
 
 
-def _graphsage_supports(spec: ModelSpec, A: np.ndarray) -> np.ndarray:
+def _graphsage_supports(A: np.ndarray) -> np.ndarray:
     """D^-1 A; the identity term is declared in MODELS."""
     d = A.sum(axis=-1)
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     return _stack(A, inv[:, :, None] * A)
 
 
-def _chebnet_supports(spec: ModelSpec, A: np.ndarray) -> np.ndarray:
+def _chebnet_supports(A: np.ndarray) -> np.ndarray:
     """T_1 .. T_{k-1} of the scaled Laplacian; T_0 = I is declared in MODELS."""
     I, L = np.eye(A.shape[-1]), laplacian(A)
     lam_max = _eig_sym(L).lam[:, -1:, None]
     C = [I, 2.0 / lam_max * L - I]
-    while len(C) < spec.cheb_k:
+    while len(C) < ModelSpec.cheb_k:
         C.append(2.0 * C[1] @ C[-1] - C[-2])
     return _stack(A, *C[1:])
 
 
-def _conv_layer(num_supports: Callable[[ModelSpec], int]) -> Callable:
+def _conv_layer(num_supports: int) -> Callable:
     """Schema of relu(sum_s C_s H W_s + b): one d_in x width block per support."""
-    return lambda spec, l, d, w: [
-        (f"W{l}", (num_supports(spec), d, w), d, w), (f"b{l}", (w,), d, w)]
+    return lambda l, d, w: [(f"W{l}", (num_supports, d, w), d, w), (f"b{l}", (w,), d, w)]
 
 
 def _mm(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -275,7 +271,7 @@ def _conv_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _bias_relu(_conv(C, H, w[f"W{l}"]), w[f"b{l}"])
 
 
-def _gin_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+def _gin_layer(l: int, d: int, w: int) -> list[Entry]:
     """Biased 2-layer MLP after the aggregation."""
     return [(f"W{l}.0", (d, w), d, w), (f"b{l}.0", (w,), d, w),
             (f"W{l}.1", (w, w), w, w), (f"b{l}.1", (w,), w, w)]
@@ -286,7 +282,7 @@ def _gin_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _bias_relu(inner @ w[f"W{l}.1"], w[f"b{l}.1"])
 
 
-def _gat_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+def _gat_layer(l: int, d: int, w: int) -> list[Entry]:
     """Transform, attention vector over (source, target), bias."""
     return [(f"W{l}", (d, w), d, w), (f"a{l}", (2 * w,), 2 * w, 1),
             (f"b{l}", (w,), d, w)]
@@ -313,7 +309,7 @@ def _gat_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _bias_relu(_gat_attention(HW, w[f"a{l}"], C[:, 0]) @ HW, w[f"b{l}"])
 
 
-def _gnnml1_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+def _gnnml1_layer(l: int, d: int, w: int) -> list[Entry]:
     return [(f"W{l}.{t}", (d, w), d, w) for t in range(4)] + [(f"b{l}", (w,), d, w)]
 
 
@@ -327,21 +323,20 @@ def _gnnml1_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _bias_relu(out, w[f"b{l}"])
 
 
-def _gnnml3_layer(spec: ModelSpec, l: int, d: int, w: int) -> list[Entry]:
+def _gnnml3_layer(l: int, d: int, w: int) -> list[Entry]:
     """Learned-support convolution, then the two MLPs of the Hadamard part."""
-    S = spec.support_spec.S
+    S = ModelSpec.support_spec.S
     return [(f"W{l}", (S, d, w), d, w), (f"b{l}", (w,), d, w)] + [
         (f"mlp{t}.{l}.{p}", shape, d, w)
         for t in (5, 6) for p, shape in (("W", (d, w)), ("b", (w,)))]
 
 
-def _gnnml3_head(spec: ModelSpec) -> list[Entry]:
+def _gnnml3_head(S: int) -> tuple[Entry, ...]:
     """mlp1..3 map edge features to 2S, mlp4 maps their mix to S supports."""
-    S = spec.support_spec.S
-    return [
+    return tuple(
         (f"mlp{t}.{p}", shape, S, 2 * S)
         for t in (1, 2, 3) for p, shape in (("W", (S, 2 * S)), ("b", (2 * S,)))
-    ] + [("mlp4.W", (4 * S, S), 4 * S, S), ("mlp4.b", (S,), 4 * S, S)]
+    ) + (("mlp4.W", (4 * S, S), 4 * S, S), ("mlp4.b", (S,), 4 * S, S))
 
 
 def _gnnml3_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -356,32 +351,27 @@ def _gnnml3_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _relu(np.concatenate([conv, h5], axis=-1))
 
 
-def _message_passing_rounds(spec: ModelSpec) -> int:
-    """The degree input is round 1, and each layer, a function of a node
-    and the multiset of its neighbors, adds one (Morris et al., arXiv 1810.02244)."""
-    return spec.layers + 1
-
+# The degree input is round 1, and each layer, a function of a node and the
+# multiset of its neighbors, adds one (Morris et al., arXiv 1810.02244).
+_MP_ROUNDS = ModelSpec.layers + 1
 
 MODELS: dict[str, Model] = {
     # a sum over nodes of a function of the degree: round 1
-    "mlp": Model(lambda spec, A: _stack(A), _conv_layer(lambda spec: 1), _conv_update,
-                 identity=True, wl_rounds=lambda spec: 1),
-    "gcn": Model(_gcn_supports, _conv_layer(lambda spec: 1), _conv_update, gain=0.57,
-                 wl_rounds=_message_passing_rounds),
-    "graphsage": Model(_graphsage_supports, _conv_layer(lambda spec: 2), _conv_update,
-                       identity=True, gain=0.345, wl_rounds=_message_passing_rounds),
+    "mlp": Model(_stack, _conv_layer(1), _conv_update, identity=True, wl_rounds=1),
+    "gcn": Model(_gcn_supports, _conv_layer(1), _conv_update, gain=0.57, wl_rounds=_MP_ROUNDS),
+    "graphsage": Model(_graphsage_supports, _conv_layer(2), _conv_update, identity=True,
+                       gain=0.345, wl_rounds=_MP_ROUNDS),
     # A + (1 + eps) I with GIN's eps = 0.1
-    "gin": Model(lambda spec, A: _stack(A, A + 1.1 * np.eye(A.shape[-1])), _gin_layer,
-                 _gin_update, wl_rounds=_message_passing_rounds),
+    "gin": Model(lambda A: _stack(A, A + 1.1 * np.eye(A.shape[-1])), _gin_layer, _gin_update,
+                 wl_rounds=_MP_ROUNDS),
     # attention is computed over the self-connected neighborhood
-    "gat": Model(lambda spec, A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer,
-                 _gat_update, gain=0.64, wl_rounds=_message_passing_rounds),
-    "chebnet": Model(_chebnet_supports, _conv_layer(lambda spec: spec.cheb_k),
-                     _conv_update, identity=True),
-    "gnnml1": Model(lambda spec, A: _stack(A, A), _gnnml1_layer, _gnnml1_update,
-                    wl_rounds=_message_passing_rounds),
-    "gnnml3": Model(lambda spec, A: _stacked_supports(A, spec.support_spec), _gnnml3_layer,
-                    _gnnml3_update, emits=2, head=_gnnml3_head),
+    "gat": Model(lambda A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer, _gat_update,
+                 gain=0.64, wl_rounds=_MP_ROUNDS),
+    "chebnet": Model(_chebnet_supports, _conv_layer(ModelSpec.cheb_k), _conv_update,
+                     identity=True),
+    "gnnml1": Model(lambda A: _stack(A, A), _gnnml1_layer, _gnnml1_update, wl_rounds=_MP_ROUNDS),
+    "gnnml3": Model(lambda A: _stacked_supports(A, ModelSpec.support_spec), _gnnml3_layer,
+                    _gnnml3_update, emits=2, head=_gnnml3_head(ModelSpec.support_spec.S)),
 }
 MODEL_KINDS = tuple(MODELS)
 
@@ -403,7 +393,7 @@ class _Tile:
 
     def build(self, spec: ModelSpec, A: np.ndarray) -> None:
         """The supports of the tile's adjacencies A."""
-        self.supports = MODELS[spec.kind].supports(spec, A)
+        self.supports = MODELS[spec.kind].supports(A)
 
     def _layer_supports(self, weights: dict) -> np.ndarray:
         """The supports the layers read: the static (T, S, n, n) ones, or

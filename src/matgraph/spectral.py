@@ -107,7 +107,7 @@ class SupportSpec:
 def basis_matrix(A: np.ndarray, kind: str) -> np.ndarray:
     """The spectral basis of each adjacency in a (..., n, n) stack."""
     if kind == "normalized-laplacian":
-        return laplacian(A, kind="normalized")
+        return laplacian(A)
     if kind == "adjacency":
         return A
     raise ValueError(f"unknown basis kind {kind!r}")

@@ -13,6 +13,12 @@ repeats it). `signatures` lets a graph leave the stack as soon as its
 sorted colors are unique there (or at round `rounds`): its key is then
 final, and the graphs left are refined without it. Nothing is kept
 between calls, so keys of `signatures` compare only within one call.
+
+The pair tests keep their own loop, `_refine`, as merging it with
+`signatures` was slower both ways (2-core Xeon): a two-graph `signatures`
+call cost ~2.1x per 1-WL and 12-18 % or more per 2-FWL verdict on
+relabelled sr25 pairs, and `signatures` on `_refine`, which cannot drop
+settled graphs, took the graph8c 1-WL census from 0.146 to 0.420 s.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from matgraph import models
+from matgraph.graphcore import order_stacks
 from matgraph.harness import _candidate_pairs
 from matgraph.models import (
     MODEL_KINDS,
@@ -28,14 +29,19 @@ def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-ADJACENCY = ModelSpec("gnnml3", support_spec=SupportSpec(basis_kind="adjacency"))
+ADJACENCY = SupportSpec(basis_kind="adjacency")
 
 
-@pytest.mark.parametrize("spec", [ModelSpec(k) for k in MODEL_KINDS] + [ADJACENCY],
-                         ids=[*MODEL_KINDS, "gnnml3-adjacency"])
-def test_stacked_supports_equal_one_graph_builder(spec, mixed):
+def dense_supports(A: np.ndarray, spec: SupportSpec) -> np.ndarray:
+    """Dense (B, S, n, n) designed supports of the stack A."""
+    rows, index, _ = stacked_supports(A, spec)
+    return scatter_supports(rows, index, (len(A), A.shape[-1]))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_stacked_supports_equal_one_graph_builder(kind, mixed):
     # every tile keeps its graphs' static_supports, less a declared identity
-    kind, skip = spec.kind, MODELS[spec.kind].identity
+    spec, skip = ModelSpec(kind), MODELS[kind].identity
     batch = DatasetBatch(spec, mixed)
     assert sorted({tile.n for tile in batch.groups}) == [1, 3, 8, 25]
     assert len(batch.groups) > 4  # order 8 spans several tiles
@@ -51,6 +57,16 @@ def test_stacked_supports_equal_one_graph_builder(spec, mixed):
                        for got, i in zip(index, np.nonzero(A + np.eye(n))))
             supports = scatter_supports(rows, index, (len(idx), n))
         assert same_bytes(supports, want)
+
+
+def test_adjacency_basis_stack_equals_one_graph(mixed):
+    # the adjacency basis, which no model reads, keeps the gnnml3 case's
+    # property: a tile-sized stack's supports are its graphs' own
+    for idx, A in order_stacks(mixed):
+        step = max(1, models.TILE_NODES // A.shape[-1])
+        for lo in range(0, len(idx), step):
+            want = [dense_supports(mixed[i].adjacency[None], ADJACENCY) for i in idx[lo:lo + step]]
+            assert same_bytes(dense_supports(A[lo:lo + step], ADJACENCY), np.concatenate(want))
 
 
 def test_identity_supports_declared(mixed):
@@ -125,8 +141,8 @@ def test_traced_flops_read_the_tiles(kind, mixed):
 def test_adjacency_basis_supports(mixed):
     # masked U diag(exp(-b (lam - f)^2)) U^T over the adjacency spectrum
     G = mixed[5]
-    _, _, centers = stacked_supports(G.adjacency[None], ADJACENCY.support_spec)
-    dense = static_supports(ADJACENCY, G)
+    _, _, centers = stacked_supports(G.adjacency[None], ADJACENCY)
+    dense = dense_supports(G.adjacency[None], ADJACENCY)[0]
     lam, U = np.linalg.eigh(G.adjacency)
     M = G.adjacency + np.eye(G.n)
     assert len(dense) == len(centers[0]) + 1

@@ -232,6 +232,23 @@ class TestSupportsAndEmbed:
         diagonal = [float(r == c) for r, c in payload["mask_index"]]
         assert features[:, -1].tolist() == diagonal
 
+    def test_supports_adjacency_basis(self, capsys, small_dataset):
+        # masked U diag(exp(-b (lam - f)^2)) U^T over the adjacency spectrum
+        code, out = run_cli(capsys, "supports", "--graph", small_dataset, "--basis", "adj")
+        assert code == 0
+        payload = json.loads(out)
+        A = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).adjacency
+        assert payload["mask_index"] == np.argwhere(A + np.eye(4)).tolist()
+        rows, cols = np.array(payload["mask_index"]).T
+        features = np.array(payload["features"])
+        lam, U = np.linalg.eigh(A)
+        centers = payload["band_centers"]
+        assert len(centers) == 5 - 1 and centers[0] == pytest.approx(lam[0])
+        for s, f in enumerate(centers):
+            want = (U * np.exp(-5.0 * (lam - f) ** 2)) @ U.T
+            np.testing.assert_allclose(features[:, s], want[rows, cols], atol=1e-12)
+        assert features[:, -1].tolist() == (rows == cols).astype(float).tolist()
+
     @pytest.mark.parametrize("b", ["nan", "inf"])
     def test_supports_bandwidth_must_be_finite(self, capsys, small_dataset, b):
         code = main(["supports", "--graph", small_dataset, "--b", b])
@@ -333,6 +350,31 @@ class TestDistinguish:
         assert code == 2
         assert err.count("\n") == 1
         assert "bogus" in err
+
+    def test_repeated_config_key(self, capsys, tmp_path, small_dataset):
+        # a later line would otherwise override an earlier one silently
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs = 1\n# two runs\nruns = 2\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:3: config key 'runs' repeats line 1\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_model_kind(self, capsys, tmp_path, small_dataset, source):
+        # a repeated kind would be embedded twice and reported once
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("models = gin, gcn, gin\n")
+        if source == "flag":
+            argv, where = ["distinguish", small_dataset, "--models", "gin,gin"], ""
+        else:
+            argv, where = ["--config", str(cfg), "distinguish", small_dataset], f"{cfg}:1: "
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {where}model kind 'gin' is repeated\n"
 
     def test_config_dataset_key_is_unknown(self, capsys, tmp_path, small_dataset):
         # the positional DATASET is the only way to name the dataset

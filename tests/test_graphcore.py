@@ -267,8 +267,3 @@ class TestLaplacian:
         lam = eig_sym(laplacian(G)).lam
         assert lam.min() >= -1e-10
         assert lam.max() <= 2.0 + 1e-10
-
-    def test_combinatorial(self):
-        G = Graph.from_edges(2, [(0, 1)])
-        L = laplacian(G, kind="combinatorial")
-        assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))

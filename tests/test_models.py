@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from matgraph.models import (
     MODELS,
     PARAM_BUDGET,
     ModelSpec,
+    _count,
     embed,
     make_weights,
     parameter_count,
@@ -19,6 +22,7 @@ from matgraph.models import (
     splitmix64,
     static_supports,
 )
+from matgraph.spectral import SupportSpec
 
 from .conftest import graphs, permute_graph
 
@@ -37,8 +41,17 @@ class TestSpec:
         count = parameter_count(spec)
         assert count <= PARAM_BUDGET
         # width resolution is maximal: one more unit would overflow
-        wider = ModelSpec(kind=kind, width=spec.resolved_width() + 1)
-        assert parameter_count(wider) > PARAM_BUDGET
+        assert _count(kind, spec.resolved_width() + 1) > PARAM_BUDGET
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_paper_configuration(self, kind):
+        # the kind is the only field; perfbench's embed_flops reads the
+        # other four from a spec
+        spec = ModelSpec(kind)
+        assert [f.name for f in fields(spec)] == ["kind"]
+        assert spec.layers == 3 and spec.cheb_k == 3
+        assert spec.support_spec == SupportSpec()
+        assert spec.readout == "sum-linear10"
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_weight_count_matches_declared(self, kind):
@@ -110,11 +123,10 @@ class TestWL1Bound:
 
     def test_declared_bounds(self):
         # 1-WL rounds: the degree input is round 1, and each of the 3 layers adds one
-        rounds = {k: MODELS[k].wl_rounds(ModelSpec(k)) for k in MODEL_KINDS
+        rounds = {k: MODELS[k].wl_rounds for k in MODEL_KINDS
                   if MODELS[k].wl_rounds is not None}
         assert rounds == {"mlp": 1, "gcn": 4, "graphsage": 4, "gin": 4, "gat": 4, "gnnml1": 4}
         assert set(rounds) == set(WL1_BOUNDED)
-        assert MODELS["gcn"].wl_rounds(ModelSpec("gcn", layers=2)) == 3
 
     @pytest.mark.parametrize("kind", WL1_BOUNDED)
     def test_decalin_pair_never_separated(self, kind):
