@@ -30,21 +30,24 @@ through a call costs at most runs_per_call - 1 extra runs, on threads that
 would otherwise be idle.
 
 Pairs that a model's WL bound keeps settle after run 0. A kind of
-`models.MODELS` with a bound `wl_rounds` = k gives, on degree inputs,
-equal embeddings to graphs that k rounds of 1-WL leave together (Morris
-et al., arXiv 1810.02244), so their computed distance is rounding in
-every run. When more runs follow, run 0's near candidates, within
-NEAR_EPS = 64 eps times the sum of their rows' L1 norms, have their
-graphs keyed by one `signatures(rounds=k)` call, and the near pairs of
-equal keys go straight into the result. The cut only picks the graphs to
-key; key equality decides. Every pair of equal keys among the keyed
-graphs must be near, or run 0 raises naming the kind, so the bound is
-checked on each dataset rather than assumed. Nothing settles when a
-graph has node features (the bound assumes degree inputs) or when a near
-cut could exceed the threshold. Later runs re-check only the unsettled
-pairs, each with its own graphs' embeddings, so the batch shrinks to
-their graphs; when every pair settles, as on sr25, no later run is
-embedded.
+`models.MODELS` declares as its `bound` a key rung of CENSUS whose equal
+keys give, on degree inputs, equal embeddings, so their computed distance
+is rounding in every run: `1-WL@k` (k rounds of 1-WL) for a message-passing
+model of k - 1 layers (Morris et al., arXiv 1810.02244), and `2-FWL` for
+Chebnet and GNNML3. 2-FWL-equivalent graphs are cospectral and agree on
+every L3 sentence (Geerts, ICDT 2019; Maron et al., arXiv 1905.11136), and
+these two go past 1-WL only through such spectral terms. When more runs
+follow, run 0's near candidates, within NEAR_EPS = 64 eps times the sum of
+their rows' L1 norms, have their graphs keyed by one call of the rung's
+value function, and the near pairs of equal keys go straight into the
+result. The cut only picks the graphs to key; key equality decides.
+Every pair of equal keys among the keyed graphs must be near, or run 0
+raises naming the kind, so the bound is checked on each dataset rather
+than assumed. Nothing settles when a graph has node features (the bound
+assumes degree inputs) or when a near cut could exceed the threshold.
+Later runs re-check only the unsettled pairs, each with its own graphs'
+embeddings, so the batch shrinks to their graphs; when every pair
+settles, as on sr25 for every kind, no later run is embedded.
 """
 
 from __future__ import annotations
@@ -137,7 +140,9 @@ class ExperimentConfig:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                key, _, raw = line.partition("=")
+                key, eq, raw = line.partition("=")
+                if not eq:
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = key.strip(), raw.strip()
                 if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -198,6 +203,7 @@ CENSUS = {
     "1-WL@4": (None, lambda gs: signatures(gs, rounds=4), operator.eq),
     "1-WL@5": (None, lambda gs: signatures(gs, rounds=5), operator.eq),
     "1-WL": (None, lambda gs: signatures(gs), operator.eq),
+    # its keys alone are complete; the bound of Chebnet and GNNML3
     "2-FWL": ("1-WL", lambda gs: signatures(gs, "FWL2"), operator.eq),
     # within 1e-6 is not transitive: it splits pairs but cannot be a key
     "equal-lambda-max": ("1-WL", _lambda_max, lambda a, b: abs(a - b) <= 1e-6),
@@ -297,23 +303,27 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
 
 
 # A run-0 pair is near when its L1 distance is at most NEAR_EPS times the
-# sum of its rows' L1 norms: rounding, not a difference the model computed
-# (graph8c and sr25 pairs of equal 1-WL colors measure at most ~2.5 eps).
+# sum of its rows' L1 norms: rounding, not a difference the model computed.
+# graph8c and sr25 pairs of equal 1-WL colors measure at most ~2.5 eps; over
+# the first runs of 40 base seeds, 2-FWL-equal pairs (sr25, rook/Shrikhande,
+# random graphs of order 6-25, and relabelled copies of all) measure at most
+# 9.6 eps for Chebnet and 2.9 eps for GNNML3.
 NEAR_EPS = 64 * np.finfo(float).eps
 
 
 def _settled(spec: ModelSpec, graphs: list[Graph], emb: np.ndarray,
              pairs: np.ndarray, threshold: float) -> np.ndarray:
     """Mask of run 0's candidate `pairs` that the kind's WL bound keeps in
-    every run: near pairs whose graphs have equal k-round 1-WL keys, k the
-    kind's `wl_rounds`. All False without a bound, with node features (the
-    bound assumes degree inputs) or when the cut of the largest rows would
-    exceed `threshold` (a pair of equal keys might then not be a candidate).
-    Raises when two keyed graphs of equal keys are not a near pair."""
-    rounds = MODELS[spec.kind].wl_rounds
+    every run: near pairs whose graphs have equal keys of the kind's
+    `bound`, a key rung of CENSUS. All False without a bound, with node
+    features (the bound assumes degree inputs) or when the cut of the
+    largest rows would exceed `threshold` (a pair of equal keys might then
+    not be a candidate). Raises when two keyed graphs of equal keys are not
+    a near pair."""
+    bound = MODELS[spec.kind].bound
     norm = np.abs(emb).sum(axis=1)
     settled = np.zeros(len(pairs), dtype=bool)
-    if (rounds is None or any(G.node_features is not None for G in graphs)
+    if (bound is None or any(G.node_features is not None for G in graphs)
             or 2 * NEAR_EPS * norm.max() > threshold):
         return settled
     cut = NEAR_EPS * norm[pairs].sum(axis=1)
@@ -322,12 +332,12 @@ def _settled(spec: ModelSpec, graphs: list[Graph], emb: np.ndarray,
     ids: dict = {}
     key = np.full(len(graphs), -1)
     key[keyed] = [ids.setdefault(k, len(ids))
-                  for k in signatures([graphs[i] for i in keyed], rounds=rounds)]
+                  for k in CENSUS[bound][1]([graphs[i] for i in keyed])]
     settled[near] = key[pairs[near, 0]] == key[pairs[near, 1]]
     sizes = np.bincount(key[keyed])
     if (sizes * (sizes - 1) // 2).sum() != settled.sum():
-        raise ValueError(f"{spec.kind}: graphs of equal {rounds}-round 1-WL colors "
-                         "differ in run 0, so its declared WL bound does not hold")
+        raise ValueError(f"{spec.kind}: graphs of equal {bound} keys differ in run 0, "
+                         "so its declared WL bound does not hold")
     return settled
 
 
@@ -342,14 +352,15 @@ def undistinguished_pairs(
     Run 0 scans the whole dataset for candidates. When more runs follow,
     the pairs that the kind's WL bound keeps in every run settle at once
     (`_settled`): the near ones, within a rounding cut of NEAR_EPS times
-    their rows' L1 norms, are keyed by one `signatures(rounds=k)` call,
-    and those of equal keys go straight into the result. Every pair of
-    equal keys among the keyed graphs must be near, or the bound is wrong
-    and this raises naming the kind. Afterwards only graphs appearing in
-    unsettled pairs are re-embedded, shrinking the batch whenever the
-    active set halves, and the next `batch.runs_per_call` runs are
-    embedded in one call, then applied in seed order. The survivors stay
-    one (P, 2) array until the sorted list is returned.
+    their rows' L1 norms, are keyed by the value function of the kind's
+    `bound` rung of CENSUS (`1-WL@k` or `2-FWL`), and those of equal keys
+    go straight into the result. Every pair of equal keys among the keyed
+    graphs must be near, or the bound is wrong and this raises naming the
+    kind. Afterwards only graphs appearing in unsettled pairs are
+    re-embedded, shrinking the batch whenever the active set halves, and
+    the next `batch.runs_per_call` runs are embedded in one call, then
+    applied in seed order. The survivors stay one (P, 2) array until the
+    sorted list is returned.
     """
     if not seeds:
         raise ValueError("at least one seed required")

@@ -11,12 +11,16 @@ Each kind is declared once, as a `Model` entry of `MODELS`: its support
 builder, its per-layer weight schema and its layer update. `make_weights`
 draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
 runs the update, so adding a model kind means adding one table entry.
-An entry may also declare its WL bound, `wl_rounds`: the number of 1-WL
-rounds whose colors, on degree inputs, fix its embedding up to rounding
-(1 for MLP, which sums a function of each degree; layers + 1 = 4 for GCN,
-GAT, GraphSage, GIN and GNNML1, each of whose layers reads a node and the
-multiset of its neighbors; None for Chebnet and GNNML3). `harness` settles
-pairs by it after the first run and checks it on every dataset it runs.
+An entry may also declare its WL bound, `bound`: the name of the
+`harness.CENSUS` key rung whose equal keys, on degree inputs, fix its
+embedding up to rounding. It is "1-WL@1" for MLP, which sums a function of
+each degree; "1-WL@4" (layers + 1 rounds) for GCN, GAT, GraphSage, GIN and
+GNNML1, each of whose layers reads a node and the multiset of its
+neighbors; and "2-FWL" for Chebnet and GNNML3, which go past 1-WL only
+through spectral terms that 2-FWL-equivalent graphs share (they are
+cospectral, and the L3 sentences that 2-FWL bounds agree on them; Geerts,
+ICDT 2019). `harness` settles pairs by it after the first run and checks
+it on every dataset it runs.
 
 Every kind runs in the paper's one configuration: 3 layers, the largest
 width within a ~30K parameter budget, a sum readout into a 10-dimensional
@@ -135,9 +139,10 @@ class Model:
     # the gains in MODELS put each model's count in the reference band on
     # the 8-node census.
     gain: float = 1.0
-    # 1-WL rounds after which, on degree inputs, graphs of equal colors get
-    # equal embeddings (None: no such bound); `harness` settles pairs by it
-    wl_rounds: int | None = None
+    # the harness.CENSUS key rung (a string: harness imports this module)
+    # whose equal keys give, on degree inputs, equal embeddings (None: no
+    # such bound); `harness` settles pairs by it
+    bound: str | None = None
 
 
 def _schema(kind: str, width: int) -> list[Entry]:
@@ -353,25 +358,27 @@ def _gnnml3_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 # The degree input is round 1, and each layer, a function of a node and the
 # multiset of its neighbors, adds one (Morris et al., arXiv 1810.02244).
-_MP_ROUNDS = ModelSpec.layers + 1
+_MP_BOUND = f"1-WL@{ModelSpec.layers + 1}"
 
 MODELS: dict[str, Model] = {
     # a sum over nodes of a function of the degree: round 1
-    "mlp": Model(_stack, _conv_layer(1), _conv_update, identity=True, wl_rounds=1),
-    "gcn": Model(_gcn_supports, _conv_layer(1), _conv_update, gain=0.57, wl_rounds=_MP_ROUNDS),
+    "mlp": Model(_stack, _conv_layer(1), _conv_update, identity=True, bound="1-WL@1"),
+    "gcn": Model(_gcn_supports, _conv_layer(1), _conv_update, gain=0.57, bound=_MP_BOUND),
     "graphsage": Model(_graphsage_supports, _conv_layer(2), _conv_update, identity=True,
-                       gain=0.345, wl_rounds=_MP_ROUNDS),
+                       gain=0.345, bound=_MP_BOUND),
     # A + (1 + eps) I with GIN's eps = 0.1
     "gin": Model(lambda A: _stack(A, A + 1.1 * np.eye(A.shape[-1])), _gin_layer, _gin_update,
-                 wl_rounds=_MP_ROUNDS),
+                 bound=_MP_BOUND),
     # attention is computed over the self-connected neighborhood
     "gat": Model(lambda A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer, _gat_update,
-                 gain=0.64, wl_rounds=_MP_ROUNDS),
+                 gain=0.64, bound=_MP_BOUND),
+    # Laplacian polynomials scaled by lambda-max: 2-FWL-equivalent graphs are cospectral
     "chebnet": Model(_chebnet_supports, _conv_layer(ModelSpec.cheb_k), _conv_update,
-                     identity=True),
-    "gnnml1": Model(lambda A: _stack(A, A), _gnnml1_layer, _gnnml1_update, wl_rounds=_MP_ROUNDS),
+                     identity=True, bound="2-FWL"),
+    "gnnml1": Model(lambda A: _stack(A, A), _gnnml1_layer, _gnnml1_update, bound=_MP_BOUND),
     "gnnml3": Model(lambda A: _stacked_supports(A, ModelSpec.support_spec), _gnnml3_layer,
-                    _gnnml3_update, emits=2, head=_gnnml3_head(ModelSpec.support_spec.S)),
+                    _gnnml3_update, emits=2, head=_gnnml3_head(ModelSpec.support_spec.S),
+                    bound="2-FWL"),
 }
 MODEL_KINDS = tuple(MODELS)
 

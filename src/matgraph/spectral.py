@@ -98,8 +98,8 @@ class SupportSpec:
     def __post_init__(self):
         if self.basis_kind not in ("normalized-laplacian", "adjacency"):
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
-        if self.S < 1:
-            raise ValueError("S must be >= 1")
+        if self.S < 2:  # band_centers needs two slots for a non-degenerate spectrum
+            raise ValueError("S must be >= 2")
         if not (math.isfinite(self.b) and self.b > 0):
             raise ValueError("b must be finite and > 0")
 

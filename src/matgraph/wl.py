@@ -68,15 +68,20 @@ def _next_colors(A: np.ndarray, C: np.ndarray, classes: int, test: str) -> np.nd
     """One refinement round of colors `C` numbered 0..classes-1: each
     cell's rank, among the distinct rows of the stack, of its color
     followed by the sorted multiset of colors `test` looks at."""
+    if test == "FWL2":
+        # one (B, n, n, n + 1) buffer of rows: C[v,u], then (C[v,k], C[k,u])
+        # as one integer, sorted along k in place; classes**2 fits in int64
+        # whenever this buffer fits in memory
+        B, n, _ = C.shape
+        flat = np.empty((B, n, n, n + 1), dtype=np.int64)
+        flat[..., 0] = C
+        codes = flat[..., 1:]
+        np.multiply(C[:, :, None, :], classes, out=codes)
+        codes += C.transpose(0, 2, 1)[:, None, :, :]
+        codes.sort(axis=3)
+        return _rank_rows(flat.reshape(-1, n + 1)).reshape(C.shape)
     if test == "WL1":
         multiset = np.sort(np.where(A, C[:, None, :], -1), axis=2)
-    elif test == "FWL2":
-        # (C[v,k], C[k,u]) as one integer, sorted along k; classes**2
-        # fits in int64 whenever this (B, n, n, n) array fits in memory
-        multiset = np.sort(
-            C[:, :, None, :] * classes + C.transpose(0, 2, 1)[:, None, :, :],
-            axis=3,
-        )
     else:
         # the sorted row depends only on v and the sorted column only on u:
         # their ranks among the stack's rows order cells as the vectors do

@@ -257,6 +257,15 @@ class TestSupportsAndEmbed:
         assert captured.out == ""
         assert captured.err == "error: b must be finite and > 0\n"
 
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_supports_count_must_be_at_least_two(self, capsys, small_dataset, count):
+        # the path's spectrum has distinct eigenvalues, which one support cannot band
+        code = main(["supports", "--graph", small_dataset, "--count", count])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: S must be >= 2\n"
+
     def test_embed(self, capsys, small_dataset):
         code, out = run_cli(
             capsys,
@@ -455,6 +464,18 @@ class TestDistinguish:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {cfg}:3: {message}\n"
+
+    @pytest.mark.parametrize("line", ["runs", "models"])
+    def test_config_line_without_equals_names_file_and_line(
+        self, capsys, tmp_path, small_dataset, line
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"base_seed = 2\n{line}\n")
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:2: expected 'key = value'\n"
 
     @pytest.mark.parametrize("flag, message", [
         (["--runs", "0"], "runs must be >= 1"),

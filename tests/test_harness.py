@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -35,7 +36,22 @@ from .conftest import make_graph, permute_graph
 
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-BOUNDED = [k for k in MODEL_KINDS if models.MODELS[k].wl_rounds is not None]
+BOUNDED = [k for k in MODEL_KINDS if models.MODELS[k].bound is not None]
+
+
+def ordered_kind(monkeypatch, base: str) -> ModelSpec:
+    """A test-only kind "ordered": `base` with the node index in place of
+    the degree input, so that it reads node order but keeps `base`'s bound."""
+    def ordered_update(w, l, H, C):
+        if l == 0:
+            H = np.broadcast_to(np.arange(H.shape[1], dtype=float)[:, None], H.shape)
+        return models._conv_update(w, l, H, C)
+
+    monkeypatch.setitem(models.MODELS, "ordered",
+                        dataclasses.replace(models.MODELS[base], update=ordered_update))
+    monkeypatch.setattr(models, "MODEL_KINDS", (*MODEL_KINDS, "ordered"))
+    monkeypatch.setattr(harness, "MODEL_KINDS", models.MODEL_KINDS)
+    return ModelSpec("ordered")
 
 
 class TestGoldenSuite:
@@ -55,17 +71,21 @@ class TestBucketedEngine:
 
     @staticmethod
     def datasets():
-        """120 graphs of orders 4 to 7; and 120 of order 10, 12 of them with
-        a relabelled copy, of which after run 0 at most 39 of the 132
-        graphs are in a pair for every kind tested, so the batch shrinks."""
+        """120 graphs of orders 4 to 7; 120 of order 10, 12 of them with a
+        relabelled copy; and the same 132 with their degrees as node
+        features, on which nothing settles and after run 0 at most half of
+        the graphs are in a pair for every kind tested, so the batch
+        shrinks."""
         rng = np.random.default_rng(5)
         small = [make_graph(rng, int(rng.integers(4, 8))) for _ in range(120)]
         rng = np.random.default_rng(6)
         copies = [make_graph(rng, 10) for _ in range(120)]
         copies += [permute_graph(G, rng.permutation(10)) for G in copies[:12]]
-        return small, copies
+        featured = [Graph(G.adjacency, node_features=G.adjacency.sum(axis=1)[:, None])
+                    for G in copies]
+        return small, copies, featured
 
-    @pytest.mark.parametrize("kind", ["mlp", "gcn", "graphsage", "gin", "chebnet"])
+    @pytest.mark.parametrize("kind", ["mlp", "gcn", "graphsage", "gin", "chebnet", "gnnml3"])
     def test_matches_naive_oracle(self, kind, monkeypatch):
         subsets, subset = [], DatasetBatch.subset
         embedded, embed_all = [], DatasetBatch.embed_all
@@ -82,8 +102,8 @@ class TestBucketedEngine:
         monkeypatch.setattr(DatasetBatch, "embed_all", recorded_embed_all)
         spec = ModelSpec(kind=kind)
         seeds = run_seeds(3, 10)
-        small, copies = self.datasets()
-        for graphs in (small, copies):
+        small, copies, featured = self.datasets()
+        for graphs in (small, copies, featured):
             slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
             # with one worker every later run is one embed_all call; with 2
             # or 3, ceil(workers / tiles) runs share a call, before and
@@ -96,15 +116,17 @@ class TestBucketedEngine:
                 assert fast == slow  # the same sorted list
                 assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
                            for p in fast)
-        assert len(fast) >= 12  # the relabelled copies are never separated
-        if kind in BOUNDED:
-            # the relabelled copies settle after run 0, so no later run
-            # embeds one of them, and what is left needs no subset
-            copied = {id(G) for G in copies[:12] + copies[120:]}
-            assert not copied & {id(G) for graphs in embedded[1:] for G in graphs}
-            assert subsets == []
-        else:
-            assert subsets and subsets[0] <= len(copies) // 2
+            if graphs is not small:
+                assert len(fast) >= 12  # the relabelled copies are never separated
+            if graphs is copies:
+                # the relabelled copies settle after run 0, so no later run
+                # embeds one of them, and what is left needs no subset
+                copied = {id(G) for G in copies[:12] + copies[120:]}
+                assert not copied & {id(G) for later in embedded[1:] for G in later}
+                assert subsets == []
+            if graphs is featured:
+                # nothing settles, so later runs embed only the graphs in pairs
+                assert subsets and subsets[0] <= len(featured) // 2
 
     @pytest.mark.parametrize("kind", BOUNDED)
     def test_sr25_settles_after_run_0(self, kind, sr25, monkeypatch):
@@ -151,21 +173,13 @@ class TestBucketedEngine:
         each of a graph and of a relabelling, all four of equal keys, only
         the copies are near, so run 0's check raises naming the kind, and
         `distinguishability_run` reports it as error:<kind>."""
-        def ordered_update(w, l, H, C):
-            if l == 0:  # the node index in place of the degree
-                H = np.broadcast_to(np.arange(H.shape[1], dtype=float)[:, None], H.shape)
-            return models._conv_update(w, l, H, C)
-
-        monkeypatch.setitem(models.MODELS, "ordered",
-                            dataclasses.replace(models.MODELS["gcn"], update=ordered_update))
-        monkeypatch.setattr(models, "MODEL_KINDS", (*MODEL_KINDS, "ordered"))
-        monkeypatch.setattr(harness, "MODEL_KINDS", models.MODEL_KINDS)
+        spec = ordered_kind(monkeypatch, "gcn")
         rng = np.random.default_rng(7)
         G = make_graph(rng, 8)
         P = permute_graph(G, rng.permutation(8))
         graphs = [G, G, P, P]
         with pytest.raises(ValueError, match=r"^ordered: .*WL bound does not hold$"):
-            undistinguished_pairs(ModelSpec("ordered"), graphs, run_seeds(3, 2), 1e-3)
+            undistinguished_pairs(spec, graphs, run_seeds(3, 2), 1e-3)
         path = tmp_path / "copies.g6"
         path.write_text("".join(encode_graph6(H) + "\n" for H in graphs))
         report = distinguishability_run(
@@ -173,6 +187,18 @@ class TestBucketedEngine:
         assert report.extras["error:ordered"].startswith("ordered: ")
         assert "ordered" not in report.counts
         assert report.counts["gcn"] == 6  # four isomorphic graphs
+
+    def test_wrong_2fwl_bound_raises(self, monkeypatch):
+        """The same check holds a 2-FWL bound: Chebnet's supports with the
+        node index as input keep Chebnet's 2-FWL bound, and of the four
+        graphs of equal 2-FWL keys only the copies are near."""
+        spec = ordered_kind(monkeypatch, "chebnet")
+        rng = np.random.default_rng(7)
+        G = make_graph(rng, 8)
+        P = permute_graph(G, rng.permutation(8))
+        with pytest.raises(ValueError, match=r"^ordered: graphs of equal 2-FWL keys differ "
+                                             r"in run 0, so its declared WL bound does not hold$"):
+            undistinguished_pairs(spec, [G, G, P, P], run_seeds(3, 2), 1e-3)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pairs_empty_part_way_through_a_call(self, workers, monkeypatch):
@@ -295,6 +321,14 @@ class TestCensus:
         calls.clear()
         degree_multiset_pairs(graphs)
         assert calls == [("signatures", 18, (), {"rounds": 1})]
+
+    def test_model_bounds_are_key_rungs(self):
+        """A kind's bound names a rung whose keys are compared for equality;
+        a tolerance rung such as equal-lambda-max is not transitive, so it
+        is no key and cannot settle a pair."""
+        for kind in BOUNDED:
+            assert harness.CENSUS[models.MODELS[kind].bound][2] is operator.eq, kind
+        assert harness.CENSUS["equal-lambda-max"][2] is not operator.eq
 
     def test_bounded_round_rungs_on_graph8c(self, graph8c):
         rungs = ("1-WL@2", "1-WL@3", "1-WL@4", "1-WL@5", "1-WL")

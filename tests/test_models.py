@@ -122,11 +122,13 @@ class TestWL1Bound:
     """Models bounded by 1-WL never separate 1-WL-equivalent graphs."""
 
     def test_declared_bounds(self):
-        # 1-WL rounds: the degree input is round 1, and each of the 3 layers adds one
-        rounds = {k: MODELS[k].wl_rounds for k in MODEL_KINDS
-                  if MODELS[k].wl_rounds is not None}
-        assert rounds == {"mlp": 1, "gcn": 4, "graphsage": 4, "gin": 4, "gat": 4, "gnnml1": 4}
-        assert set(rounds) == set(WL1_BOUNDED)
+        # 1-WL rounds: the degree input is round 1, and each of the 3 layers
+        # adds one; Chebnet and GNNML3 go past 1-WL only by spectral terms
+        bounds = {k: MODELS[k].bound for k in MODEL_KINDS if MODELS[k].bound is not None}
+        assert bounds == {"mlp": "1-WL@1", "gcn": "1-WL@4", "graphsage": "1-WL@4",
+                          "gin": "1-WL@4", "gat": "1-WL@4", "gnnml1": "1-WL@4",
+                          "chebnet": "2-FWL", "gnnml3": "2-FWL"}
+        assert {k for k, b in bounds.items() if b.startswith("1-WL")} == set(WL1_BOUNDED)
 
     @pytest.mark.parametrize("kind", WL1_BOUNDED)
     def test_decalin_pair_never_separated(self, kind):
