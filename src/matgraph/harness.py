@@ -20,14 +20,17 @@ undistinguished iff its Manhattan distance stays at or below the
 threshold in every run. The survivors stay one (P, 2) integer array
 until the final sorted list of tuples is made. A graph's embedding does
 not depend on the batch that holds it, so shrinking the batch between
-runs changes no distance. Later runs may be embedded several at once
+runs changes no distance. `DatasetBatch.subset` gathers the kept graphs
+from the built tiles, so before each call of later runs the batch
+shrinks to the graphs of the pairs still unsettled, and the call embeds
+only those. Later runs may be embedded several at once
 (`DatasetBatch.runs_per_call`, so that a batch of few tiles keeps every
 core busy) and are then applied in seed order. The pair set is the same
 as one run per call: a pair must stay within the threshold in every run,
 so which runs share a call does not matter, and a run embedded on a batch
-not yet shrunk gives the same rows. A pair set that empties part-way
-through a call costs at most runs_per_call - 1 extra runs, on threads that
-would otherwise be idle.
+shrunk only before its call gives the same rows. A pair set that empties
+part-way through a call costs at most runs_per_call - 1 extra runs, on
+threads that would otherwise be idle.
 
 Pairs that a model's WL bound keeps settle after run 0. A kind of
 `models.MODELS` declares as its `bound` a key rung of CENSUS whose equal
@@ -47,7 +50,9 @@ than assumed. Nothing settles when a graph has node features (the bound
 assumes degree inputs) or when a near cut could exceed the threshold.
 Later runs re-check only the unsettled pairs, each with its own graphs'
 embeddings, so the batch shrinks to their graphs; when every pair
-settles, as on sr25 for every kind, no later run is embedded.
+settles, as on sr25 for every kind, no later run is embedded. The scan's
+distances are kept for the near cut, so no run-0 distance is computed
+twice.
 """
 
 from __future__ import annotations
@@ -250,9 +255,9 @@ def lambda_census(graphs: list[Graph]) -> PairReport:
     return PairReport.of_graphs("lambda-census", graphs, pairs)
 
 
-def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
+def _candidate_pairs(emb: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """All unordered pairs with Manhattan distance <= threshold, as a
-    (P, 2) array of (i, j) with i < j.
+    (P, 2) array of (i, j) with i < j, and their computed distances (P,).
 
     Sort-window scan over keys that an L1 ball of radius t maps into an
     interval of width t: every single coordinate (a float sum of
@@ -264,8 +269,9 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
     window of the next key need exact distances.
     """
     N, D = emb.shape
+    none = np.empty((0, 2), dtype=np.int64), np.empty(0)
     if N < 2:
-        return np.empty((0, 2), dtype=np.int64)
+        return none
     X = emb - emb.mean(axis=0)
     v = np.linalg.eigh(X.T @ X)[1][:, -1]
     keys = np.column_stack([emb, emb @ np.where(v < 0, -1.0, 1.0)])
@@ -282,7 +288,7 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
     order = np.argsort(keys[:, a], kind="stable")
     sorted_emb = emb[order]
     x, y = keys[order, a], keys[order, b]
-    lows, highs = [], []
+    lows, highs, dists = [], [], []
     i = np.arange(N)
     for k in range(1, N):
         # rows whose k-th predecessor in sort order is still within the
@@ -293,13 +299,14 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> np.ndarray:
             break
         cand = i[np.abs(y[i] - y[i - k]) <= width[b]]
         d = np.abs(sorted_emb[cand - k] - sorted_emb[cand]).sum(axis=1)
-        hit = cand[d <= threshold]
-        lows.append(hit - k)
-        highs.append(hit)
+        hit = d <= threshold
+        lows.append(cand[hit] - k)
+        highs.append(cand[hit])
+        dists.append(d[hit])
     if not lows:
-        return np.empty((0, 2), dtype=np.int64)
+        return none
     pos = np.stack([np.concatenate(lows), np.concatenate(highs)], axis=1)
-    return np.sort(order[pos], axis=1)
+    return np.sort(order[pos], axis=1), np.concatenate(dists)
 
 
 # A run-0 pair is near when its L1 distance is at most NEAR_EPS times the
@@ -312,23 +319,24 @@ NEAR_EPS = 64 * np.finfo(float).eps
 
 
 def _settled(spec: ModelSpec, graphs: list[Graph], emb: np.ndarray,
-             pairs: np.ndarray, threshold: float) -> np.ndarray:
-    """Mask of run 0's candidate `pairs` that the kind's WL bound keeps in
-    every run: near pairs whose graphs have equal keys of the kind's
-    `bound`, a key rung of CENSUS. All False without a bound, with node
-    features (the bound assumes degree inputs) or when the cut of the
-    largest rows would exceed `threshold` (a pair of equal keys might then
-    not be a candidate). Raises when two keyed graphs of equal keys are not
-    a near pair."""
+             pairs: np.ndarray, dist: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of run 0's candidate `pairs`, at the distances `dist` that the
+    scan computed, that the kind's WL bound keeps in every run: near pairs
+    whose graphs have equal keys of the kind's `bound`, a key rung of
+    CENSUS. All False without a bound, with node features (the bound
+    assumes degree inputs) or when the cut of the largest rows would exceed
+    `threshold` (a pair of equal keys might then not be a candidate).
+    Raises when two keyed graphs of equal keys are not a near pair."""
     bound = MODELS[spec.kind].bound
     norm = np.abs(emb).sum(axis=1)
     settled = np.zeros(len(pairs), dtype=bool)
     if (bound is None or any(G.node_features is not None for G in graphs)
             or 2 * NEAR_EPS * norm.max() > threshold):
         return settled
-    cut = NEAR_EPS * norm[pairs].sum(axis=1)
-    near = np.abs(emb[pairs[:, 0]] - emb[pairs[:, 1]]).sum(axis=1) <= cut
-    keyed = np.unique(pairs[near])
+    near = dist <= NEAR_EPS * norm[pairs].sum(axis=1)
+    in_near = np.zeros(len(graphs), dtype=bool)
+    in_near[pairs[near].ravel()] = True
+    keyed = np.flatnonzero(in_near)
     ids: dict = {}
     key = np.full(len(graphs), -1)
     key[keyed] = [ids.setdefault(k, len(ids))
@@ -356,31 +364,31 @@ def undistinguished_pairs(
     `bound` rung of CENSUS (`1-WL@k` or `2-FWL`), and those of equal keys
     go straight into the result. Every pair of equal keys among the keyed
     graphs must be near, or the bound is wrong and this raises naming the
-    kind. Afterwards only graphs appearing in unsettled pairs are
-    re-embedded, shrinking the batch whenever the active set halves, and
-    the next `batch.runs_per_call` runs are embedded in one call, then
-    applied in seed order. The survivors stay one (P, 2) array until the
-    sorted list is returned.
+    kind. Afterwards, before each call, the batch shrinks to the graphs
+    of the unsettled pairs whenever some of its graphs are in none (a
+    gather from its tiles, `DatasetBatch.subset`), so every later run
+    embeds exactly those graphs; the next `batch.runs_per_call` runs are
+    embedded in one call, then applied in seed order. The survivors stay
+    one (P, 2) array until the sorted list is returned.
     """
     if not seeds:
         raise ValueError("at least one seed required")
     N = len(graphs)
     batch = DatasetBatch(spec, graphs)
     emb = batch.embed_all(seeds[0])
-    pairs = _candidate_pairs(emb, threshold)
+    pairs, dist = _candidate_pairs(emb, threshold)
     settled = pairs[:0]
     if len(pairs) and len(seeds) > 1:
-        keep = _settled(spec, graphs, emb, pairs, threshold)
+        keep = _settled(spec, graphs, emb, pairs, dist, threshold)
         settled, pairs = pairs[keep], pairs[~keep]
-    local = np.arange(N)  # dataset index -> position in batch
+    local = np.arange(N)  # dataset index -> position in batch, for the batch's graphs
     done = 1  # runs applied
     while len(pairs) and done < len(seeds):
         in_pairs = np.zeros(N, dtype=bool)
         in_pairs[pairs.ravel()] = True
         active = np.flatnonzero(in_pairs)  # dataset indices, a subset of batch
-        if len(active) <= batch.size // 2:
-            batch = batch.subset(local[active].tolist())
-            local = np.full(N, -1)
+        if len(active) < batch.size:
+            batch = batch.subset(local[active])
             local[active] = np.arange(len(active))
         chunk = seeds[done:done + batch.runs_per_call]
         done += len(chunk)
@@ -561,7 +569,7 @@ def report_render(report: PairReport, format: str = "text") -> str:
             },
             indent=2,
             sort_keys=True,
-        )
+        ) + "\n"
     if format == "csv":
         lines = ["method,undistinguished_pairs"]
         lines += [f"{k},{v}" for k, v in report.counts.items()]

@@ -40,7 +40,11 @@ tiles of TILE_NODES nodes; `DatasetBatch.groups` is the flat list of
 tiles, each holding its graphs' dataset positions, inputs and supports.
 The kind's support builder runs on each tile's stack once, when the
 batch is built, and the tile keeps its supports: elementwise formulas,
-one stacked eigendecomposition (Chebnet, GNNML3).
+one stacked eigendecomposition (Chebnet, GNNML3). `DatasetBatch.subset`
+builds nothing: it gathers each kept graph's inputs and supports (for
+GNNML3 its mask rows, renumbered) from the built tiles into the tiles a
+new batch of those graphs would have, so a subset before every later run
+costs a copy, not a build.
 The one-graph helper `static_supports` is the B = 1 case of the same
 builders, made dense for GNNML3 by `spectral.scatter_supports`, the
 scatter that also places its learned supports. A support that is the
@@ -386,17 +390,24 @@ MODEL_KINDS = tuple(MODELS)
 # --- batched forward pass ----------------------------------------------------
 
 
+def _tile_slices(count: int, n: int) -> list[slice]:
+    """Consecutive slices of `count` graphs of order n, each a tile's worth:
+    at most TILE_NODES nodes, or one graph."""
+    step = max(1, TILE_NODES // n)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 class _Tile:
     """Up to TILE_NODES nodes of graphs of one order: their dataset
     positions, their inputs and their supports."""
 
-    def __init__(self, indices: np.ndarray, H0: np.ndarray):
+    def __init__(self, indices: np.ndarray, H0: np.ndarray, supports=None):
         self.indices = indices  # dataset position of each graph
         self.n = H0.shape[1]
         self.H0 = H0  # (T, n, 1) degrees, or the graphs' node features
         # the static (T, S, n, n) supports, or GNNML3's edge-feature rows
         # (m, S), their dense positions (b, r, c) in the tile and centers
-        self.supports = None
+        self.supports = supports
 
     def build(self, spec: ModelSpec, A: np.ndarray) -> None:
         """The supports of the tile's adjacencies A."""
@@ -425,6 +436,31 @@ class _Tile:
         # one (1, d) @ (d, 10) product per graph: a graph's row does not
         # depend on how many graphs share the product
         out[self.indices] = (H.sum(axis=-2)[:, None, :] @ weights["final"])[:, 0]
+
+
+def _gathered(indices: np.ndarray, parts: list[tuple[_Tile, np.ndarray]]) -> _Tile:
+    """The tile at dataset positions `indices` of the graphs at `rows` of
+    each (tile, rows) of `parts`, in that order: their inputs and supports
+    copied, GNNML3's edge rows with their graphs renumbered."""
+    H0 = np.concatenate([tile.H0[rows] for tile, rows in parts])
+    if isinstance(parts[0][0].supports, np.ndarray):
+        return _Tile(indices, H0, np.concatenate([tile.supports[rows] for tile, rows in parts]))
+    edge_rows, b, r, c, centers = [], [], [], [], []
+    first = 0  # the part's first graph in the gathered tile
+    for tile, rows in parts:
+        tile_rows, (tile_b, tile_r, tile_c), tile_centers = tile.supports
+        # a graph's edge rows are consecutive: b is ascending
+        lo, hi = np.searchsorted(tile_b, rows), np.searchsorted(tile_b, rows, side="right")
+        count = hi - lo
+        e = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        edge_rows.append(tile_rows[e])
+        b.append(np.repeat(np.arange(first, first + len(rows)), count))
+        r.append(tile_r[e])
+        c.append(tile_c[e])
+        centers.append(tile_centers[rows])
+        first += len(rows)
+    cat = np.concatenate
+    return _Tile(indices, H0, (cat(edge_rows), (cat(b), cat(r), cat(c)), cat(centers)))
 
 
 @cache
@@ -474,8 +510,8 @@ class DatasetBatch:
     repeated seed runs.
 
     Building the stacks and supports costs one pass, its tiles on the tile
-    threads; every embed_all call reuses it, which is what makes 100-run
-    dataset sweeps affordable.
+    threads; every embed_all call reuses it, and a `subset` gathers from
+    it, which is what makes 100-run dataset sweeps affordable.
     """
 
     def __init__(self, spec: ModelSpec, graphs: list[Graph]):
@@ -488,16 +524,35 @@ class DatasetBatch:
             if any(graphs[i].node_features is not None for i in idx):
                 H0 = np.stack([h if graphs[i].node_features is None
                                else graphs[i].node_features for i, h in zip(idx, H0)])
-            step = max(1, TILE_NODES // A.shape[-1])
-            for lo in range(0, len(idx), step):
-                tile = _Tile(idx[lo:lo + step], H0[lo:lo + step])
+            for part in _tile_slices(len(idx), A.shape[-1]):
+                tile = _Tile(idx[part], H0[part])
                 self.groups.append(tile)
-                builds.append(partial(tile.build, spec, A[lo:lo + step]))
+                builds.append(partial(tile.build, spec, A[part]))
         _run_tiles(builds)
 
-    def subset(self, indices: list[int]) -> "DatasetBatch":
-        """A batch of the graphs at `indices`, in that order."""
-        return DatasetBatch(self.spec, [self.graphs[i] for i in indices])
+    def subset(self, indices: Sequence[int]) -> "DatasetBatch":
+        """A batch of the graphs at `indices`, in that order, with the tiles
+        that a new batch of them would have. Each graph's inputs and
+        supports are gathered from this batch's tiles: no stack, support or
+        eigendecomposition is built again."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        tile_of, row_of = np.empty((2, self.size), dtype=np.int64)  # each graph's tile, row
+        for t, tile in enumerate(self.groups):
+            tile_of[tile.indices], row_of[tile.indices] = t, np.arange(len(tile.indices))
+        tile_of, row_of = tile_of[indices], row_of[indices]
+        order = np.array([tile.n for tile in self.groups], dtype=np.int64)[tile_of]
+        batch = DatasetBatch.__new__(DatasetBatch)
+        batch.spec, batch.graphs = self.spec, [self.graphs[i] for i in indices.tolist()]
+        batch.size, batch.groups = len(indices), []
+        for n in dict.fromkeys(order.tolist()):  # first-appearance order, as order_stacks
+            idx = np.flatnonzero(order == n)
+            for part in _tile_slices(len(idx), n):
+                k = idx[part]
+                # runs of consecutive graphs from one tile of this batch
+                runs = np.split(k, np.flatnonzero(np.diff(tile_of[k])) + 1)
+                batch.groups.append(_gathered(k, [(self.groups[tile_of[r[0]]], row_of[r])
+                                                  for r in runs]))
+        return batch
 
     @property
     def runs_per_call(self) -> int:

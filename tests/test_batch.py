@@ -1,5 +1,6 @@
 """The order-bucket engine: per-tile supports, tiles, subsets, candidate scan."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from matgraph import models
-from matgraph.graphcore import order_stacks
+from matgraph.graphcore import Graph, order_stacks
 from matgraph.harness import _candidate_pairs
 from matgraph.models import (
     MODEL_KINDS,
@@ -174,6 +175,67 @@ def test_subset_equals_fresh_batch(kind, mixed):
     assert same_bytes(got, want)
 
 
+def tile_arrays(tile) -> list[np.ndarray]:
+    """A tile's positions, inputs and supports, as one list of arrays."""
+    s = tile.supports  # GNNML3's is (rows, (b, r, c), centers)
+    return [tile.indices, tile.H0, *([s] if isinstance(s, np.ndarray) else [s[0], *s[1], s[2]])]
+
+
+@pytest.mark.parametrize("features", [False, True], ids=["mixed", "node-features"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
+    # a subset, and a subset of that subset, take each graph's inputs and
+    # supports from the built tiles: no support builder, eigendecomposition
+    # or order_stacks runs, every tile holds at most TILE_NODES nodes of
+    # one order, and tiles and rows are byte-equal to a fresh batch's
+    graphs = mixed
+    if features:
+        rng = np.random.default_rng(3)
+        graphs = [Graph(G.adjacency, node_features=rng.normal(size=(G.n, 1))) for G in mixed]
+    spec = ModelSpec(kind)
+    batch = DatasetBatch(spec, graphs)
+    calls = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    monkeypatch.setitem(models.MODELS, kind,
+                        dataclasses.replace(MODELS[kind], supports=refuse("supports")))
+    for name in ("order_stacks", "_eig_sym", "_stacked_supports"):
+        monkeypatch.setattr(models, name, refuse(name))
+    # every order, out of order, and more order-8 graphs than one tile holds
+    idx = [302, 0, 151, 7, 154, 155, 152, 3, 1, 153, 250]
+    idx += np.random.default_rng(4).permutation(np.arange(8, 300))[:200].tolist()
+    first = batch.subset(idx)
+    again = [len(idx) - 1, 4, 5, 0] + [k for k in range(11, len(idx)) if k % 5]
+    second = first.subset(again)
+    monkeypatch.undo()
+    assert calls == []
+    for sub, gs in ((first, [graphs[i] for i in idx]),
+                    (second, [graphs[idx[k]] for k in again])):
+        assert sub.graphs == gs and sub.size == len(gs)
+        assert sum(tile.n == 8 for tile in sub.groups) > 1
+        for tile in sub.groups:
+            assert {gs[i].n for i in tile.indices} == {tile.n}
+            assert len(tile.indices) == 1 or len(tile.indices) * tile.n <= models.TILE_NODES
+        fresh = DatasetBatch(spec, gs)
+        assert [tile.n for tile in sub.groups] == [tile.n for tile in fresh.groups]
+        for got, want in zip(sub.groups, fresh.groups):
+            assert all(map(same_bytes, tile_arrays(got), tile_arrays(want)))
+        assert same_bytes(sub.embed_all([11, 12]), fresh.embed_all([11, 12]))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_empty_selection_and_empty_batch(kind, mixed):
+    spec = ModelSpec(kind)
+    for batch in (DatasetBatch(spec, mixed), DatasetBatch(spec, [])):
+        empty = batch.subset([])
+        assert empty.size == 0 and empty.graphs == [] and empty.groups == []
+        assert empty.embed_all(3).shape == (0, models.EMBED_DIM)
+        assert empty.embed_all([3, 4]).shape == (2, 0, models.EMBED_DIM)
+        assert empty.subset([]).size == 0
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
     # the tiles' support builds and forward passes run threaded, with
@@ -236,9 +298,11 @@ def test_row_depends_only_on_graph_and_seed(kind, mixed):
 def scan_matches_brute_force(emb, t):
     d = np.abs(emb[:, None, :] - emb[None, :, :]).sum(axis=2)
     want = {(int(i), int(j)) for i, j in zip(*np.nonzero(d <= t)) if i < j}
-    got = _candidate_pairs(emb, t)
+    got, dist = _candidate_pairs(emb, t)
     assert got.shape == (len(want), 2) and got.dtype == np.int64
     assert {(int(i), int(j)) for i, j in got} == want
+    # each pair's distance as the scan computed it is the one of its rows
+    assert same_bytes(dist, np.abs(emb[got[:, 0]] - emb[got[:, 1]]).sum(axis=1))
     return len(want)
 
 
@@ -296,4 +360,7 @@ def test_candidate_pairs_match_brute_force():
 
 
 def test_candidate_pairs_empty():
-    assert _candidate_pairs(np.arange(10.0)[:, None], 1e-3).shape == (0, 2)
+    for emb in (np.arange(10.0)[:, None], np.ones((1, 10)), np.empty((0, 10))):
+        pairs, dist = _candidate_pairs(emb, 1e-3)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+        assert dist.shape == (0,) and dist.dtype == np.float64

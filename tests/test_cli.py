@@ -57,18 +57,18 @@ def appendix_dataset(tmp_path):
 
 # output of the census commands on `appendix_dataset`, as the two
 # hand-written census functions printed it before they became rungs of
-# `harness.CENSUS`
+# `harness.CENSUS`; a json report ends in a newline, as the others do
 CENSUS_OUTPUT = {
     ("census", "text"): "wl-census: 12 graphs, 66 pairs\n  1-WL   18\n  2-FWL  10\n",
     ("census", "json"): '{\n  "counts": {\n    "1-WL": 18,\n    "2-FWL": 10\n  },\n'
                         '  "extras": {},\n  "graph_count": 12,\n  "kind": "wl-census",\n'
-                        '  "pair_count": 66\n}',
+                        '  "pair_count": 66\n}\n',
     ("census", "csv"): "method,undistinguished_pairs\n1-WL,18\n2-FWL,10\n",
     ("lambda-census", "text"): "lambda-census: 12 graphs, 66 pairs\n  1-WL              18\n"
                                "  equal-lambda-max  14\n",
     ("lambda-census", "json"): '{\n  "counts": {\n    "1-WL": 18,\n    "equal-lambda-max": 14\n'
                                '  },\n  "extras": {},\n  "graph_count": 12,\n'
-                               '  "kind": "lambda-census",\n  "pair_count": 66\n}',
+                               '  "kind": "lambda-census",\n  "pair_count": 66\n}\n',
     ("lambda-census", "csv"): "method,undistinguished_pairs\n1-WL,18\nequal-lambda-max,14\n",
 }
 
@@ -79,6 +79,15 @@ class TestCensus:
         code, out = run_cli(capsys, "--format", format, command, appendix_dataset)
         assert code == 0
         assert out == CENSUS_OUTPUT[command, format]
+
+    @pytest.mark.parametrize("format", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", ["census", "lambda-census", "distinguish", "golden"])
+    def test_report_ends_in_one_newline(self, capsys, small_dataset, command, format):
+        args = {"distinguish": [small_dataset, "--runs", "2"], "golden": []}
+        code, out = run_cli(capsys, "--format", format, command,
+                            *args.get(command, [small_dataset]))
+        assert code == 0
+        assert out.endswith("\n") and not out.endswith("\n\n")
 
     @pytest.mark.parametrize("command", ["census", "lambda-census", "distinguish"])
     @pytest.mark.parametrize("dataset_format, text", [("graph6", "\n \n"),

@@ -72,61 +72,81 @@ class TestBucketedEngine:
     @staticmethod
     def datasets():
         """120 graphs of orders 4 to 7; 120 of order 10, 12 of them with a
-        relabelled copy; and the same 132 with their degrees as node
-        features, on which nothing settles and after run 0 at most half of
-        the graphs are in a pair for every kind tested, so the batch
-        shrinks."""
+        relabelled copy; and the same two with their degrees as node
+        features, on which nothing settles and after run 0 some but not
+        all of the graphs are in a pair for every kind tested, so the batch
+        shrinks: to more than half of the 120 and to under half of the 132."""
         rng = np.random.default_rng(5)
         small = [make_graph(rng, int(rng.integers(4, 8))) for _ in range(120)]
         rng = np.random.default_rng(6)
         copies = [make_graph(rng, 10) for _ in range(120)]
         copies += [permute_graph(G, rng.permutation(10)) for G in copies[:12]]
-        featured = [Graph(G.adjacency, node_features=G.adjacency.sum(axis=1)[:, None])
-                    for G in copies]
-        return small, copies, featured
+
+        def with_degrees(graphs):
+            return [Graph(G.adjacency, node_features=G.adjacency.sum(axis=1)[:, None])
+                    for G in graphs]
+
+        return small, copies, with_degrees(small), with_degrees(copies)
 
     @pytest.mark.parametrize("kind", ["mlp", "gcn", "graphsage", "gin", "chebnet", "gnnml3"])
     def test_matches_naive_oracle(self, kind, monkeypatch):
-        subsets, subset = [], DatasetBatch.subset
         embedded, embed_all = [], DatasetBatch.embed_all
-
-        def counted_subset(batch, indices):
-            subsets.append(len(indices))
-            return subset(batch, indices)
+        settled, find_settled = [], harness._settled
 
         def recorded_embed_all(batch, seeds):
-            embedded.append(batch.graphs)
+            embedded.append((batch.graphs, seeds))
             return embed_all(batch, seeds)
 
-        monkeypatch.setattr(DatasetBatch, "subset", counted_subset)
+        def recorded_settled(spec, graphs, emb, pairs, *args):
+            keep = find_settled(spec, graphs, emb, pairs, *args)
+            settled.extend(map(tuple, pairs[keep].tolist()))
+            return keep
+
         monkeypatch.setattr(DatasetBatch, "embed_all", recorded_embed_all)
+        monkeypatch.setattr(harness, "_settled", recorded_settled)
         spec = ModelSpec(kind=kind)
         seeds = run_seeds(3, 10)
-        small, copies, featured = self.datasets()
-        for graphs in (small, copies, featured):
+        small, copies, *featured = self.datasets()
+        for graphs in (small, copies, *featured):
             slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
+            # within[k][i, j]: graphs i and j stay within the threshold in runs 0..k
+            runs = embed_all(DatasetBatch(spec, graphs), seeds)
+            within = np.logical_and.accumulate(
+                [np.abs(e[:, None] - e[None]).sum(axis=-1) <= 1e-3 for e in runs])
             # with one worker every later run is one embed_all call; with 2
-            # or 3, ceil(workers / tiles) runs share a call, before and
-            # after the subset
+            # or 3, ceil(workers / tiles) runs share a call
             for workers in (1, 2, 3):
                 monkeypatch.setattr(models, "WORKERS", workers)
-                subsets.clear()
                 embedded.clear()
+                settled.clear()
                 fast = undistinguished_pairs(spec, graphs, seeds, 1e-3)
                 assert fast == slow  # the same sorted list
                 assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
                            for p in fast)
+                assert embedded[0][0] is graphs and embedded[0][1] == seeds[0]
+                # each later call embeds exactly the graphs, in dataset
+                # order, of the pairs still unsettled before its runs
+                for batch_graphs, chunk in embedded[1:]:
+                    done = seeds.index(chunk[0])
+                    assert chunk == seeds[done:done + len(chunk)]
+                    unsettled = np.triu(within[done - 1], 1)
+                    unsettled[tuple(np.array(settled, dtype=int).reshape(-1, 2).T)] = False
+                    active = np.flatnonzero(unsettled.any(axis=0) | unsettled.any(axis=1))
+                    assert batch_graphs == [graphs[i] for i in active]
             if graphs is not small:
                 assert len(fast) >= 12  # the relabelled copies are never separated
             if graphs is copies:
                 # the relabelled copies settle after run 0, so no later run
-                # embeds one of them, and what is left needs no subset
+                # embeds one of them
                 copied = {id(G) for G in copies[:12] + copies[120:]}
-                assert not copied & {id(G) for later in embedded[1:] for G in later}
-                assert subsets == []
-            if graphs is featured:
+                assert not copied & {id(G) for later, _ in embedded[1:] for G in later}
+            if any(graphs is f for f in featured):
                 # nothing settles, so later runs embed only the graphs in pairs
-                assert subsets and subsets[0] <= len(featured) // 2
+                assert settled == []
+                assert 0 < len(embedded[1][0]) < len(graphs)
+            if graphs is featured[0]:
+                # over half of the graphs are in pairs, and they alone are embedded
+                assert len(embedded[1][0]) > len(graphs) // 2
 
     @pytest.mark.parametrize("kind", BOUNDED)
     def test_sr25_settles_after_run_0(self, kind, sr25, monkeypatch):
