@@ -193,11 +193,11 @@ def cmd_count(args) -> int:
 def cmd_embed(args) -> int:
     G = _load_graph(args.graph, args.dataset_format)
     spec = ModelSpec(args.model)
-    runs = DatasetBatch(spec, [G]).embed_all(run_seeds(args.seed, args.seeds))
+    batch = DatasetBatch(spec, [G])
     result = {
         "model": args.model,
         "width": spec.resolved_width(),
-        "embeddings": runs[:, 0].tolist(),
+        "embeddings": [batch.embed_all(s)[0].tolist() for s in run_seeds(args.seed, args.seeds)],
     }
     args.stream.write(json.dumps(result, indent=2) + "\n")
     return 0

@@ -21,16 +21,9 @@ threshold in every run. The survivors stay one (P, 2) integer array
 until the final sorted list of tuples is made. A graph's embedding does
 not depend on the batch that holds it, so shrinking the batch between
 runs changes no distance. `DatasetBatch.subset` gathers the kept graphs
-from the built tiles, so before each call of later runs the batch
-shrinks to the graphs of the pairs still unsettled, and the call embeds
-only those. Later runs may be embedded several at once
-(`DatasetBatch.runs_per_call`, so that a batch of few tiles keeps every
-core busy) and are then applied in seed order. The pair set is the same
-as one run per call: a pair must stay within the threshold in every run,
-so which runs share a call does not matter, and a run embedded on a batch
-shrunk only before its call gives the same rows. A pair set that empties
-part-way through a call costs at most runs_per_call - 1 extra runs, on
-threads that would otherwise be idle.
+from the built tiles, so before each later run the batch shrinks to the
+graphs of the pairs still unsettled, and the run embeds only those. Once
+no pair is left, no further run is embedded.
 
 Pairs that a model's WL bound keeps settle after run 0. A kind of
 `models.MODELS` declares as its `bound` a key rung of CENSUS whose equal
@@ -102,6 +95,8 @@ def _validate(key: str, value) -> None:
         raise ValueError(f"unknown dataset format: {value!r}")
     if key == "runs" and value < 1:
         raise ValueError("runs must be >= 1")
+    if key == "base_seed" and value < 0:
+        raise ValueError("base_seed must be >= 0")
     if key == "models":
         if not value:
             raise ValueError("at least one model kind required")
@@ -364,12 +359,11 @@ def undistinguished_pairs(
     `bound` rung of CENSUS (`1-WL@k` or `2-FWL`), and those of equal keys
     go straight into the result. Every pair of equal keys among the keyed
     graphs must be near, or the bound is wrong and this raises naming the
-    kind. Afterwards, before each call, the batch shrinks to the graphs
-    of the unsettled pairs whenever some of its graphs are in none (a
-    gather from its tiles, `DatasetBatch.subset`), so every later run
-    embeds exactly those graphs; the next `batch.runs_per_call` runs are
-    embedded in one call, then applied in seed order. The survivors stay
-    one (P, 2) array until the sorted list is returned.
+    kind. Afterwards, before each run, the batch shrinks to the graphs of
+    the unsettled pairs whenever some of its graphs are in none (a gather
+    from its tiles, `DatasetBatch.subset`), so every later run embeds
+    exactly those graphs, one seed per `embed_all` call. The survivors
+    stay one (P, 2) array until the sorted list is returned.
     """
     if not seeds:
         raise ValueError("at least one seed required")
@@ -382,43 +376,21 @@ def undistinguished_pairs(
         keep = _settled(spec, graphs, emb, pairs, dist, threshold)
         settled, pairs = pairs[keep], pairs[~keep]
     local = np.arange(N)  # dataset index -> position in batch, for the batch's graphs
-    done = 1  # runs applied
-    while len(pairs) and done < len(seeds):
+    for seed in seeds[1:]:
+        if not len(pairs):
+            break
         in_pairs = np.zeros(N, dtype=bool)
         in_pairs[pairs.ravel()] = True
         active = np.flatnonzero(in_pairs)  # dataset indices, a subset of batch
         if len(active) < batch.size:
             batch = batch.subset(local[active])
             local[active] = np.arange(len(active))
-        chunk = seeds[done:done + batch.runs_per_call]
-        done += len(chunk)
-        for emb in batch.embed_all(chunk):
-            d = np.abs(emb[local[pairs[:, 0]]] - emb[local[pairs[:, 1]]]).sum(axis=1)
-            pairs = pairs[d <= threshold]
+        emb = batch.embed_all(seed)
+        d = np.abs(emb[local[pairs[:, 0]]] - emb[local[pairs[:, 1]]]).sum(axis=1)
+        pairs = pairs[d <= threshold]
     pairs = np.concatenate([settled, pairs])
     i, j = np.divmod(np.sort(pairs[:, 0] * N + pairs[:, 1]), N)
     return list(zip(i.tolist(), j.tolist()))
-
-
-def naive_undistinguished_pairs(
-    spec: ModelSpec, graphs: list[Graph], seeds: list[int], threshold: float
-) -> list[tuple[int, int]]:
-    """All-pairs oracle for the bucketed engine (small datasets only)."""
-    if not seeds:
-        raise ValueError("at least one seed required")
-    if len(graphs) > 500:
-        raise ValueError("naive oracle limited to 500 graphs")
-    batch = DatasetBatch(spec, graphs)
-    n = len(graphs)
-    alive = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    for seed in seeds:
-        emb = batch.embed_all(seed)
-        alive = {
-            (i, j)
-            for i, j in alive
-            if float(np.abs(emb[i] - emb[j]).sum()) <= threshold
-        }
-    return sorted(alive)
 
 
 def degree_multiset_pairs(graphs: list[Graph]) -> list[tuple[int, int]]:

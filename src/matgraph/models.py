@@ -67,18 +67,14 @@ logits and the aggregation att @ (H W) both read it.
 
 The tiles are independent: each builds its own supports and writes its
 own rows of the output. Both the support builds and an `embed_all` call
-run as a list of tasks on one thread per available CPU (the calling
-thread plus a shared pool of `WORKERS - 1` threads), so that numpy's
-matmuls, ufuncs and eigendecompositions, which release the GIL, use every
-core. There is no setting for this; a list of one task runs inline. An
-`embed_all` call takes one seed or a sequence of seeds, and its tasks are
-seeds x tiles: each embeds one tile under one seed into that seed's rows.
-It takes `runs_per_call` = ceil(WORKERS / tiles) seeds at a time, so that
-a batch with fewer tiles than threads still gives every thread a task and
-only that many weight sets are held; the weights are drawn on the calling
-thread. Every task does the same operations in the same order on
-whichever thread takes it, so the embeddings are bit-identical to a
-one-thread, one-seed pass.
+run as a list of tasks, one per tile, on one thread per available CPU
+(the calling thread plus a shared pool of `WORKERS - 1` threads), so that
+numpy's matmuls, ufuncs and eigendecompositions, which release the GIL,
+use every core. There is no setting for this; a list of one task runs
+inline. An `embed_all` call embeds one seed, whose weights are drawn
+once on the calling thread. Every task does the same operations in the
+same order on whichever thread takes it, so the embeddings are
+bit-identical to a one-thread pass.
 """
 
 from __future__ import annotations
@@ -178,7 +174,10 @@ def parameter_count(spec: ModelSpec) -> int:
 
 
 def make_weights(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
-    """Every weight array of the model by name, in schema draw order."""
+    """Every weight array of the model by name, in schema draw order.
+    `seed` is one integer: numpy would also take a list as entropy."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gain = MODELS[spec.kind].gain
     weights: dict[str, np.ndarray] = {}
@@ -554,29 +553,15 @@ class DatasetBatch:
                                                   for r in runs]))
         return batch
 
-    @property
-    def runs_per_call(self) -> int:
-        """Seeds that one embed_all task list needs to give every tile
-        thread a task: ceil(WORKERS / tiles), WORKERS for an empty batch."""
-        return -(-WORKERS // max(1, len(self.groups)))
-
-    def embed_all(self, seeds: int | Sequence[int]) -> np.ndarray:
-        """Embeddings of every graph: shape (N, 10) under one seed (an int
-        or a numpy integer), (K, N, 10) under a sequence of K seeds, run k
-        under seeds[k]. The seeds are taken runs_per_call at a time, each
-        such chunk's seeds x tiles tasks run together on the tile threads,
-        and only one chunk's weights are held."""
-        one = isinstance(seeds, (int, np.integer))
-        seeds = [seeds] if one else list(seeds)
-        out = np.empty((len(seeds), self.size, EMBED_DIM))
-        step = self.runs_per_call
-        for lo in range(0, len(seeds), step):
-            # drawn on the calling thread: perfbench's tracer wraps
-            # make_weights and keeps one span stack
-            weights = [make_weights(self.spec, s) for s in seeds[lo:lo + step]]
-            _run_tiles([partial(tile.embed, self.spec, w, run)
-                        for w, run in zip(weights, out[lo:lo + step]) for tile in self.groups])
-        return out[0] if one else out
+    def embed_all(self, seed: int) -> np.ndarray:
+        """Embeddings (N, 10) of every graph under one seed, the tiles'
+        tasks run together on the tile threads."""
+        # drawn on the calling thread: perfbench's tracer wraps make_weights
+        # and keeps one span stack
+        weights = make_weights(self.spec, seed)
+        out = np.empty((self.size, EMBED_DIM))
+        _run_tiles([partial(tile.embed, self.spec, weights, out) for tile in self.groups])
+        return out
 
 
 def embed(spec: ModelSpec, G: Graph, seed: int) -> np.ndarray:
@@ -593,6 +578,8 @@ def splitmix64(x: int) -> int:
 
 
 def run_seeds(base_seed: int, runs: int) -> list[int]:
+    if base_seed < 0:
+        raise ValueError("base_seed must be >= 0")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     return [base_seed ^ splitmix64(i) for i in range(runs)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from matgraph.graphcore import Graph
+from matgraph.models import DatasetBatch, ModelSpec
 
 
 def random_adjacency(rng: np.random.Generator, n: int, p: float = 0.5):
@@ -44,6 +45,19 @@ def graph_and_permutation(draw, min_n: int = 2, max_n: int = 8):
     seed = draw(st.integers(0, 2**32 - 1))
     perm = np.random.default_rng(seed).permutation(G.n)
     return G, perm
+
+
+def naive_undistinguished_pairs(spec: ModelSpec, graphs: list[Graph], seeds: list[int],
+                                threshold: float) -> list[tuple[int, int]]:
+    """All-pairs oracle for `harness.undistinguished_pairs`: every pair of
+    the whole batch is checked in every run (small datasets only)."""
+    batch = DatasetBatch(spec, graphs)
+    n = len(graphs)
+    alive = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    for seed in seeds:
+        emb = batch.embed_all(seed)
+        alive = {(i, j) for i, j in alive if float(np.abs(emb[i] - emb[j]).sum()) <= threshold}
+    return sorted(alive)
 
 
 DATA_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "data"

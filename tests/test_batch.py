@@ -4,6 +4,9 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -85,6 +88,47 @@ def load_tracing():
     return tracing
 
 
+def traced_gcn_metrics(spans_path: str) -> None:
+    """Print, as JSON, perfbench's per-layer metrics of a traced 5-run gcn
+    `undistinguished_pairs` on graph8c[:300], and the batch size of every
+    `embed_all` call. Run in a child process: `Tracer.install` replaces
+    matgraph's names for the life of the process."""
+    from matgraph import graphcore, harness
+
+    sizes, embed_all = [], DatasetBatch.embed_all
+
+    def recorded(batch, seed):
+        sizes.append(batch.size)
+        return embed_all(batch, seed)
+
+    DatasetBatch.embed_all = recorded  # wrapped in turn by the tracer
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    graphs = graphcore.load_dataset(str(Path(__file__).parent.parent / "data" / "graph8c.g6"))
+    harness.undistinguished_pairs(ModelSpec("gcn"), graphs[:300], models.run_seeds(7, 5), 1e-3)
+    tracer.write(spans_path)
+    metrics = tracing.layer_metrics(tracing.read_spans(spans_path), ["gcn"])
+    print(json.dumps({"metrics": {k: v for k, (v, _) in metrics.items()}, "sizes": sizes}))
+
+
+def test_traced_embed_counts_are_per_seed(tmp_path):
+    # perfbench's tracer counts one span per embed_all call and reads the
+    # batch's size: with one seed per call, its counts are per run
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys; from tests.test_batch import traced_gcn_metrics as f; f(sys.argv[1])"
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "spans.jsonl")],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    metrics, sizes = out["metrics"], out["sizes"]
+    assert len(sizes) > 2 and sizes[0] == 300 > sizes[-1]  # later runs, on subsets
+    assert metrics["models.embed_all_calls"] == metrics["models.make_weights_calls"] == len(sizes)
+    assert metrics["models.graphs_embedded"] == sum(sizes)
+
+
 @pytest.mark.parametrize("kind", ["chebnet", "gnnml3"])
 def test_tile_threads_call_no_traced_name(kind, graph8c, monkeypatch):
     # perfbench/tracing.py replaces every public matgraph function outside
@@ -115,8 +159,8 @@ def test_tile_threads_call_no_traced_name(kind, graph8c, monkeypatch):
     assert len(batch.groups) >= 4
     batch.embed_all(3)
     one_tile = models.DatasetBatch(ModelSpec(kind), graph8c[:100])
-    assert one_tile.runs_per_call >= 3
-    one_tile.embed_all([3, 4, 5])  # several seeds' tasks in one task list
+    assert len(one_tile.groups) == 1
+    one_tile.embed_all(4)  # a task list of one tile, run inline
     names = {name for name, _ in calls}
     assert {"models.DatasetBatch.__init__", "models.DatasetBatch.embed_all"} <= names
     off_thread = {name for name, thread in calls if thread is not threading.current_thread()}
@@ -222,7 +266,8 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
         assert [tile.n for tile in sub.groups] == [tile.n for tile in fresh.groups]
         for got, want in zip(sub.groups, fresh.groups):
             assert all(map(same_bytes, tile_arrays(got), tile_arrays(want)))
-        assert same_bytes(sub.embed_all([11, 12]), fresh.embed_all([11, 12]))
+        for seed in (11, 12):
+            assert same_bytes(sub.embed_all(seed), fresh.embed_all(seed))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -231,8 +276,8 @@ def test_empty_selection_and_empty_batch(kind, mixed):
     for batch in (DatasetBatch(spec, mixed), DatasetBatch(spec, [])):
         empty = batch.subset([])
         assert empty.size == 0 and empty.graphs == [] and empty.groups == []
-        assert empty.embed_all(3).shape == (0, models.EMBED_DIM)
-        assert empty.embed_all([3, 4]).shape == (2, 0, models.EMBED_DIM)
+        for seed in (3, 4):
+            assert empty.embed_all(seed).shape == (0, models.EMBED_DIM)
         assert empty.subset([]).size == 0
 
 
@@ -260,22 +305,21 @@ def test_threaded_tiles_equal_inline_tiles(kind, mixed, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 3, 8])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_multi_seed_runs_equal_one_seed_runs(kind, workers, mixed, sr25, monkeypatch):
-    # run k of embed_all(seeds) is embed_all(seeds[k]), byte for byte, on a
-    # batch of one tile (sr25) and on one of six tiles (mixed); with 3 or 8
-    # workers, several seeds' tiles share one task list
+    # one embed_all call embeds one seed: successive calls on one batch, on
+    # one tile (sr25) and on six tiles (mixed), each equal that seed's
+    # call on a fresh batch, byte for byte, and a sequence of seeds is refused
     monkeypatch.setattr(models, "WORKERS", workers)
     spec = ModelSpec(kind)
     seeds = [13, np.int64(2**40 + 5), 7]
     for graphs, tiles in ((sr25, 1), (mixed, 6)):
         batch = DatasetBatch(spec, graphs)
         assert len(batch.groups) == tiles
-        assert batch.runs_per_call == -(-workers // tiles)
-        runs = batch.embed_all(seeds)
-        assert runs.shape == (len(seeds), len(graphs), models.EMBED_DIM)
-        for run, s in zip(runs, seeds):
-            alone = batch.embed_all(s)
-            assert alone.shape == (len(graphs), models.EMBED_DIM)
-            assert same_bytes(run, alone)
+        with pytest.raises(TypeError):
+            batch.embed_all(seeds)
+        for s in seeds:
+            run = batch.embed_all(s)
+            assert run.shape == (len(graphs), models.EMBED_DIM)
+            assert same_bytes(run, DatasetBatch(spec, graphs).embed_all(s))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -502,6 +502,22 @@ class TestDistinguish:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("where", ["flag", "config", "embed"])
+    def test_negative_base_seed_is_usage_error(self, capsys, tmp_path, small_dataset, where):
+        # one line naming the setting, not numpy's SeedSequence error per model
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs = 2\nbase_seed = -5\n")
+        argv = {"flag": ["--seed", "-1", "distinguish", small_dataset, "--models", "gcn,mlp",
+                         "--runs", "2"],
+                "config": ["--config", str(cfg), "distinguish", small_dataset],
+                "embed": ["--seed", "-1", "embed", "--graph", small_dataset, "--model", "gcn"]}
+        code = main(argv[where])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        prefix = f"{cfg}:2: " if where == "config" else ""
+        assert captured.err == f"error: {prefix}base_seed must be >= 0\n"
+
     def test_unknown_model_is_usage_error(self, capsys, small_dataset):
         code = main(["distinguish", small_dataset, "--models", "gcn,bogus"])
         assert code == 2

@@ -23,7 +23,6 @@ from matgraph.harness import (
     golden_pairs_suite,
     golden_report,
     lambda_census,
-    naive_undistinguished_pairs,
     report_render,
     undistinguished_pairs,
     wl_census,
@@ -32,7 +31,7 @@ from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 from matgraph.spectral import eig_sym
 from matgraph.wl import fwl2_equivalent, wl1_equivalent
 
-from .conftest import make_graph, permute_graph
+from .conftest import make_graph, naive_undistinguished_pairs, permute_graph
 
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -93,9 +92,9 @@ class TestBucketedEngine:
         embedded, embed_all = [], DatasetBatch.embed_all
         settled, find_settled = [], harness._settled
 
-        def recorded_embed_all(batch, seeds):
-            embedded.append((batch.graphs, seeds))
-            return embed_all(batch, seeds)
+        def recorded_embed_all(batch, seed):
+            embedded.append((batch.graphs, seed))
+            return embed_all(batch, seed)
 
         def recorded_settled(spec, graphs, emb, pairs, *args):
             keep = find_settled(spec, graphs, emb, pairs, *args)
@@ -110,11 +109,11 @@ class TestBucketedEngine:
         for graphs in (small, copies, *featured):
             slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
             # within[k][i, j]: graphs i and j stay within the threshold in runs 0..k
-            runs = embed_all(DatasetBatch(spec, graphs), seeds)
+            full = DatasetBatch(spec, graphs)
+            runs = [embed_all(full, s) for s in seeds]
             within = np.logical_and.accumulate(
                 [np.abs(e[:, None] - e[None]).sum(axis=-1) <= 1e-3 for e in runs])
-            # with one worker every later run is one embed_all call; with 2
-            # or 3, ceil(workers / tiles) runs share a call
+            # at any worker count, every run is one embed_all call of one seed
             for workers in (1, 2, 3):
                 monkeypatch.setattr(models, "WORKERS", workers)
                 embedded.clear()
@@ -123,12 +122,12 @@ class TestBucketedEngine:
                 assert fast == slow  # the same sorted list
                 assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
                            for p in fast)
-                assert embedded[0][0] is graphs and embedded[0][1] == seeds[0]
-                # each later call embeds exactly the graphs, in dataset
-                # order, of the pairs still unsettled before its runs
-                for batch_graphs, chunk in embedded[1:]:
-                    done = seeds.index(chunk[0])
-                    assert chunk == seeds[done:done + len(chunk)]
+                assert embedded[0][0] is graphs
+                assert [seed for _, seed in embedded] == seeds[:len(embedded)]
+                assert all(type(seed) is int for _, seed in embedded)
+                # each later run embeds exactly the graphs, in dataset
+                # order, of the pairs still unsettled before it
+                for done, (batch_graphs, _) in enumerate(embedded[1:], start=1):
                     unsettled = np.triu(within[done - 1], 1)
                     unsettled[tuple(np.array(settled, dtype=int).reshape(-1, 2).T)] = False
                     active = np.flatnonzero(unsettled.any(axis=0) | unsettled.any(axis=1))
@@ -153,9 +152,9 @@ class TestBucketedEngine:
         # all 15 sr25 graphs are one 1-WL class at every round
         embedded, embed_all = [], DatasetBatch.embed_all
 
-        def counted_embed_all(batch, seeds):
+        def counted_embed_all(batch, seed):
             embedded.append(batch.size)
-            return embed_all(batch, seeds)
+            return embed_all(batch, seed)
 
         monkeypatch.setattr(DatasetBatch, "embed_all", counted_embed_all)
         pairs = undistinguished_pairs(ModelSpec(kind), sr25, run_seeds(7, 100), 1e-3)
@@ -222,9 +221,8 @@ class TestBucketedEngine:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pairs_empty_part_way_through_a_call(self, workers, monkeypatch):
-        # the one pair survives runs 0 and 1 and is dropped by run 2; each
-        # call after run 0 embeds ceil(workers / 1 tile) runs, so with 3
-        # workers the second run of the first such call drops the pair
+        # the one pair survives runs 0 and 1 and is dropped by run 2, after
+        # which no run is drawn, at any worker count
         monkeypatch.setattr(models, "WORKERS", workers)
         spec = ModelSpec("gcn")
         graphs = [Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
@@ -245,7 +243,7 @@ class TestBucketedEngine:
         assert naive_undistinguished_pairs(spec, graphs, seeds, threshold) == []
         drawn.clear()
         assert undistinguished_pairs(spec, graphs, seeds, threshold) == []
-        assert drawn == seeds[:1 + -(-2 // workers) * workers]
+        assert drawn == seeds[:3]
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_pair_distinguished_agrees(self, kind, graph8c):
@@ -255,18 +253,11 @@ class TestBucketedEngine:
         for i, j in undistinguished_pairs(spec, graphs, seeds, 1e-3):
             assert undistinguished_pairs(spec, [graphs[i], graphs[j]], seeds, 1e-3) == [(0, 1)]
 
-    @pytest.mark.parametrize("engine", [undistinguished_pairs, naive_undistinguished_pairs])
-    def test_no_seeds_rejected(self, engine):
+    def test_no_seeds_rejected(self):
         rng = np.random.default_rng(0)
         graphs = [make_graph(rng, 4) for _ in range(5)]
         with pytest.raises(ValueError, match="at least one seed required"):
-            engine(ModelSpec(kind="gcn"), graphs, [], 1e-3)
-
-    def test_naive_oracle_refuses_large_input(self):
-        rng = np.random.default_rng(0)
-        graphs = [make_graph(rng, 4) for _ in range(501)]
-        with pytest.raises(ValueError):
-            naive_undistinguished_pairs(ModelSpec(kind="gcn"), graphs, [0], 1e-3)
+            undistinguished_pairs(ModelSpec(kind="gcn"), graphs, [], 1e-3)
 
 
 class TestCensus:
@@ -388,6 +379,8 @@ class TestConfigAndRendering:
             ExperimentConfig(dataset="x", runs=0)
         with pytest.raises(ValueError, match="at least one model kind required"):
             ExperimentConfig(dataset="x", models=())
+        with pytest.raises(ValueError, match=r"^base_seed must be >= 0$"):
+            ExperimentConfig(dataset="x", base_seed=-1)
 
     def test_render_formats(self):
         report = golden_report(golden_pairs_suite())

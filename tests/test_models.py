@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from matgraph.appendix_data import BICYCLOPENTYL, DECALIN
 from matgraph.graphcore import Graph
-from matgraph.harness import naive_undistinguished_pairs, undistinguished_pairs
+from matgraph.harness import undistinguished_pairs
 from matgraph.models import (
     EMBED_DIM,
     MODEL_KINDS,
@@ -24,7 +24,7 @@ from matgraph.models import (
 )
 from matgraph.spectral import SupportSpec
 
-from .conftest import graphs, permute_graph
+from .conftest import graphs, naive_undistinguished_pairs, permute_graph
 
 # models whose update rule is a function of the 1-WL color alone
 WL1_BOUNDED = ("mlp", "gcn", "graphsage", "gin", "gat", "gnnml1")
@@ -69,6 +69,18 @@ class TestSeeds:
     def test_run_seeds_distinct(self):
         seeds = run_seeds(0, 100)
         assert len(set(seeds)) == 100
+
+    def test_make_weights_takes_one_integer_seed(self):
+        # numpy's SeedSequence would take a list as entropy and draw
+        # unrelated weights
+        spec = ModelSpec("gcn")
+        for seed in ([3, 4], (3,), np.array([3]), 3.0, "3", None):
+            with pytest.raises(TypeError, match="^seed must be an integer, not "):
+                make_weights(spec, seed)
+        want = make_weights(spec, 3)
+        for seed in (np.int64(3), np.uint64(3)):
+            got = make_weights(spec, seed)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 class TestStaticSupports:
