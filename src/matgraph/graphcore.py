@@ -237,9 +237,9 @@ def order_stacks(graphs: list[Graph]):
     """
     by_order: dict[int, list[int]] = {}
     for i, G in enumerate(graphs):
-        by_order.setdefault(G.n, []).append(i)
+        by_order.setdefault(len(G.adjacency), []).append(i)
     for idx in by_order.values():
-        yield np.array(idx), np.stack([graphs[i].adjacency for i in idx])
+        yield np.array(idx), np.array([graphs[i].adjacency for i in idx])
 
 
 def load_dataset(path: str, format: str = "graph6") -> list[Graph]:

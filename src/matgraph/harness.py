@@ -313,20 +313,21 @@ def _candidate_pairs(emb: np.ndarray, threshold: float) -> tuple[np.ndarray, np.
 NEAR_EPS = 64 * np.finfo(float).eps
 
 
-def _settled(spec: ModelSpec, graphs: list[Graph], emb: np.ndarray,
-             pairs: np.ndarray, dist: np.ndarray, threshold: float) -> np.ndarray:
-    """Mask of run 0's candidate `pairs`, at the distances `dist` that the
-    scan computed, that the kind's WL bound keeps in every run: near pairs
-    whose graphs have equal keys of the kind's `bound`, a key rung of
-    CENSUS. All False without a bound, with node features (the bound
-    assumes degree inputs) or when the cut of the largest rows would exceed
-    `threshold` (a pair of equal keys might then not be a candidate).
-    Raises when two keyed graphs of equal keys are not a near pair."""
+def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
+             dist: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of run 0's candidate `pairs` of the graphs of `batch`, at the
+    distances `dist` that the scan computed, that the kind's WL bound keeps
+    in every run: near pairs whose graphs have equal keys of the kind's
+    `bound`, a key rung of CENSUS. All False without a bound, when a graph
+    of the batch has node features (the bound assumes degree inputs) or
+    when the cut of the largest rows would exceed `threshold` (a pair of
+    equal keys might then not be a candidate). Raises when two keyed graphs
+    of equal keys are not a near pair."""
+    spec, graphs = batch.spec, batch.graphs
     bound = MODELS[spec.kind].bound
     norm = np.abs(emb).sum(axis=1)
     settled = np.zeros(len(pairs), dtype=bool)
-    if (bound is None or any(G.node_features is not None for G in graphs)
-            or 2 * NEAR_EPS * norm.max() > threshold):
+    if bound is None or batch.featured.any() or 2 * NEAR_EPS * norm.max() > threshold:
         return settled
     near = dist <= NEAR_EPS * norm[pairs].sum(axis=1)
     in_near = np.zeros(len(graphs), dtype=bool)
@@ -373,7 +374,7 @@ def undistinguished_pairs(
     pairs, dist = _candidate_pairs(emb, threshold)
     settled = pairs[:0]
     if len(pairs) and len(seeds) > 1:
-        keep = _settled(spec, graphs, emb, pairs, dist, threshold)
+        keep = _settled(batch, emb, pairs, dist, threshold)
         settled, pairs = pairs[keep], pairs[~keep]
     local = np.arange(N)  # dataset index -> position in batch, for the batch's graphs
     for seed in seeds[1:]:

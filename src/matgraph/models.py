@@ -517,10 +517,12 @@ class DatasetBatch:
         self.spec = spec
         self.graphs = graphs
         self.size = len(graphs)
+        # which graphs carry node features, looked up once per batch
+        self.featured = np.array([G.node_features is not None for G in graphs], dtype=bool)
         self.groups, builds = [], []  # the tiles, and their support builds
         for idx, A in order_stacks(graphs):
             H0 = A.sum(axis=-1, keepdims=True)  # degree features
-            if any(graphs[i].node_features is not None for i in idx):
+            if self.featured[idx].any():
                 H0 = np.stack([h if graphs[i].node_features is None
                                else graphs[i].node_features for i, h in zip(idx, H0)])
             for part in _tile_slices(len(idx), A.shape[-1]):
@@ -542,7 +544,7 @@ class DatasetBatch:
         order = np.array([tile.n for tile in self.groups], dtype=np.int64)[tile_of]
         batch = DatasetBatch.__new__(DatasetBatch)
         batch.spec, batch.graphs = self.spec, [self.graphs[i] for i in indices.tolist()]
-        batch.size, batch.groups = len(indices), []
+        batch.size, batch.featured, batch.groups = len(indices), self.featured[indices], []
         for n in dict.fromkeys(order.tolist()):  # first-appearance order, as order_stacks
             idx = np.flatnonzero(order == n)
             for part in _tile_slices(len(idx), n):

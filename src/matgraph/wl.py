@@ -7,12 +7,18 @@ multiset of colors the test looks at - and the new color is the row's
 rank among the distinct rows of the whole stack. Ranks on the union
 induce the same partition as exact signatures interned into one shared
 table, so colors of different graphs in one stack are comparable and
-no lossy hashing is involved. Refinement stops at the stable partition,
-the first round whose class count does not grow (every later round
-repeats it). `signatures` lets a graph leave the stack as soon as its
-sorted colors are unique there (or at round `rounds`): its key is then
-final, and the graphs left are refined without it. Nothing is kept
-between calls, so keys of `signatures` compare only within one call.
+no lossy hashing is involved. This sort-and-relabel step is the cost
+centre of WL refinement (Shervashidze et al., JMLR 2011); a rank packs
+runs of a row's columns into as few int64 words as their value range
+allows and sorts the words, which keeps the lexicographic order. 1-WL's
+round from one color ranks the degrees, the paper's H^(1) = A 1, and
+colors left with gaps when graphs leave a stack are renumbered by
+counting. Refinement stops at the stable partition, the first round
+whose class count does not grow (every later round repeats it).
+`signatures` lets a graph leave the stack as soon as its sorted colors
+are unique there (or at round `rounds`): its key is then final, and the
+graphs left are refined without it. Nothing is kept between calls, so
+keys of `signatures` compare only within one call.
 
 The pair tests keep their own loop, `_refine`, as merging it with
 `signatures` was slower both ways (2-core Xeon): a two-graph `signatures`
@@ -43,14 +49,51 @@ class PairVerdict:
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each row of `rows` among its distinct rows."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    step = np.ones(len(rows), dtype=np.int64)
+    """Lexicographic rank of each row of `rows` among its distinct rows.
+
+    Runs of columns are packed into int64 words as base-(max - min + 1)
+    digits, as many per word as keep it below 2**63, so the words order
+    the rows as the columns do: one word is argsorted, more are lexsorted.
+    """
+    (N, m), lo, hi = rows.shape, int(rows.min()), int(rows.max())
+    base = hi - lo + 1
+    digits = 1  # columns per word
+    while digits < m and base ** (digits + 1) <= 1 << 63:
+        digits += 1
+    if digits == 1:
+        words = rows
+    else:
+        # one word per run of `digits` columns, the last run may be shorter
+        full = m - m % digits
+        runs = [rows[:, :full].reshape(N, -1, digits)]
+        if full < m:
+            runs.append(rows[:, None, full:])
+        words = []
+        for run in runs:
+            word = run[..., 0] - lo
+            for column in np.moveaxis(run[..., 1:], 2, 0):
+                # wraps past 2**63 only by lo, and wraps back on subtracting it
+                word *= base
+                word += column
+                word -= lo
+            words.append(word)
+        words = np.concatenate(words, axis=1)
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
+    ordered = words[order]
+    step = np.ones(N, dtype=np.int64)
     step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     ranks = np.empty_like(step)
     ranks[order] = np.cumsum(step) - 1
     return ranks
+
+
+def _compact(C: np.ndarray, classes: int) -> tuple[np.ndarray, int]:
+    """Colors `C`, all below `classes`, renumbered 0..k-1 in their order,
+    and k: the rank of each color among those present, by counting."""
+    present = np.zeros(classes, dtype=np.int64)
+    present[C.ravel()] = 1
+    rank = np.cumsum(present) - 1
+    return rank[C], int(rank[-1]) + 1
 
 
 def _initial_colors(A: np.ndarray, test: str) -> np.ndarray:
@@ -60,8 +103,7 @@ def _initial_colors(A: np.ndarray, test: str) -> np.ndarray:
     B, n, _ = A.shape
     if test == "WL1":
         return np.zeros((B, n), dtype=np.int64)
-    C = np.where(np.eye(n, dtype=bool), 0, np.where(A, 1, 2))
-    return _rank_rows(C.reshape(-1, 1)).reshape(B, n, n)
+    return _compact(np.where(np.eye(n, dtype=bool), 0, np.where(A, 1, 2)), 3)[0]
 
 
 def _next_colors(A: np.ndarray, C: np.ndarray, classes: int, test: str) -> np.ndarray:
@@ -81,6 +123,10 @@ def _next_colors(A: np.ndarray, C: np.ndarray, classes: int, test: str) -> np.nd
         codes.sort(axis=3)
         return _rank_rows(flat.reshape(-1, n + 1)).reshape(C.shape)
     if test == "WL1":
+        if classes == 1:
+            # one color: a vertex's row is 0, then -1 per non-neighbour and
+            # 0 per neighbour, so rows order as the degrees do
+            return _rank_rows(A.sum(axis=2).reshape(-1, 1)).reshape(C.shape)
         multiset = np.sort(np.where(A, C[:, None, :], -1), axis=2)
     else:
         # the sorted row depends only on v and the sorted column only on u:
@@ -133,21 +179,24 @@ def signatures(graphs: list[Graph], test: str = "WL1",
         n = A.shape[-1]
         A = A != 0
         C = _initial_colors(A, test)
+        classes = int(C.max()) + 1
         stable = False
         for t in count():
             hist = np.sort(C.reshape(len(C), -1), axis=1)
             ranks = _rank_rows(hist)
             settled = (stable or t == rounds) | (np.bincount(ranks)[ranks] == 1)
-            for i, row in zip(members[settled].tolist(), hist[settled]):
-                keys[i] = (n, t, row.tobytes())
+            # each settled graph's key slices one bytes object of their rows
+            row, done = hist.shape[1] * hist.itemsize, hist[settled].tobytes()
+            for j, i in enumerate(members[settled].tolist()):
+                keys[i] = (n, t, done[j * row:(j + 1) * row])
             if settled.all():
                 break
             live = ~settled
-            members, A, C = members[live], A[live], C[live]
-            C = _rank_rows(C.reshape(-1, 1)).reshape(C.shape)
-            classes = int(C.max()) + 1
+            members, A = members[live], A[live]
+            C, classes = _compact(C[live], classes)
             C = _next_colors(A, C, classes, test)
-            stable = C.max() + 1 == classes
+            grown = int(C.max()) + 1
+            stable, classes = grown == classes, grown
     return keys
 
 

@@ -263,6 +263,7 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
             assert {gs[i].n for i in tile.indices} == {tile.n}
             assert len(tile.indices) == 1 or len(tile.indices) * tile.n <= models.TILE_NODES
         fresh = DatasetBatch(spec, gs)
+        assert np.array_equal(sub.featured, [G.node_features is not None for G in gs])
         assert [tile.n for tile in sub.groups] == [tile.n for tile in fresh.groups]
         for got, want in zip(sub.groups, fresh.groups):
             assert all(map(same_bytes, tile_arrays(got), tile_arrays(want)))

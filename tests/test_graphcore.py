@@ -259,6 +259,24 @@ class TestOrderStacks:
             assert A.dtype == float
             assert np.array_equal(A, [mixed[i].adjacency for i in pos])
 
+    def test_interleaved_orders(self):
+        """Orders interleaved at random: stacks in first-appearance order,
+        positions ascending, and each stack a float stack byte-equal to
+        `np.stack` of its graphs' adjacencies."""
+        rng = np.random.default_rng(9)
+        orders = rng.choice([1, 2, 5, 8, 13], 200)
+        graphs = [make_graph(rng, int(n)) for n in orders]
+        stacks = list(order_stacks(graphs))
+        assert [A.shape[-1] for _, A in stacks] == list(dict.fromkeys(orders.tolist()))
+        for pos, A in stacks:
+            assert np.array_equal(pos, np.flatnonzero(orders == A.shape[-1]))
+            want = np.stack([graphs[i].adjacency for i in pos])
+            assert A.dtype == want.dtype == float and A.shape == want.shape
+            assert A.tobytes() == want.tobytes()
+
+    def test_no_graphs(self):
+        assert list(order_stacks([])) == []
+
 
 class TestLaplacian:
     @settings(max_examples=120, deadline=None)

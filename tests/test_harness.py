@@ -96,8 +96,8 @@ class TestBucketedEngine:
             embedded.append((batch.graphs, seed))
             return embed_all(batch, seed)
 
-        def recorded_settled(spec, graphs, emb, pairs, *args):
-            keep = find_settled(spec, graphs, emb, pairs, *args)
+        def recorded_settled(batch, emb, pairs, *args):
+            keep = find_settled(batch, emb, pairs, *args)
             settled.extend(map(tuple, pairs[keep].tolist()))
             return keep
 
@@ -165,14 +165,18 @@ class TestBucketedEngine:
         """The WL bound assumes degree inputs. Decalin and bicyclopentyl are
         1-WL equivalent; with different node features each taken twice,
         settling would key all four graphs and find the separated pairs of
-        equal keys, so it must be skipped, and no graph is keyed."""
+        equal keys, so it must be skipped, and no graph is keyed. One
+        featured graph among plain ones is enough to skip it."""
         dec = Graph(DECALIN.adjacency, node_features=np.ones((10, 1)))
         bic = Graph(BICYCLOPENTYL.adjacency, node_features=np.arange(10.0)[:, None])
-        graphs, spec, seeds = [dec, bic, dec, bic], ModelSpec("gcn"), run_seeds(3, 4)
+        spec, seeds = ModelSpec("gcn"), run_seeds(3, 4)
         keyed = []
         monkeypatch.setattr(harness, "signatures", lambda gs, **kw: keyed.append(gs))
-        slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
-        assert undistinguished_pairs(spec, graphs, seeds, 1e-3) == slow == [(0, 2), (1, 3)]
+        for graphs, expected in (([dec, bic, dec, bic], [(0, 2), (1, 3)]),
+                                 ([DECALIN, BICYCLOPENTYL, DECALIN, bic],
+                                  [(0, 1), (0, 2), (1, 2)])):
+            slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
+            assert undistinguished_pairs(spec, graphs, seeds, 1e-3) == slow == expected
         assert keyed == []
 
     def test_threshold_below_rounding_skips_settling(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matgraph.appendix_data import (
     BICYCLOPENTYL,
@@ -12,6 +13,7 @@ from matgraph.appendix_data import (
 )
 from matgraph.graphcore import Graph
 from matgraph.wl import (
+    _compact,
     _initial_colors,
     _next_colors,
     _rank_rows,
@@ -145,6 +147,86 @@ class TestWL1:
         assert wl1_equivalent(G, H).equivalent
 
 
+def reference_ranks(rows):
+    """Rank of each row among the distinct rows, in lexicographic order:
+    the inverse of `np.unique` over rows."""
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 700), count=st.integers(1, 40), digits=st.integers(1, 64),
+       offset=st.integers(-2, 2), low=st.sampled_from([-1, 0, 7]),
+       fill=st.sampled_from(["random", "ends", "equal", "zeros"]),
+       seed=st.integers(0, 2**32 - 1))
+# sr25's 2-FWL histogram rows; 8**21 == (2**21)**3 == 2**63; base 2**63 + 1 packs nothing
+@example(width=625, count=15, digits=21, offset=0, low=-1, fill="random", seed=0)
+@example(width=9, count=40, digits=3, offset=0, low=0, fill="ends", seed=1)
+@example(width=9, count=40, digits=3, offset=1, low=0, fill="ends", seed=2)
+@example(width=3, count=30, digits=1, offset=2, low=-1, fill="ends", seed=3)
+def test_rank_rows_matches_unique(width, count, digits, offset, low, fill, seed):
+    """Ranks equal np.unique's inverse on rows of 1-700 columns whose values
+    span a base (max - min + 1) near 2**(63 / digits), so base**digits
+    straddles 2**63: -1 as the least value, only the two extremes, all
+    rows equal and all zeros."""
+    rng = np.random.default_rng(seed)
+    base = max(1, int(2 ** (63 / digits)) + offset)
+    high = min(low + base - 1, 2**63 - 1)
+    # few distinct rows, so that equal rows are common
+    pool = rng.integers(low, high, size=(count // 3 + 1, width), endpoint=True)
+    if fill == "ends":
+        pool = np.where(rng.random(pool.shape) < 0.5, low, high)
+    rows = pool[rng.integers(0, len(pool), count)]
+    if fill == "equal":
+        rows = np.repeat(pool[:1], count, axis=0)
+    elif fill == "zeros":
+        rows = np.zeros((count, width), dtype=np.int64)
+    else:
+        rows[0, 0], rows[-1, -1] = low, high  # the base is the one drawn
+    ranks = _rank_rows(rows)
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, reference_ranks(rows))
+
+
+def degree_round_by_rows(A):
+    """1-WL's round from one color with every vertex's full row: color 0,
+    then -1 per non-neighbour and 0 per neighbour, sorted."""
+    B, n, _ = A.shape
+    multiset = np.sort(np.where(A, 0, -1), axis=2).reshape(B * n, n)
+    return reference_ranks(np.concatenate([np.zeros((B * n, 1), np.int64), multiset],
+                                          axis=1)).reshape(B, n)
+
+
+def test_degree_round_matches_row_rank():
+    """1-WL's first round ranks degrees; it equals ranking the rows, on
+    random stacks with isolated vertices, of order 1 and edgeless."""
+    rng = np.random.default_rng(13)
+    stacks = [np.zeros((3, 1, 1), bool), np.zeros((2, 5, 5), bool)]
+    for _ in range(60):
+        B, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        stacks.append(np.stack([random_adjacency(rng, n, rng.choice([0.1, 0.3, 0.6]))
+                                for _ in range(B)]) != 0)
+    isolated = 0
+    for A in stacks:
+        C = _initial_colors(A, "WL1")
+        assert np.array_equal(_next_colors(A, C, 1, "WL1"), degree_round_by_rows(A))
+        isolated += int((A.sum(axis=2) == 0).sum())
+    assert isolated > 60
+
+
+def test_compact_matches_rank():
+    """Renumbering colors by counting equals ranking them as rows, for
+    colors with gaps, one color, and colors below a larger bound."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        classes = int(rng.integers(1, 40))
+        shape = tuple(rng.integers(1, 6, int(rng.integers(2, 4))))
+        C = rng.choice(rng.choice(classes, int(rng.integers(1, classes + 1)), replace=False),
+                       shape)
+        got, k = _compact(C, classes + int(rng.integers(0, 3)))
+        assert np.array_equal(got, _rank_rows(C.reshape(-1, 1)).reshape(shape))
+        assert k == len(np.unique(C))
+
+
 def wl2_round_by_vectors(C):
     """2-WL's round with each cell's sorted row and sorted column in full:
     a `(B, n, n, 2n)` array, the reference the ranked form must match."""
@@ -152,7 +234,7 @@ def wl2_round_by_vectors(C):
     cols = np.sort(C, axis=1).transpose(0, 2, 1)[:, None, :, :]
     multiset = np.concatenate(np.broadcast_arrays(rows, cols), axis=3)
     flat = np.concatenate([C.reshape(-1, 1), multiset.reshape(C.size, -1)], axis=1)
-    return _rank_rows(flat).reshape(C.shape)
+    return reference_ranks(flat).reshape(C.shape)
 
 
 class TestWL2:
