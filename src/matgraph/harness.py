@@ -45,7 +45,9 @@ Later runs re-check only the unsettled pairs, each with its own graphs'
 embeddings, so the batch shrinks to their graphs; when every pair
 settles, as on sr25 for every kind, no later run is embedded. The scan's
 distances are kept for the near cut, so no run-0 distance is computed
-twice.
+twice. The returned tuples share one Python int per graph index, taken
+from an object array of range(N), instead of holding two new ints each:
+graph8c's 293364 MLP pairs hold 19.4 MB instead of 37.6 MB (tracemalloc).
 """
 
 from __future__ import annotations
@@ -391,7 +393,9 @@ def undistinguished_pairs(
         pairs = pairs[d <= threshold]
     pairs = np.concatenate([settled, pairs])
     i, j = np.divmod(np.sort(pairs[:, 0] * N + pairs[:, 1]), N)
-    return list(zip(i.tolist(), j.tolist()))
+    # one int object per graph index, which every pair of that graph shares
+    index = np.array(range(N), dtype=object)
+    return list(zip(index[i].tolist(), index[j].tolist()))
 
 
 def degree_multiset_pairs(graphs: list[Graph]) -> list[tuple[int, int]]:

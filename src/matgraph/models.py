@@ -54,16 +54,22 @@ computed as H W. Every seed's forward pass runs every layer, the
 readout and the final linear one tile at a time, so that a layer's
 temporaries stay cache-sized instead of growing with the dataset. At
 layer 0 the input is one degree per node, and each transform H W by a
-one-row W is the broadcast product H * W.
+one-row W is the broadcast product H * W. A kind whose layers read no
+support (MLP) is node-wise: on degree inputs a node's row is a function
+of its degree, so the layers run once per degree of the tile's order,
+on a (1, n, 1) block of 0 .. n-1, and each node gathers its degree's
+row; a tile holding a graph with node features runs every node.
 
 A graph's row depends only on the graph and the seed: it is
 byte-identical whether the graph is embedded alone, in a `subset` or
-with the whole dataset, and in whichever tile. The layers' matmuls are
-taken per graph (numpy loops over a tile's stack), and the final linear
-is one (1, d) @ (d, 10) product per graph; one (N, d) @ (d, 10) product
-over the batch would not do, as BLAS rounds a row differently when N
-changes. GAT's layer computes its transform H W once; the attention
-logits and the aggregation att @ (H W) both read it.
+with the whole dataset, in whichever tile, and whether its nodes run
+the layers or gather their degree's row. The layers' matmuls are taken
+per graph (numpy loops over a tile's stack, each an (n, d) @ (d, e)
+product whose rows do not depend on their position), and the final
+linear is one (1, d) @ (d, 10) product per graph; one (N, d) @ (d, 10)
+product over the batch would not do, as BLAS rounds a row differently
+when N changes. GAT's layer computes its transform H W once; the
+attention logits and the aggregation att @ (H W) both read it.
 
 The tiles are independent: each builds its own supports and writes its
 own rows of the output. Both the support builds and an `embed_all` call
@@ -426,12 +432,20 @@ class _Tile:
                            weights["mlp4.b"])
         return _scatter_supports(C_vec, index, (len(self.indices), self.n))
 
-    def embed(self, spec: ModelSpec, weights: dict, out: np.ndarray) -> None:
+    def embed(self, spec: ModelSpec, weights: dict, out: np.ndarray, degrees: bool) -> None:
         """Every layer, the readout and the final linear, into the tile's
-        graphs' rows of out."""
+        graphs' rows of out. When the inputs are `degrees` and the tile
+        has no supports (MLP: its one support is the declared identity),
+        the layers run once per degree 0 .. n-1 and each node takes its
+        degree's row."""
         update, C, H = MODELS[spec.kind].update, self._layer_supports(weights), self.H0
+        by_degree = degrees and C.shape[1] == 0
+        if by_degree:
+            H, C = np.arange(float(self.n))[None, :, None], C[:1]
         for l in range(spec.layers):
             H = update(weights, l, H, C)
+        if by_degree:
+            H = H[0][self.H0[..., 0].astype(np.intp)]
         # one (1, d) @ (d, 10) product per graph: a graph's row does not
         # depend on how many graphs share the product
         out[self.indices] = (H.sum(axis=-2)[:, None, :] @ weights["final"])[:, 0]
@@ -562,7 +576,8 @@ class DatasetBatch:
         # and keeps one span stack
         weights = make_weights(self.spec, seed)
         out = np.empty((self.size, EMBED_DIM))
-        _run_tiles([partial(tile.embed, self.spec, weights, out) for tile in self.groups])
+        _run_tiles([partial(tile.embed, self.spec, weights, out,
+                            not self.featured[tile.indices].any()) for tile in self.groups])
         return out
 
 

@@ -24,9 +24,12 @@ from matgraph.models import (
     DatasetBatch,
     ModelSpec,
     embed,
+    make_weights,
     static_supports,
 )
 from matgraph.spectral import SupportSpec, scatter_supports, stacked_supports
+
+from .conftest import make_graph
 
 
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -338,6 +341,57 @@ def test_row_depends_only_on_graph_and_seed(kind, mixed):
         assert same_bytes(full[i], alone)
         assert same_bytes(sub[k], alone)
         assert same_bytes(pair[1], alone)
+
+
+def per_node_rows(update, tile, weights) -> np.ndarray:
+    """Test-side reference for a tile's rows: every node of every graph
+    runs the layers on the tile's own inputs."""
+    H = tile.H0
+    for l in range(ModelSpec.layers):
+        H = update(weights, l, H, tile.supports)
+    return (H.sum(axis=-2)[:, None, :] @ weights["final"])[:, 0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mlp_rows_by_degree_equal_per_node_rows(seed, monkeypatch):
+    # MLP reads no support, so on degree inputs its layers run once on the
+    # degrees 0 .. n-1 of each tile's order; every row must equal the
+    # per-node pass byte for byte. One order-8 graph carries a 1-column
+    # node feature that is not its degree: its tile runs every node.
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in range(1, 31):  # edgeless, complete, and random with isolated vertices
+        graphs += [make_graph(rng, n, p) for p in (0.0, 1.0)]
+        graphs += [make_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
+                   for _ in range(rng.integers(1, 5))]
+    featured = len(graphs)
+    graphs.append(Graph(make_graph(rng, 8).adjacency, node_features=rng.random((8, 1))))
+    update, inputs = MODELS["mlp"].update, []
+
+    def recorded(w, l, H, C):
+        if l == 0:
+            inputs.append(H)
+        return update(w, l, H, C)
+
+    monkeypatch.setitem(models.MODELS, "mlp", dataclasses.replace(MODELS["mlp"], update=recorded))
+    spec = ModelSpec("mlp")
+    weights = make_weights(spec, seed)
+    batch = DatasetBatch(spec, graphs)
+    keep = [i for i in range(len(graphs)) if i != featured][::-1]
+    for b in (batch, batch.subset(keep)):
+        inputs.clear()
+        got = b.embed_all(seed)
+        by_order = {H.shape[1]: H for H in inputs}  # one tile per order, on either thread
+        assert len(inputs) == len(by_order) == len(b.groups) == 30
+        for tile in b.groups:
+            H = by_order[tile.n]
+            assert len(tile.indices) > 1
+            assert same_bytes(got[tile.indices], per_node_rows(update, tile, weights))
+            if b.featured[tile.indices].any():
+                assert H is tile.H0
+            else:
+                assert same_bytes(H, np.arange(float(tile.n))[None, :, None])
+    assert batch.featured.sum() == 1
 
 
 def scan_matches_brute_force(emb, t):

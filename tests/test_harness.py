@@ -257,6 +257,22 @@ class TestBucketedEngine:
         for i, j in undistinguished_pairs(spec, graphs, seeds, 1e-3):
             assert undistinguished_pairs(spec, [graphs[i], graphs[j]], seeds, 1e-3) == [(0, 1)]
 
+    def test_pairs_share_one_int_per_graph(self):
+        # 400 relabelled copies of 4 graphs, so most indices are past
+        # CPython's cached small ints and each is in about 100 pairs: the
+        # pairs hold exact ints, at most one object per graph index
+        rng = np.random.default_rng(4)
+        bases = [make_graph(rng, 9) for _ in range(4)]
+        graphs = [permute_graph(bases[k % 4], rng.permutation(9)) for k in range(400)]
+        spec, seeds = ModelSpec("mlp"), run_seeds(7, 2)
+        pairs = undistinguished_pairs(spec, graphs, seeds, 1e-3)
+        assert len(pairs) >= 4 * 99 * 100 // 2
+        assert pairs == naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
+        assert all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int
+                   for p in pairs)
+        assert max(j for _, j in pairs) > 256
+        assert len({id(v) for p in pairs for v in p}) <= len(graphs)
+
     def test_no_seeds_rejected(self):
         rng = np.random.default_rng(0)
         graphs = [make_graph(rng, 4) for _ in range(5)]
