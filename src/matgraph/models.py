@@ -8,7 +8,8 @@ representation (GAT), an explicit Hadamard term (GNNML1), or learned
 sparse spectral supports (GNNML3).
 
 Each kind is declared once, as a `Model` entry of `MODELS`: its support
-builder, its per-layer weight schema and its layer update. `make_weights`
+builder, its per-layer weight schema, its layer update and, for a kind
+that takes the key table (below), its key, front and back. `make_weights`
 draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
 runs the update, so adding a model kind means adding one table entry.
 An entry may also declare its WL bound, `bound`: the name of the
@@ -41,46 +42,66 @@ tiles, each holding its graphs' dataset positions, inputs and supports.
 The kind's support builder runs on each tile's stack once, when the
 batch is built, and the tile keeps its supports: elementwise formulas,
 one stacked eigendecomposition (Chebnet, GNNML3). `DatasetBatch.subset`
-builds nothing: it gathers each kept graph's inputs and supports (for
-GNNML3 its mask rows, renumbered) from the built tiles into the tiles a
-new batch of those graphs would have, so a subset before every later run
-costs a copy, not a build.
+builds nothing: it gathers each kept graph's inputs, supports (for
+GNNML3 its mask rows, renumbered) and key rows from the built tiles into
+the tiles a new batch of those graphs would have, and keeps the batch's
+key table, so a subset before every later run costs a copy, not a build.
 The one-graph helper `static_supports` is the B = 1 case of the same
 builders, made dense for GNNML3 by `spectral.scatter_supports`, the
 scatter that also places its learned supports. A support that is the
 identity (the first one of MLP, GraphSage and Chebnet, declared by
 `Model.identity`) is neither built nor stored: its term C H W is
-computed as H W. Every seed's forward pass runs every layer, the
-readout and the final linear one tile at a time, so that a layer's
-temporaries stay cache-sized instead of growing with the dataset. At
-layer 0 the input is one degree per node, and each transform H W by a
-one-row W is the broadcast product H * W. A kind whose layers read no
-support (MLP) is node-wise: on degree inputs a node's row is a function
-of its degree, so the layers run once per degree of the tile's order,
-on a (1, n, 1) block of 0 .. n-1, and each node gathers its degree's
-row; a tile holding a graph with node features runs every node.
+computed as H W. A node's input is one column (its degree, or a
+1-column node feature; wider features are refused), so at layer 0 each
+transform H W by a one-row W is the broadcast product H * W.
+
+The key table. The paper's first colour is the degree, H^(1) = A 1, and
+layer 0 aggregates before it transforms, sum_s (C_s H) W_s, so a node's
+layer-0 output is a function of its key: the columns layer 0 reads of
+it, its input (when a term reads it as it is) and its aggregate by each
+static support, e.g. (C d)_v for GCN and GIN and (d_v, (C d)_v) for
+GraphSage and GNNML1. graph8c's 88936 nodes have 1889, 237, 148 and 148
+distinct keys under these four. Each tile's build computes its nodes'
+keys, `DatasetBatch` ranks them once into the table of distinct keys
+(bit for bit), and each tile keeps its nodes' (T, n) rows of it. Layer 1
+transforms before it aggregates, sum_s C_s (H1 W_s), and H1 W_s reads
+only layer 0's output, so per seed `embed_all` runs, on the calling
+thread and once per table row, layer 0 and every node-wise step up to
+layer 1's aggregation (`Model.front`; GIN's node-wise W0.1 and GNNML1's
+Hadamard term included); each tile gathers the rows and aggregates them
+(`Model.back`), and layer 2 and the readout run per node as before.
+MLP never aggregates, so all of its layers run on the table. The kinds
+that take the table declare it in their `MODELS` entry, never chosen
+from the batch: MLP, GCN, GraphSage, GIN and GNNML1. Chebnet's supports
+are scaled by lambda-max (79915 distinct keys on graph8c), GAT's
+attention depends on the seed's weights and GNNML3's supports are
+learned, so these three run every node through every layer.
 
 A graph's row depends only on the graph and the seed: it is
 byte-identical whether the graph is embedded alone, in a `subset` or
-with the whole dataset, in whichever tile, and whether its nodes run
-the layers or gather their degree's row. The layers' matmuls are taken
+with the whole dataset, in whichever tile. A key depends only on its
+node's graph, and each table row's transforms are one (1, d) @ (d, e)
+product per row, so a table row's bits depend on its key and the seed,
+not on the table's size or order. The layers' per-node matmuls are taken
 per graph (numpy loops over a tile's stack, each an (n, d) @ (d, e)
 product whose rows do not depend on their position), and the final
 linear is one (1, d) @ (d, 10) product per graph; one (N, d) @ (d, 10)
 product over the batch would not do, as BLAS rounds a row differently
 when N changes. GAT's layer computes its transform H W once; the
-attention logits and the aggregation att @ (H W) both read it.
+attention logits and the aggregation att @ (H W) both read it. Every
+layer of a tile runs on that tile alone, so that a layer's temporaries
+stay cache-sized instead of growing with the dataset.
 
-The tiles are independent: each builds its own supports and writes its
-own rows of the output. Both the support builds and an `embed_all` call
-run as a list of tasks, one per tile, on one thread per available CPU
-(the calling thread plus a shared pool of `WORKERS - 1` threads), so that
-numpy's matmuls, ufuncs and eigendecompositions, which release the GIL,
-use every core. There is no setting for this; a list of one task runs
-inline. An `embed_all` call embeds one seed, whose weights are drawn
-once on the calling thread. Every task does the same operations in the
-same order on whichever thread takes it, so the embeddings are
-bit-identical to a one-thread pass.
+The tiles are independent: each builds its own supports and keys and
+writes its own rows of the output. Both the support builds and an
+`embed_all` call run as a list of tasks, one per tile, on one thread per
+available CPU (the calling thread plus a shared pool of `WORKERS - 1`
+threads), so that numpy's matmuls, ufuncs and eigendecompositions, which
+release the GIL, use every core. There is no setting for this; a list of
+one task runs inline. An `embed_all` call embeds one seed, whose weights
+are drawn once on the calling thread. Every task does the same
+operations in the same order on whichever thread takes it, so the
+embeddings are bit-identical to a one-thread pass.
 """
 
 from __future__ import annotations
@@ -97,6 +118,7 @@ import numpy as np
 from matgraph.graphcore import Graph, laplacian, order_stacks
 from matgraph.spectral import (SupportSpec, _eig_sym, _scatter_supports, _stacked_supports,
                                scatter_supports)
+from matgraph.wl import _rank_rows
 
 PARAM_BUDGET = 30_000
 EMBED_DIM = 10
@@ -149,6 +171,18 @@ class Model:
     # whose equal keys give, on degree inputs, equal embeddings (None: no
     # such bound); `harness` settles pairs by it
     bound: str | None = None
+    # A kind that takes the key table declares all three (None: every node
+    # runs every layer). `key`: (H (T,n,1), C) -> (T, n, c), the columns
+    # layer 0 reads of each node (its input, when a term reads it as it
+    # is, then its aggregate by each support). `front`: (weights, the
+    # table's c columns, each (k, 1, 1)) -> the (k, 1, e) rows layer 1
+    # aggregates (layer 0 and layer 1's transforms, one (1, d) @ (d, e)
+    # product per row). `back`: (weights, those rows gathered to the
+    # tile's nodes (T, n, e), C) -> H after layer 1; None for a kind that
+    # never aggregates (MLP), whose front runs every layer.
+    key: Callable | None = None
+    front: Callable | None = None
+    back: Callable | None = None
 
 
 def _schema(kind: str, width: int) -> list[Entry]:
@@ -270,19 +304,63 @@ def _mm(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return X * W if W.shape[0] == 1 else X @ W
 
 
+def _aggregates(C: np.ndarray, H: np.ndarray, skip: int) -> list[np.ndarray]:
+    """H when `skip` (its term reads the input as it is), then C^(s) H for
+    each support of C (B,S,n,n): the inputs of a layer's terms, and at
+    layer 0 the columns of a node's key."""
+    return [H] * skip + [C[:, s] @ H for s in range(C.shape[1])]
+
+
+def _key(skip: int) -> Callable:
+    return lambda H, C: np.concatenate(_aggregates(C, H, skip), axis=-1)
+
+
+def _weigh(X: list[np.ndarray], W: np.ndarray) -> np.ndarray:
+    """sum_j X_j W_j, in order, for W (S,d,e)."""
+    out = _mm(X[0], W[0])
+    for x, w in zip(X[1:], W[1:]):
+        out += _mm(x, w)
+    return out
+
+
 def _conv(C: np.ndarray, H: np.ndarray, W: np.ndarray) -> np.ndarray:
     """sum_s C^(s) H W_s for C (B,S,n,n), H (B,n,d), W (S,d,e). When C has one
     support fewer than W has blocks, C^(0) is the identity that
     `Model.identity` leaves out, and its term is H W_0."""
-    skip = len(W) - C.shape[1]  # 1 when the identity is left out
-    out = _mm(H if skip else C[:, 0] @ H, W[0])
-    for s in range(1, len(W)):
-        out += _mm(C[:, s - skip] @ H, W[s])
+    return _weigh(_aggregates(C, H, len(W) - C.shape[1]), W)
+
+
+def _aggregate(C: np.ndarray, G: list[np.ndarray]) -> np.ndarray:
+    """sum_j C^(j) G_j of transformed rows G_j (B,n,e); when G has one entry
+    more than C has supports, the first is a node-wise term (C^(0) = I)."""
+    skip = len(G) - C.shape[1]
+    out = G[0] if skip else C[:, 0] @ G[0]
+    for s in range(1, len(G)):
+        out += C[:, s - skip] @ G[s]
     return out
 
 
 def _conv_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _bias_relu(_conv(C, H, w[f"W{l}"]), w[f"b{l}"])
+
+
+def _conv_front(w: dict, X: list[np.ndarray]) -> list[np.ndarray]:
+    """Layer 0 on the key columns X, then layer 1's transforms H1 W1_s."""
+    H1 = _bias_relu(_weigh(X, w["W0"]), w["b0"])
+    return [H1 @ W for W in w["W1"]]
+
+
+def _conv_back(w: dict, G: list[np.ndarray], C: np.ndarray) -> np.ndarray:
+    """Layer 1 from its transformed rows: relu(sum_s C_s (H1 W1_s) + b1)."""
+    return _bias_relu(_aggregate(C, G), w["b1"])
+
+
+def _mlp_front(w: dict, X: list[np.ndarray]) -> list[np.ndarray]:
+    """Every layer: MLP's one term reads its input as it is, H W."""
+    H = X[0]
+    for l in range(ModelSpec.layers):
+        H = _bias_relu(_mm(H, w[f"W{l}"][0]), w[f"b{l}"])
+    return [H]
 
 
 def _gin_layer(l: int, d: int, w: int) -> list[Entry]:
@@ -291,9 +369,22 @@ def _gin_layer(l: int, d: int, w: int) -> list[Entry]:
             (f"W{l}.1", (w, w), w, w), (f"b{l}.1", (w,), w, w)]
 
 
+def _gin_mlp(w: dict, l: int, X: np.ndarray) -> np.ndarray:
+    """The MLP after its first transform X: relu(relu(X + b.0) W.1 + b.1)."""
+    return _bias_relu(_bias_relu(X, w[f"b{l}.0"]) @ w[f"W{l}.1"], w[f"b{l}.1"])
+
+
 def _gin_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
-    inner = _bias_relu(_mm(C[:, 0] @ H, w[f"W{l}.0"]), w[f"b{l}.0"])
-    return _bias_relu(inner @ w[f"W{l}.1"], w[f"b{l}.1"])
+    return _gin_mlp(w, l, _mm(C[:, 0] @ H, w[f"W{l}.0"]))
+
+
+def _gin_front(w: dict, X: list[np.ndarray]) -> list[np.ndarray]:
+    """Layer 0 on the key column C H, then layer 1's transform H1 W1.0."""
+    return [_gin_mlp(w, 0, _mm(X[0], w["W0.0"])) @ w["W1.0"]]
+
+
+def _gin_back(w: dict, G: list[np.ndarray], C: np.ndarray) -> np.ndarray:
+    return _gin_mlp(w, 1, _aggregate(C, G))
 
 
 def _gat_layer(l: int, d: int, w: int) -> list[Entry]:
@@ -327,14 +418,32 @@ def _gnnml1_layer(l: int, d: int, w: int) -> list[Entry]:
     return [(f"W{l}.{t}", (d, w), d, w) for t in range(4)] + [(f"b{l}", (w,), d, w)]
 
 
-def _gnnml1_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Identity and adjacency (C_0 = A) terms plus a Hadamard product."""
+def _hadamard(w: dict, l: int, H: np.ndarray) -> np.ndarray:
+    out = _mm(H, w[f"W{l}.2"])
+    out *= _mm(H, w[f"W{l}.3"])
+    return out
+
+
+def _gnnml1_combine(w: dict, l: int, H: np.ndarray, AH: np.ndarray) -> np.ndarray:
+    """Identity and adjacency (C_0 = A) terms plus a Hadamard product, from
+    the input H and its aggregate A H."""
     out = _mm(H, w[f"W{l}.0"])
-    out += _mm(C[:, 0] @ H, w[f"W{l}.1"])
-    hadamard = _mm(H, w[f"W{l}.2"])
-    hadamard *= _mm(H, w[f"W{l}.3"])
-    out += hadamard
+    out += _mm(AH, w[f"W{l}.1"])
+    out += _hadamard(w, l, H)
     return _bias_relu(out, w[f"b{l}"])
+
+
+def _gnnml1_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    return _gnnml1_combine(w, l, H, C[:, 0] @ H)
+
+
+def _gnnml1_front(w: dict, X: list[np.ndarray]) -> list[np.ndarray]:
+    """Layer 0 on the key columns (H, A H), then layer 1's node-wise term
+    H1 W1.0 + (H1 W1.2) * (H1 W1.3) and its transform H1 W1.1."""
+    H1 = _gnnml1_combine(w, 0, *X)
+    node = H1 @ w["W1.0"]
+    node += _hadamard(w, 1, H1)
+    return [node, H1 @ w["W1.1"]]
 
 
 def _gnnml3_layer(l: int, d: int, w: int) -> list[Entry]:
@@ -371,20 +480,24 @@ _MP_BOUND = f"1-WL@{ModelSpec.layers + 1}"
 
 MODELS: dict[str, Model] = {
     # a sum over nodes of a function of the degree: round 1
-    "mlp": Model(_stack, _conv_layer(1), _conv_update, identity=True, bound="1-WL@1"),
-    "gcn": Model(_gcn_supports, _conv_layer(1), _conv_update, gain=0.57, bound=_MP_BOUND),
+    "mlp": Model(_stack, _conv_layer(1), _conv_update, identity=True, bound="1-WL@1",
+                 key=_key(1), front=_mlp_front),
+    "gcn": Model(_gcn_supports, _conv_layer(1), _conv_update, gain=0.57, bound=_MP_BOUND,
+                 key=_key(0), front=_conv_front, back=_conv_back),
     "graphsage": Model(_graphsage_supports, _conv_layer(2), _conv_update, identity=True,
-                       gain=0.345, bound=_MP_BOUND),
+                       gain=0.345, bound=_MP_BOUND,
+                       key=_key(1), front=_conv_front, back=_conv_back),
     # A + (1 + eps) I with GIN's eps = 0.1
     "gin": Model(lambda A: _stack(A, A + 1.1 * np.eye(A.shape[-1])), _gin_layer, _gin_update,
-                 bound=_MP_BOUND),
+                 bound=_MP_BOUND, key=_key(0), front=_gin_front, back=_gin_back),
     # attention is computed over the self-connected neighborhood
     "gat": Model(lambda A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer, _gat_update,
                  gain=0.64, bound=_MP_BOUND),
     # Laplacian polynomials scaled by lambda-max: 2-FWL-equivalent graphs are cospectral
     "chebnet": Model(_chebnet_supports, _conv_layer(ModelSpec.cheb_k), _conv_update,
                      identity=True, bound="2-FWL"),
-    "gnnml1": Model(lambda A: _stack(A, A), _gnnml1_layer, _gnnml1_update, bound=_MP_BOUND),
+    "gnnml1": Model(lambda A: _stack(A, A), _gnnml1_layer, _gnnml1_update, bound=_MP_BOUND,
+                    key=_key(1), front=_gnnml1_front, back=_conv_back),
     "gnnml3": Model(lambda A: _stacked_supports(A, ModelSpec.support_spec), _gnnml3_layer,
                     _gnnml3_update, emits=2, head=_gnnml3_head(ModelSpec.support_spec.S),
                     bound="2-FWL"),
@@ -404,19 +517,25 @@ def _tile_slices(count: int, n: int) -> list[slice]:
 
 class _Tile:
     """Up to TILE_NODES nodes of graphs of one order: their dataset
-    positions, their inputs and their supports."""
+    positions, their inputs and supports, and their rows of the key table."""
 
-    def __init__(self, indices: np.ndarray, H0: np.ndarray, supports=None):
+    def __init__(self, indices: np.ndarray, H0: np.ndarray, supports=None, keys=None):
         self.indices = indices  # dataset position of each graph
         self.n = H0.shape[1]
         self.H0 = H0  # (T, n, 1) degrees, or the graphs' node features
         # the static (T, S, n, n) supports, or GNNML3's edge-feature rows
         # (m, S), their dense positions (b, r, c) in the tile and centers
         self.supports = supports
+        # a kind with a key table: each node's (T, n) row of the batch's
+        # table, or, from the build until the batch ranks them, its keys
+        self.keys = keys
 
     def build(self, spec: ModelSpec, A: np.ndarray) -> None:
-        """The supports of the tile's adjacencies A."""
-        self.supports = MODELS[spec.kind].supports(A)
+        """The supports of the tile's adjacencies A, and its nodes' keys."""
+        model = MODELS[spec.kind]
+        self.supports = model.supports(A)
+        if model.key is not None:
+            self.keys = model.key(self.H0, self.supports)
 
     def _layer_supports(self, weights: dict) -> np.ndarray:
         """The supports the layers read: the static (T, S, n, n) ones, or
@@ -432,20 +551,17 @@ class _Tile:
                            weights["mlp4.b"])
         return _scatter_supports(C_vec, index, (len(self.indices), self.n))
 
-    def embed(self, spec: ModelSpec, weights: dict, out: np.ndarray, degrees: bool) -> None:
+    def embed(self, spec: ModelSpec, weights: dict, out: np.ndarray, rows) -> None:
         """Every layer, the readout and the final linear, into the tile's
-        graphs' rows of out. When the inputs are `degrees` and the tile
-        has no supports (MLP: its one support is the declared identity),
-        the layers run once per degree 0 .. n-1 and each node takes its
-        degree's row."""
-        update, C, H = MODELS[spec.kind].update, self._layer_supports(weights), self.H0
-        by_degree = degrees and C.shape[1] == 0
-        if by_degree:
-            H, C = np.arange(float(self.n))[None, :, None], C[:1]
-        for l in range(spec.layers):
-            H = update(weights, l, H, C)
-        if by_degree:
-            H = H[0][self.H0[..., 0].astype(np.intp)]
+        graphs' rows of out. Given the key table's `rows` (the front's, each
+        (k, e)), each node gathers its own and the layers go on from the back."""
+        model, C = MODELS[spec.kind], self._layer_supports(weights)
+        H, first = self.H0, 0
+        if rows is not None:
+            G = [r[self.keys] for r in rows]
+            H, first = (G[0], spec.layers) if model.back is None else (model.back(weights, G, C), 2)
+        for l in range(first, spec.layers):
+            H = model.update(weights, l, H, C)
         # one (1, d) @ (d, 10) product per graph: a graph's row does not
         # depend on how many graphs share the product
         out[self.indices] = (H.sum(axis=-2)[:, None, :] @ weights["final"])[:, 0]
@@ -456,8 +572,11 @@ def _gathered(indices: np.ndarray, parts: list[tuple[_Tile, np.ndarray]]) -> _Ti
     each (tile, rows) of `parts`, in that order: their inputs and supports
     copied, GNNML3's edge rows with their graphs renumbered."""
     H0 = np.concatenate([tile.H0[rows] for tile, rows in parts])
+    keys = None if parts[0][0].keys is None else np.concatenate(
+        [tile.keys[rows] for tile, rows in parts])
     if isinstance(parts[0][0].supports, np.ndarray):
-        return _Tile(indices, H0, np.concatenate([tile.supports[rows] for tile, rows in parts]))
+        return _Tile(indices, H0, np.concatenate([tile.supports[rows] for tile, rows in parts]),
+                     keys)
     edge_rows, b, r, c, centers = [], [], [], [], []
     first = 0  # the part's first graph in the gathered tile
     for tile, rows in parts:
@@ -473,7 +592,7 @@ def _gathered(indices: np.ndarray, parts: list[tuple[_Tile, np.ndarray]]) -> _Ti
         centers.append(tile_centers[rows])
         first += len(rows)
     cat = np.concatenate
-    return _Tile(indices, H0, (cat(edge_rows), (cat(b), cat(r), cat(c)), cat(centers)))
+    return _Tile(indices, H0, (cat(edge_rows), (cat(b), cat(r), cat(c)), cat(centers)), keys)
 
 
 @cache
@@ -519,12 +638,12 @@ def _run_tiles(tasks: list[Callable[[], None]]) -> None:
 
 
 class DatasetBatch:
-    """Graphs split by order into tiles, each with its supports, ready for
-    repeated seed runs.
+    """Graphs split by order into tiles, each with its supports, and for a
+    kind that takes it the key table, ready for repeated seed runs.
 
-    Building the stacks and supports costs one pass, its tiles on the tile
-    threads; every embed_all call reuses it, and a `subset` gathers from
-    it, which is what makes 100-run dataset sweeps affordable.
+    Building the stacks, supports and keys costs one pass, its tiles on the
+    tile threads; every embed_all call reuses it, and a `subset` gathers
+    from it, which is what makes 100-run dataset sweeps affordable.
     """
 
     def __init__(self, spec: ModelSpec, graphs: list[Graph]):
@@ -533,7 +652,10 @@ class DatasetBatch:
         self.size = len(graphs)
         # which graphs carry node features, looked up once per batch
         self.featured = np.array([G.node_features is not None for G in graphs], dtype=bool)
-        self.groups, builds = [], []  # the tiles, and their support builds
+        for i in np.flatnonzero(self.featured).tolist():
+            if (width := graphs[i].node_features.shape[1]) != 1:
+                raise ValueError(f"graph {i}: node features must be 1 column, not {width}")
+        self.groups, builds = [], []  # the tiles, and their builds
         for idx, A in order_stacks(graphs):
             H0 = A.sum(axis=-1, keepdims=True)  # degree features
             if self.featured[idx].any():
@@ -544,12 +666,24 @@ class DatasetBatch:
                 self.groups.append(tile)
                 builds.append(partial(tile.build, spec, A[part]))
         _run_tiles(builds)
+        self.table = None  # the key table (k, c): each distinct key once, bit for bit
+        if MODELS[spec.kind].key is not None and self.groups:
+            keys = np.concatenate([tile.keys.reshape(-1, tile.keys.shape[-1])
+                                   for tile in self.groups])
+            rows = _rank_rows(keys.view(np.int64))  # each node's row of the table
+            self.table = np.empty((rows.max() + 1, keys.shape[1]))
+            self.table[rows] = keys
+            lo = 0
+            for tile in self.groups:
+                T, n, _ = tile.keys.shape
+                tile.keys, lo = rows[lo:lo + T * n].reshape(T, n), lo + T * n
 
     def subset(self, indices: Sequence[int]) -> "DatasetBatch":
         """A batch of the graphs at `indices`, in that order, with the tiles
-        that a new batch of them would have. Each graph's inputs and
-        supports are gathered from this batch's tiles: no stack, support or
-        eigendecomposition is built again."""
+        that a new batch of them would have. Each graph's inputs, supports
+        and key rows are gathered from this batch's tiles, and the key table
+        is this batch's: no stack, support, eigendecomposition or key is
+        built again."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         tile_of, row_of = np.empty((2, self.size), dtype=np.int64)  # each graph's tile, row
         for t, tile in enumerate(self.groups):
@@ -559,6 +693,7 @@ class DatasetBatch:
         batch = DatasetBatch.__new__(DatasetBatch)
         batch.spec, batch.graphs = self.spec, [self.graphs[i] for i in indices.tolist()]
         batch.size, batch.featured, batch.groups = len(indices), self.featured[indices], []
+        batch.table = self.table
         for n in dict.fromkeys(order.tolist()):  # first-appearance order, as order_stacks
             idx = np.flatnonzero(order == n)
             for part in _tile_slices(len(idx), n):
@@ -575,9 +710,12 @@ class DatasetBatch:
         # drawn on the calling thread: perfbench's tracer wraps make_weights
         # and keeps one span stack
         weights = make_weights(self.spec, seed)
+        rows = None  # the key table's rows, which every tile gathers
+        if self.table is not None:
+            columns = [self.table[:, None, j:j + 1] for j in range(self.table.shape[1])]
+            rows = [r[:, 0] for r in MODELS[self.spec.kind].front(weights, columns)]
         out = np.empty((self.size, EMBED_DIM))
-        _run_tiles([partial(tile.embed, self.spec, weights, out,
-                            not self.featured[tile.indices].any()) for tile in self.groups])
+        _run_tiles([partial(tile.embed, self.spec, weights, out, rows) for tile in self.groups])
         return out
 
 

@@ -214,6 +214,18 @@ def test_node_features_replace_degrees(kind, mixed):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_node_features_must_be_one_column(kind, mixed):
+    # every kind's layer 0 reads one input column, and the key table keys
+    # nodes by it: a wider or empty feature matrix is refused, naming its width
+    rng = np.random.default_rng(5)
+    for width in (0, 2, 119):
+        G = Graph(mixed[5].adjacency, node_features=rng.random((8, width)))
+        with pytest.raises(ValueError, match=rf"^graph 2: node features must be 1 column, "
+                                             rf"not {width}$"):
+            DatasetBatch(ModelSpec(kind), [mixed[0], mixed[1], G])
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_subset_equals_fresh_batch(kind, mixed):
     spec = ModelSpec(kind)
     idx = [302, 0, 151, 7, 154, 152, 3, 1, 153, 250]  # every order, out of order
@@ -222,19 +234,22 @@ def test_subset_equals_fresh_batch(kind, mixed):
     assert same_bytes(got, want)
 
 
-def tile_arrays(tile) -> list[np.ndarray]:
-    """A tile's positions, inputs and supports, as one list of arrays."""
+def tile_arrays(batch, tile) -> list[np.ndarray]:
+    """A tile's positions, inputs, supports and keys, as one list of arrays."""
     s = tile.supports  # GNNML3's is (rows, (b, r, c), centers)
-    return [tile.indices, tile.H0, *([s] if isinstance(s, np.ndarray) else [s[0], *s[1], s[2]])]
+    keys = [] if batch.table is None else [batch.table[tile.keys]]
+    return [tile.indices, tile.H0, *([s] if isinstance(s, np.ndarray) else [s[0], *s[1], s[2]]),
+            *keys]
 
 
 @pytest.mark.parametrize("features", [False, True], ids=["mixed", "node-features"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
-    # a subset, and a subset of that subset, take each graph's inputs and
-    # supports from the built tiles: no support builder, eigendecomposition
-    # or order_stacks runs, every tile holds at most TILE_NODES nodes of
-    # one order, and tiles and rows are byte-equal to a fresh batch's
+    # a subset, and a subset of that subset, take each graph's inputs,
+    # supports and key rows from the built tiles: no support builder,
+    # eigendecomposition, key aggregate, key ranking or order_stacks runs,
+    # the key table is the batch's, every tile holds at most TILE_NODES
+    # nodes of one order, and tiles and rows are byte-equal to a fresh batch's
     graphs = mixed
     if features:
         rng = np.random.default_rng(3)
@@ -246,10 +261,12 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     def refuse(name):
         return lambda *args, **kwargs: calls.append(name)
 
+    key = MODELS[kind].key and refuse("key")
     monkeypatch.setitem(models.MODELS, kind,
-                        dataclasses.replace(MODELS[kind], supports=refuse("supports")))
-    for name in ("order_stacks", "_eig_sym", "_stacked_supports"):
+                        dataclasses.replace(MODELS[kind], supports=refuse("supports"), key=key))
+    for name in ("order_stacks", "_eig_sym", "_stacked_supports", "_rank_rows"):
         monkeypatch.setattr(models, name, refuse(name))
+    monkeypatch.setattr(np, "unique", refuse("unique"))
     # every order, out of order, and more order-8 graphs than one tile holds
     idx = [302, 0, 151, 7, 154, 155, 152, 3, 1, 153, 250]
     idx += np.random.default_rng(4).permutation(np.arange(8, 300))[:200].tolist()
@@ -260,7 +277,7 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     assert calls == []
     for sub, gs in ((first, [graphs[i] for i in idx]),
                     (second, [graphs[idx[k]] for k in again])):
-        assert sub.graphs == gs and sub.size == len(gs)
+        assert sub.graphs == gs and sub.size == len(gs) and sub.table is batch.table
         assert sum(tile.n == 8 for tile in sub.groups) > 1
         for tile in sub.groups:
             assert {gs[i].n for i in tile.indices} == {tile.n}
@@ -269,7 +286,7 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
         assert np.array_equal(sub.featured, [G.node_features is not None for G in gs])
         assert [tile.n for tile in sub.groups] == [tile.n for tile in fresh.groups]
         for got, want in zip(sub.groups, fresh.groups):
-            assert all(map(same_bytes, tile_arrays(got), tile_arrays(want)))
+            assert all(map(same_bytes, tile_arrays(sub, got), tile_arrays(fresh, want)))
         for seed in (11, 12):
             assert same_bytes(sub.embed_all(seed), fresh.embed_all(seed))
 
@@ -343,55 +360,103 @@ def test_row_depends_only_on_graph_and_seed(kind, mixed):
         assert same_bytes(pair[1], alone)
 
 
-def per_node_rows(update, tile, weights) -> np.ndarray:
-    """Test-side reference for a tile's rows: every node of every graph
-    runs the layers on the tile's own inputs."""
-    H = tile.H0
-    for l in range(ModelSpec.layers):
-        H = update(weights, l, H, tile.supports)
-    return (H.sum(axis=-2)[:, None, :] @ weights["final"])[:, 0]
+TABLE_KINDS = ("mlp", "gcn", "graphsage", "gin", "gnnml1")
+
+
+def test_table_kinds_declared():
+    # chebnet's supports are scaled by lambda-max, gat's attention reads the
+    # weights and gnnml3's supports are learned: they run every node
+    assert {k for k in MODEL_KINDS if MODELS[k].key is not None} == set(TABLE_KINDS)
+    assert all(MODELS[k].front is not None for k in TABLE_KINDS)
+    assert {k for k in TABLE_KINDS if MODELS[k].back is None} == {"mlp"}
+    for k in set(MODEL_KINDS) - set(TABLE_KINDS):
+        assert MODELS[k].front is MODELS[k].back is None
+
+
+def per_node_rows(kind, tile, w) -> np.ndarray:
+    """Test-side reference for a table kind's rows of a tile: every node
+    runs layer 0 on its own key, and layer 1's transforms as one
+    (1, d) @ (d, e) product per node; the tile aggregates them, then runs
+    the kind's per-node layers and the readout."""
+    def per_node(X, W):
+        return (X[..., None, :] @ W)[..., 0, :]
+
+    def relu(x):
+        return np.maximum(x, 0.0)
+
+    H, C = tile.H0, tile.supports
+    A = [C[:, s] @ H for s in range(C.shape[1])]  # each node's aggregates
+    if kind in ("mlp", "gcn", "graphsage"):
+        X = [H] * MODELS[kind].identity + A  # the key's columns
+        pre = X[0] * w["W0"][0]
+        for x, W in zip(X[1:], w["W0"][1:]):
+            pre = pre + x * W
+        H1 = relu(pre + w["b0"])
+        T = [per_node(H1, W) for W in w["W1"]]
+        if kind == "mlp":
+            H = relu(per_node(relu(T[0] + w["b1"]), w["W2"][0]) + w["b2"])
+        else:
+            out = T[0] if MODELS[kind].identity else C[:, 0] @ T[0]
+            for t in T[1:]:  # graphsage's D^-1 A term
+                out = out + C[:, 0] @ t
+            H = relu(out + w["b1"])
+    elif kind == "gin":
+        H1 = relu(per_node(relu(A[0] * w["W0.0"] + w["b0.0"]), w["W0.1"]) + w["b0.1"])
+        inner = relu(C[:, 0] @ per_node(H1, w["W1.0"]) + w["b1.0"])
+        H = relu(inner @ w["W1.1"] + w["b1.1"])
+    else:  # gnnml1: identity and adjacency terms plus a Hadamard product
+        H1 = relu(H * w["W0.0"] + A[0] * w["W0.1"] + (H * w["W0.2"]) * (H * w["W0.3"])
+                  + w["b0"])
+        node = per_node(H1, w["W1.0"]) + per_node(H1, w["W1.2"]) * per_node(H1, w["W1.3"])
+        H = relu(node + C[:, 0] @ per_node(H1, w["W1.1"]) + w["b1"])
+    if kind != "mlp":
+        H = MODELS[kind].update(w, 2, H, C)
+    return (H.sum(axis=-2)[:, None, :] @ w["final"])[:, 0]
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_mlp_rows_by_degree_equal_per_node_rows(seed, monkeypatch):
-    # MLP reads no support, so on degree inputs its layers run once on the
-    # degrees 0 .. n-1 of each tile's order; every row must equal the
-    # per-node pass byte for byte. One order-8 graph carries a 1-column
-    # node feature that is not its degree: its tile runs every node.
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_table_rows_equal_per_node_rows(kind, seed, monkeypatch):
+    # the kind's layer 0 and layer 1's transforms run once per distinct
+    # key of the batch; every row must equal the per-node reference byte
+    # for byte, on stacks with edgeless, complete and random graphs with
+    # isolated vertices. One order-8 graph carries a 1-column node feature
+    # that is not its degree: its nodes are keyed by their feature rows.
     rng = np.random.default_rng(seed)
     graphs = []
-    for n in range(1, 31):  # edgeless, complete, and random with isolated vertices
+    for n in range(1, 31):
         graphs += [make_graph(rng, n, p) for p in (0.0, 1.0)]
         graphs += [make_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
                    for _ in range(rng.integers(1, 5))]
     featured = len(graphs)
     graphs.append(Graph(make_graph(rng, 8).adjacency, node_features=rng.random((8, 1))))
-    update, inputs = MODELS["mlp"].update, []
+    update, layers = MODELS[kind].update, []
 
     def recorded(w, l, H, C):
-        if l == 0:
-            inputs.append(H)
+        layers.append(l)
         return update(w, l, H, C)
 
-    monkeypatch.setitem(models.MODELS, "mlp", dataclasses.replace(MODELS["mlp"], update=recorded))
-    spec = ModelSpec("mlp")
+    monkeypatch.setitem(models.MODELS, kind, dataclasses.replace(MODELS[kind], update=recorded))
+    spec = ModelSpec(kind)
     weights = make_weights(spec, seed)
     batch = DatasetBatch(spec, graphs)
     keep = [i for i in range(len(graphs)) if i != featured][::-1]
     for b in (batch, batch.subset(keep)):
-        inputs.clear()
+        layers.clear()
         got = b.embed_all(seed)
-        by_order = {H.shape[1]: H for H in inputs}  # one tile per order, on either thread
-        assert len(inputs) == len(by_order) == len(b.groups) == 30
+        # no tile runs layer 0 or 1 on its nodes, the featured one included
+        assert set(layers) == (set() if kind == "mlp" else {2})
+        assert len(b.groups) == 30 and b.table is batch.table
         for tile in b.groups:
-            H = by_order[tile.n]
-            assert len(tile.indices) > 1
-            assert same_bytes(got[tile.indices], per_node_rows(update, tile, weights))
-            if b.featured[tile.indices].any():
-                assert H is tile.H0
-            else:
-                assert same_bytes(H, np.arange(float(tile.n))[None, :, None])
+            H, C = tile.H0, tile.supports
+            key = np.concatenate([H] * (kind not in ("gcn", "gin"))
+                                 + [C[:, s] @ H for s in range(C.shape[1])], axis=-1)
+            assert same_bytes(b.table[tile.keys], key)
+            assert same_bytes(got[tile.indices], per_node_rows(kind, tile, weights))
     assert batch.featured.sum() == 1
+    # each distinct key once: fewer rows than nodes, and no row twice
+    distinct = {row.tobytes() for row in batch.table}
+    assert len(distinct) == len(batch.table) < sum(G.n for G in graphs)
 
 
 def scan_matches_brute_force(emb, t):

@@ -40,14 +40,16 @@ BOUNDED = [k for k in MODEL_KINDS if models.MODELS[k].bound is not None]
 
 def ordered_kind(monkeypatch, base: str) -> ModelSpec:
     """A test-only kind "ordered": `base` with the node index in place of
-    the degree input, so that it reads node order but keeps `base`'s bound."""
+    the degree input, so that it reads node order but keeps `base`'s bound.
+    Its layer 0 is then no function of a node's key, so it runs every node."""
     def ordered_update(w, l, H, C):
         if l == 0:
             H = np.broadcast_to(np.arange(H.shape[1], dtype=float)[:, None], H.shape)
         return models._conv_update(w, l, H, C)
 
     monkeypatch.setitem(models.MODELS, "ordered",
-                        dataclasses.replace(models.MODELS[base], update=ordered_update))
+                        dataclasses.replace(models.MODELS[base], update=ordered_update,
+                                            key=None, front=None, back=None))
     monkeypatch.setattr(models, "MODEL_KINDS", (*MODEL_KINDS, "ordered"))
     monkeypatch.setattr(harness, "MODEL_KINDS", models.MODEL_KINDS)
     return ModelSpec("ordered")
