@@ -34,6 +34,10 @@ class Graph:
             X = np.array(self.node_features, dtype=float)
             if X.ndim != 2 or X.shape[0] != A.shape[0]:
                 raise ValueError("node_features row count must equal n")
+            if not np.isfinite(X).all():
+                # a NaN row is at no distance from anything, so it would pass
+                # for a distinguished pair; the key table pads with +inf
+                raise ValueError("node_features must be finite")
             X.setflags(write=False)
             object.__setattr__(self, "node_features", X)
 

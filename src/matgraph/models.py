@@ -44,16 +44,19 @@ batch is built, and the tile keeps its supports: elementwise formulas,
 one stacked eigendecomposition (Chebnet, GNNML3). `DatasetBatch.subset`
 builds nothing: it gathers each kept graph's inputs, supports (for
 GNNML3 its mask rows, renumbered) and key rows from the built tiles into
-the tiles a new batch of those graphs would have, and keeps the batch's
-key table, so a subset before every later run costs a copy, not a build.
+the tiles a new batch of those graphs would have, and keeps the rows of
+the batch's key table that they use, renumbered by counting, so a subset
+before every later run costs a copy, not a build, and its runs' fronts
+cover only its own keys.
 The one-graph helper `static_supports` is the B = 1 case of the same
 builders, made dense for GNNML3 by `spectral.scatter_supports`, the
 scatter that also places its learned supports. A support that is the
 identity (the first one of MLP, GraphSage and Chebnet, declared by
 `Model.identity`) is neither built nor stored: its term C H W is
 computed as H W. A node's input is one column (its degree, or a
-1-column node feature; wider features are refused), so at layer 0 each
-transform H W by a one-row W is the broadcast product H * W.
+1-column finite node feature; wider features are refused), so layer 0's
+transforms by one-row blocks W_s are one product: the broadcast H * W
+for one term, concat(X) @ W[:, 0] for several.
 
 The key table. The paper's first colour is the degree, H^(1) = A 1, and
 layer 0 aggregates before it transforms, sum_s (C_s H) W_s, so a node's
@@ -70,21 +73,40 @@ thread and once per table row, layer 0 and every node-wise step up to
 layer 1's aggregation (`Model.front`; GIN's node-wise W0.1 and GNNML1's
 Hadamard term included); each tile gathers the rows and aggregates them
 (`Model.back`), and layer 2 and the readout run per node as before.
-MLP never aggregates, so all of its layers run on the table. The kinds
-that take the table declare it in their `MODELS` entry, never chosen
-from the batch: MLP, GCN, GraphSage, GIN and GNNML1. Chebnet's supports
-are scaled by lambda-max (79915 distinct keys on graph8c), GAT's
-attention depends on the seed's weights and GNNML3's supports are
-learned, so these three run every node through every layer.
+MLP never aggregates, so all of its layers run on the table.
+
+GAT's layer-0 logits on a 1-column input, leaky(x_v W0 a[:e] + x_u W0
+a[e:]), and its message (att x) W0 read only x_v and its neighbours'
+x_u, so its layer-0 output is a function of x_v and the multiset of
+those x_u: on degree inputs, the node's 1-WL round-2 colour (1393 on
+graph8c). Its key is x_v, then the inputs of its self-connected
+neighbourhood (the attention's mask A + I) sorted, padded to the batch's
+widest order. A tile builds it as small integer codes of the batch's
+distinct inputs (the sorted bit patterns `inputs`), which `_rank_rows`
+packs into as few words as their range allows (one per node on graph8c),
+and the table holds the inputs they stand for, +inf for padding (`Graph`
+refuses non-finite inputs). GAT's front runs the attention and its
+softmax over each row's present slots, H1 = relu(z W0 + b0) from the
+attention-weighted input sum z, then layer 1's transform HW1 = H1 W1 and
+its two attention scores; the back runs layer 1's attention from the
+gathered scores and aggregates att @ HW1.
+
+The kinds that take the table declare it in their `MODELS` entry, never
+chosen from the batch: MLP, GCN, GraphSage, GIN, GAT and GNNML1. Only
+Chebnet, whose supports are scaled by lambda-max (79915 distinct keys on
+graph8c), and GNNML3, whose supports are learned, run every node through
+every layer.
 
 A graph's row depends only on the graph and the seed: it is
 byte-identical whether the graph is embedded alone, in a `subset` or
 with the whole dataset, in whichever tile. A key depends only on its
 node's graph, and each table row's transforms are one (1, d) @ (d, e)
 product per row, so a table row's bits depend on its key and the seed,
-not on the table's size or order. The layers' per-node matmuls are taken
-per graph (numpy loops over a tile's stack, each an (n, d) @ (d, e)
-product whose rows do not depend on their position), and the final
+not on the table's size or order; GAT's front sums a row's slots one by
+one, so the padding of a wider table adds exact zeros after them. The
+layers' per-node matmuls are taken per graph (numpy loops over a tile's
+stack, each an (n, d) @ (d, e) product whose rows do not depend on
+their position), and the final
 linear is one (1, d) @ (d, 10) product per graph; one (N, d) @ (d, 10)
 product over the batch would not do, as BLAS rounds a row differently
 when N changes. GAT's layer computes its transform H W once; the
@@ -172,14 +194,16 @@ class Model:
     # such bound); `harness` settles pairs by it
     bound: str | None = None
     # A kind that takes the key table declares all three (None: every node
-    # runs every layer). `key`: (H (T,n,1), C) -> (T, n, c), the columns
-    # layer 0 reads of each node (its input, when a term reads it as it
-    # is, then its aggregate by each support). `front`: (weights, the
-    # table's c columns, each (k, 1, 1)) -> the (k, 1, e) rows layer 1
-    # aggregates (layer 0 and layer 1's transforms, one (1, d) @ (d, e)
-    # product per row). `back`: (weights, those rows gathered to the
-    # tile's nodes (T, n, e), C) -> H after layer 1; None for a kind that
-    # never aggregates (MLP), whose front runs every layer.
+    # runs every layer). `key`: (H (T,n,1), C, inputs) -> (T, n, c), the
+    # columns layer 0 reads of each node: floats (its input, when a term
+    # reads it as it is, then its aggregate by each support), or GAT's
+    # codes of `inputs`, the batch's distinct inputs as sorted int64 bit
+    # patterns. `front`: (weights, the table's c columns, each (k, 1, 1))
+    # -> the (k, 1, .) rows layer 1 reads (layer 0 and layer 1's
+    # transforms, one (1, d) @ (d, e) product per row). `back`: (weights,
+    # those rows gathered to the tile's nodes (T, n, e), C) -> H after
+    # layer 1; None for a kind that never aggregates (MLP), whose front
+    # runs every layer.
     key: Callable | None = None
     front: Callable | None = None
     back: Callable | None = None
@@ -312,11 +336,14 @@ def _aggregates(C: np.ndarray, H: np.ndarray, skip: int) -> list[np.ndarray]:
 
 
 def _key(skip: int) -> Callable:
-    return lambda H, C: np.concatenate(_aggregates(C, H, skip), axis=-1)
+    return lambda H, C, inputs: np.concatenate(_aggregates(C, H, skip), axis=-1)
 
 
 def _weigh(X: list[np.ndarray], W: np.ndarray) -> np.ndarray:
-    """sum_j X_j W_j, in order, for W (S,d,e)."""
+    """sum_j X_j W_j for W (S,d,e): one product concat(X) @ W[:, 0] when
+    there are several one-row blocks (layer 0 reads one column), else in order."""
+    if len(X) > 1 and W.shape[1] == 1:
+        return np.concatenate(X, axis=-1) @ W[:, 0]
     out = _mm(X[0], W[0])
     for x, w in zip(X[1:], W[1:]):
         out += _mm(x, w)
@@ -393,14 +420,11 @@ def _gat_layer(l: int, d: int, w: int) -> list[Entry]:
             (f"b{l}", (w,), d, w)]
 
 
-def _gat_attention(HW: np.ndarray, a: np.ndarray, mask: np.ndarray):
+def _gat_attention(f_src: np.ndarray, f_dst: np.ndarray, mask: np.ndarray):
     """Softmax attention (T, n, n) over the self-connected neighborhood
-    `mask` (T, n, n) of the transformed features HW (T, n, d); rows sum
-    to 1. Every row holds its self-loop, so its max is finite and the
-    masked logits' exp(-inf) is exactly 0."""
-    d_out = HW.shape[-1]
-    f_src = HW @ a[:d_out]
-    f_dst = HW @ a[d_out:]
+    `mask` (T, n, n), from each node's scores (T, n) as source and as
+    target; rows sum to 1. Every row holds its self-loop, so its max is
+    finite and the masked logits' exp(-inf) is exactly 0."""
     logits = np.where(mask > 0, _leaky(f_src[..., :, None] + f_dst[..., None, :]), -np.inf)
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits, out=logits)
@@ -408,10 +432,58 @@ def _gat_attention(HW: np.ndarray, a: np.ndarray, mask: np.ndarray):
     return e
 
 
+def _gat_scores(HW: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's attention scores HW a[:d] (as source) and HW a[d:] (as target)."""
+    d = HW.shape[-1]
+    return HW @ a[:d], HW @ a[d:]
+
+
 def _gat_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The shared transform H W feeds both the attention and the aggregation."""
     HW = _mm(H, w[f"W{l}"])
-    return _bias_relu(_gat_attention(HW, w[f"a{l}"], C[:, 0]) @ HW, w[f"b{l}"])
+    return _bias_relu(_gat_attention(*_gat_scores(HW, w[f"a{l}"]), C[:, 0]) @ HW, w[f"b{l}"])
+
+
+def _gat_key(H: np.ndarray, C: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """A node's input, then the inputs of its self-connected neighbourhood
+    sorted, len(inputs) past the last: (T, n, n + 1) codes of `inputs`."""
+    pad = np.min_scalar_type(len(inputs)).type(len(inputs))
+    codes = np.searchsorted(inputs, H[..., 0].view(np.int64)).astype(pad.dtype)
+    # pad off the neighbourhood: every code is below it (faster than np.where)
+    slots = np.maximum(codes[:, None, :], (C[:, 0] == 0).view(np.uint8) * pad)
+    slots.sort(axis=-1)
+    return np.concatenate([codes[..., None], slots], axis=-1)
+
+
+def _gat_front(w: dict, X: list[np.ndarray]) -> list[np.ndarray]:
+    """Layer 0 on each row's input x_v and neighbourhood slots X[1:] (+inf
+    past the last), then layer 1's transform HW1 = H1 W1 and its two
+    attention scores. A slot's logit is leaky(x_v W0 a0[:e] + x_u W0
+    a0[e:]); the softmax and the attention-weighted input sum z are summed
+    slot by slot, so padding adds exact zeros after the present slots and
+    a row's bits do not depend on the table's width; H1 = relu(z W0 + b0)."""
+    W0 = w["W0"]
+    slots = np.concatenate(X[1:], axis=-1)[:, 0]  # (k, m)
+    present = slots < np.inf
+    x = np.where(present, slots, 0.0)
+    f_src, f_dst = _gat_scores(W0, w["a0"])
+    att = np.where(present, _leaky(X[0][:, 0] * f_src + x * f_dst), -np.inf)
+    att = np.exp(att - att.max(axis=1, keepdims=True))
+    total = att[:, 0].copy()
+    for j in range(1, att.shape[1]):
+        total += att[:, j]
+    att /= total[:, None]
+    z = att[:, 0] * x[:, 0]
+    for j in range(1, att.shape[1]):
+        z += att[:, j] * x[:, j]
+    HW1 = _bias_relu(z[:, None, None] * W0, w["b0"]) @ w["W1"]
+    return [HW1, *(f[..., None] for f in _gat_scores(HW1, w["a1"]))]
+
+
+def _gat_back(w: dict, G: list[np.ndarray], C: np.ndarray) -> np.ndarray:
+    """Layer 1 from the gathered rows HW1 and its scores (T, n, 1) each."""
+    HW1, f_src, f_dst = G
+    return _bias_relu(_gat_attention(f_src[..., 0], f_dst[..., 0], C[:, 0]) @ HW1, w["b1"])
 
 
 def _gnnml1_layer(l: int, d: int, w: int) -> list[Entry]:
@@ -492,7 +564,7 @@ MODELS: dict[str, Model] = {
                  bound=_MP_BOUND, key=_key(0), front=_gin_front, back=_gin_back),
     # attention is computed over the self-connected neighborhood
     "gat": Model(lambda A: _stack(A, A + np.eye(A.shape[-1])), _gat_layer, _gat_update,
-                 gain=0.64, bound=_MP_BOUND),
+                 gain=0.64, bound=_MP_BOUND, key=_gat_key, front=_gat_front, back=_gat_back),
     # Laplacian polynomials scaled by lambda-max: 2-FWL-equivalent graphs are cospectral
     "chebnet": Model(_chebnet_supports, _conv_layer(ModelSpec.cheb_k), _conv_update,
                      identity=True, bound="2-FWL"),
@@ -530,12 +602,12 @@ class _Tile:
         # table, or, from the build until the batch ranks them, its keys
         self.keys = keys
 
-    def build(self, spec: ModelSpec, A: np.ndarray) -> None:
+    def build(self, spec: ModelSpec, A: np.ndarray, inputs: np.ndarray) -> None:
         """The supports of the tile's adjacencies A, and its nodes' keys."""
         model = MODELS[spec.kind]
         self.supports = model.supports(A)
         if model.key is not None:
-            self.keys = model.key(self.H0, self.supports)
+            self.keys = model.key(self.H0, self.supports, inputs)
 
     def _layer_supports(self, weights: dict) -> np.ndarray:
         """The supports the layers read: the static (T, S, n, n) ones, or
@@ -637,6 +709,21 @@ def _run_tiles(tasks: list[Callable[[], None]]) -> None:
             f.result()
 
 
+def _split(graphs: list[Graph], featured: np.ndarray) -> tuple[list[_Tile], list[np.ndarray]]:
+    """The graphs' tiles, by order, with their inputs, and each tile's
+    (T, n, n) adjacency stack."""
+    tiles, stacks = [], []
+    for idx, A in order_stacks(graphs):
+        H0 = A.sum(axis=-1, keepdims=True)  # degree features
+        if featured[idx].any():
+            H0 = np.stack([h if graphs[i].node_features is None
+                           else graphs[i].node_features for i, h in zip(idx, H0)])
+        for part in _tile_slices(len(idx), A.shape[-1]):
+            tiles.append(_Tile(idx[part], H0[part]))
+            stacks.append(A[part])
+    return tiles, stacks
+
+
 class DatasetBatch:
     """Graphs split by order into tiles, each with its supports, and for a
     kind that takes it the key table, ready for repeated seed runs.
@@ -655,35 +742,53 @@ class DatasetBatch:
         for i in np.flatnonzero(self.featured).tolist():
             if (width := graphs[i].node_features.shape[1]) != 1:
                 raise ValueError(f"graph {i}: node features must be 1 column, not {width}")
-        self.groups, builds = [], []  # the tiles, and their builds
-        for idx, A in order_stacks(graphs):
-            H0 = A.sum(axis=-1, keepdims=True)  # degree features
-            if self.featured[idx].any():
-                H0 = np.stack([h if graphs[i].node_features is None
-                               else graphs[i].node_features for i, h in zip(idx, H0)])
-            for part in _tile_slices(len(idx), A.shape[-1]):
-                tile = _Tile(idx[part], H0[part])
-                self.groups.append(tile)
-                builds.append(partial(tile.build, spec, A[part]))
-        _run_tiles(builds)
+        self.groups, stacks = _split(graphs, self.featured)
+        # every input a node can have, distinct, as sorted int64 bit patterns:
+        # the degrees below the widest order, then the node features (a
+        # sort, not np.unique, whose first call in a process costs ~10 ms)
+        widest = max((tile.n for tile in self.groups), default=0)
+        inputs = np.sort(np.concatenate(
+            [np.arange(widest, dtype=float)]
+            + [graphs[i].node_features.ravel() for i in np.flatnonzero(self.featured)]
+        ).view(np.int64))
+        inputs = np.concatenate([inputs[:1], inputs[1:][inputs[1:] != inputs[:-1]]])
+        _run_tiles([partial(tile.build, spec, A, inputs) for tile, A in zip(self.groups, stacks)])
+        del stacks  # freed before the keys are ranked
         self.table = None  # the key table (k, c): each distinct key once, bit for bit
         if MODELS[spec.kind].key is not None and self.groups:
-            keys = np.concatenate([tile.keys.reshape(-1, tile.keys.shape[-1])
-                                   for tile in self.groups])
-            rows = _rank_rows(keys.view(np.int64))  # each node's row of the table
-            self.table = np.empty((rows.max() + 1, keys.shape[1]))
-            self.table[rows] = keys
-            lo = 0
-            for tile in self.groups:
-                T, n, _ = tile.keys.shape
-                tile.keys, lo = rows[lo:lo + T * n].reshape(T, n), lo + T * n
+            self.table = self._rank_keys(inputs)
+
+    def _rank_keys(self, inputs: np.ndarray) -> np.ndarray:
+        """Rank the tiles' keys into the table of distinct keys, and give
+        each tile its nodes' (T, n) rows of it. Float keys rank bit for bit;
+        codes of `inputs` are small integers, so `_rank_rows` packs a row
+        into few words, and the table holds the inputs they stand for,
+        +inf for padding (GAT's keys, one wider than their order, are
+        padded to the widest)."""
+        width = max(tile.keys.shape[-1] for tile in self.groups)
+        keys = np.full((sum(tile.keys.shape[0] * tile.n for tile in self.groups), width),
+                       len(inputs), dtype=self.groups[0].keys.dtype)
+        lo = 0
+        for tile in self.groups:
+            T, n, c = tile.keys.shape
+            keys[lo:lo + T * n, :c] = tile.keys.reshape(-1, c)
+            lo += T * n
+        coded = keys.dtype.kind != "f"
+        rows = _rank_rows(keys if coded else keys.view(np.int64))  # each node's row
+        table = np.empty((rows.max() + 1, width), dtype=keys.dtype)
+        table[rows] = keys
+        lo = 0
+        for tile in self.groups:
+            T, n = tile.keys.shape[:2]
+            tile.keys, lo = rows[lo:lo + T * n].reshape(T, n), lo + T * n
+        return np.append(inputs.view(np.float64), np.inf)[table] if coded else table
 
     def subset(self, indices: Sequence[int]) -> "DatasetBatch":
         """A batch of the graphs at `indices`, in that order, with the tiles
         that a new batch of them would have. Each graph's inputs, supports
         and key rows are gathered from this batch's tiles, and the key table
-        is this batch's: no stack, support, eigendecomposition or key is
-        built again."""
+        keeps the rows they use, in order, renumbered by counting: no stack,
+        support, eigendecomposition or key is built or ranked again."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         tile_of, row_of = np.empty((2, self.size), dtype=np.int64)  # each graph's tile, row
         for t, tile in enumerate(self.groups):
@@ -693,7 +798,6 @@ class DatasetBatch:
         batch = DatasetBatch.__new__(DatasetBatch)
         batch.spec, batch.graphs = self.spec, [self.graphs[i] for i in indices.tolist()]
         batch.size, batch.featured, batch.groups = len(indices), self.featured[indices], []
-        batch.table = self.table
         for n in dict.fromkeys(order.tolist()):  # first-appearance order, as order_stacks
             idx = np.flatnonzero(order == n)
             for part in _tile_slices(len(idx), n):
@@ -702,6 +806,15 @@ class DatasetBatch:
                 runs = np.split(k, np.flatnonzero(np.diff(tile_of[k])) + 1)
                 batch.groups.append(_gathered(k, [(self.groups[tile_of[r[0]]], row_of[r])
                                                   for r in runs]))
+        batch.table = None
+        if self.table is not None and batch.groups:
+            used = np.zeros(len(self.table), dtype=bool)
+            for tile in batch.groups:
+                used[tile.keys] = True
+            row = np.cumsum(used) - 1  # each used row's row in the subset's table
+            for tile in batch.groups:
+                tile.keys = row[tile.keys]
+            batch.table = self.table[used]
         return batch
 
     def embed_all(self, seed: int) -> np.ndarray:

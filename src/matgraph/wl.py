@@ -70,7 +70,8 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
             runs.append(rows[:, None, full:])
         words = []
         for run in runs:
-            word = run[..., 0] - lo
+            word = run[..., 0].astype(np.int64)  # small codes may come as uint8
+            word -= lo
             for column in np.moveaxis(run[..., 1:], 2, 0):
                 # wraps past 2**63 only by lo, and wraps back on subtracting it
                 word *= base

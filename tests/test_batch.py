@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from matgraph.models import (
     static_supports,
 )
 from matgraph.spectral import SupportSpec, scatter_supports, stacked_supports
+from matgraph.wl import _refine
 
 from .conftest import make_graph
 
@@ -248,8 +250,11 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     # a subset, and a subset of that subset, take each graph's inputs,
     # supports and key rows from the built tiles: no support builder,
     # eigendecomposition, key aggregate, key ranking or order_stacks runs,
-    # the key table is the batch's, every tile holds at most TILE_NODES
-    # nodes of one order, and tiles and rows are byte-equal to a fresh batch's
+    # every tile holds at most TILE_NODES nodes of one order, and tiles,
+    # key tables and rows are byte-equal to a fresh batch's. The key table
+    # keeps the rows the subset uses, in order, which is the table a fresh
+    # batch ranks (both subsets hold an order-25 graph, so GAT's tables are
+    # as wide)
     graphs = mixed
     if features:
         rng = np.random.default_rng(3)
@@ -277,13 +282,16 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     assert calls == []
     for sub, gs in ((first, [graphs[i] for i in idx]),
                     (second, [graphs[idx[k]] for k in again])):
-        assert sub.graphs == gs and sub.size == len(gs) and sub.table is batch.table
+        assert sub.graphs == gs and sub.size == len(gs)
         assert sum(tile.n == 8 for tile in sub.groups) > 1
         for tile in sub.groups:
             assert {gs[i].n for i in tile.indices} == {tile.n}
             assert len(tile.indices) == 1 or len(tile.indices) * tile.n <= models.TILE_NODES
         fresh = DatasetBatch(spec, gs)
         assert np.array_equal(sub.featured, [G.node_features is not None for G in gs])
+        assert (sub.table is None) == (fresh.table is None)
+        if sub.table is not None:
+            assert same_bytes(sub.table, fresh.table)
         assert [tile.n for tile in sub.groups] == [tile.n for tile in fresh.groups]
         for got, want in zip(sub.groups, fresh.groups):
             assert all(map(same_bytes, tile_arrays(sub, got), tile_arrays(fresh, want)))
@@ -360,12 +368,12 @@ def test_row_depends_only_on_graph_and_seed(kind, mixed):
         assert same_bytes(pair[1], alone)
 
 
-TABLE_KINDS = ("mlp", "gcn", "graphsage", "gin", "gnnml1")
+TABLE_KINDS = ("mlp", "gcn", "graphsage", "gin", "gat", "gnnml1")
 
 
 def test_table_kinds_declared():
-    # chebnet's supports are scaled by lambda-max, gat's attention reads the
-    # weights and gnnml3's supports are learned: they run every node
+    # chebnet's supports are scaled by lambda-max and gnnml3's supports are
+    # learned: they run every node
     assert {k for k in MODEL_KINDS if MODELS[k].key is not None} == set(TABLE_KINDS)
     assert all(MODELS[k].front is not None for k in TABLE_KINDS)
     assert {k for k in TABLE_KINDS if MODELS[k].back is None} == {"mlp"}
@@ -373,24 +381,40 @@ def test_table_kinds_declared():
         assert MODELS[k].front is MODELS[k].back is None
 
 
-def per_node_rows(kind, tile, w) -> np.ndarray:
+def gat_slots(tile, width) -> np.ndarray:
+    """GAT's key of each node of a tile (T, n, width): its input, then the
+    inputs of its neighbours and itself in ascending order, then +inf."""
+    H, n = tile.H0[..., 0], tile.n
+    slots = np.full((*H.shape, width), np.inf)
+    slots[..., 0] = H
+    slots[..., 1:n + 1] = np.sort(np.where(tile.supports[:, 0] > 0, H[:, None, :], np.inf), -1)
+    return slots
+
+
+def per_node_rows(kind, tile, w, width=None) -> np.ndarray:
     """Test-side reference for a table kind's rows of a tile: every node
     runs layer 0 on its own key, and layer 1's transforms as one
     (1, d) @ (d, e) product per node; the tile aggregates them, then runs
-    the kind's per-node layers and the readout."""
+    the kind's per-node layers and the readout. GAT's key is `width` wide."""
     def per_node(X, W):
         return (X[..., None, :] @ W)[..., 0, :]
 
     def relu(x):
         return np.maximum(x, 0.0)
 
+    def leaky(x):
+        return np.where(x > 0, x, 0.2 * x)
+
+    def softmax(logits):
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
     H, C = tile.H0, tile.supports
     A = [C[:, s] @ H for s in range(C.shape[1])]  # each node's aggregates
     if kind in ("mlp", "gcn", "graphsage"):
         X = [H] * MODELS[kind].identity + A  # the key's columns
-        pre = X[0] * w["W0"][0]
-        for x, W in zip(X[1:], w["W0"][1:]):
-            pre = pre + x * W
+        # one column: a broadcast; graphsage's two: one (1, 2) @ (2, e) product
+        pre = X[0] * w["W0"][0] if len(X) == 1 else per_node(np.concatenate(X, -1), w["W0"][:, 0])
         H1 = relu(pre + w["b0"])
         T = [per_node(H1, W) for W in w["W1"]]
         if kind == "mlp":
@@ -400,6 +424,26 @@ def per_node_rows(kind, tile, w) -> np.ndarray:
             for t in T[1:]:  # graphsage's D^-1 A term
                 out = out + C[:, 0] @ t
             H = relu(out + w["b1"])
+    elif kind == "gat":
+        # layer 0 over the node's neighbourhood slots, each sum taken slot by slot
+        slots = gat_slots(tile, width)
+        present = slots[..., 1:] < np.inf
+        x = np.where(present, slots[..., 1:], 0.0)
+        e = w["W0"].shape[-1]
+        f_src, f_dst = w["W0"] @ w["a0"][:e], w["W0"] @ w["a0"][e:]
+        att = np.where(present, leaky(slots[..., :1] * f_src + x * f_dst), -np.inf)
+        att = np.exp(att - att.max(axis=-1, keepdims=True))
+        total = att[..., 0]
+        for j in range(1, width - 1):
+            total = total + att[..., j]
+        att = att / total[..., None]
+        z = att[..., 0] * x[..., 0]
+        for j in range(1, width - 1):
+            z = z + att[..., j] * x[..., j]
+        HW1 = per_node(relu(z[..., None] * w["W0"][0] + w["b0"]), w["W1"])
+        f_src, f_dst = ((HW1[..., None, :] @ a)[..., 0] for a in (w["a1"][:e], w["a1"][e:]))
+        logits = np.where(C[:, 0] > 0, leaky(f_src[..., :, None] + f_dst[..., None, :]), -np.inf)
+        H = relu(softmax(logits) @ HW1 + w["b1"])
     elif kind == "gin":
         H1 = relu(per_node(relu(A[0] * w["W0.0"] + w["b0.0"]), w["W0.1"]) + w["b0.1"])
         inner = relu(C[:, 0] @ per_node(H1, w["W1.0"]) + w["b1.0"])
@@ -441,22 +485,36 @@ def test_table_rows_equal_per_node_rows(kind, seed, monkeypatch):
     weights = make_weights(spec, seed)
     batch = DatasetBatch(spec, graphs)
     keep = [i for i in range(len(graphs)) if i != featured][::-1]
-    for b in (batch, batch.subset(keep)):
+    subset = batch.subset(keep)
+    # the subset keeps the rows its nodes use, and GAT's width
+    assert same_bytes(subset.table, DatasetBatch(spec, [graphs[i] for i in keep]).table)
+    for b in (batch, subset):
         layers.clear()
         got = b.embed_all(seed)
         # no tile runs layer 0 or 1 on its nodes, the featured one included
         assert set(layers) == (set() if kind == "mlp" else {2})
-        assert len(b.groups) == 30 and b.table is batch.table
+        assert len(b.groups) == 30
+        width = b.table.shape[1]
         for tile in b.groups:
             H, C = tile.H0, tile.supports
-            key = np.concatenate([H] * (kind not in ("gcn", "gin"))
-                                 + [C[:, s] @ H for s in range(C.shape[1])], axis=-1)
+            key = gat_slots(tile, width) if kind == "gat" else np.concatenate(
+                [H] * (kind not in ("gcn", "gin")) + [C[:, s] @ H for s in range(C.shape[1])],
+                axis=-1)
             assert same_bytes(b.table[tile.keys], key)
-            assert same_bytes(got[tile.indices], per_node_rows(kind, tile, weights))
+            assert same_bytes(got[tile.indices], per_node_rows(kind, tile, weights, width))
     assert batch.featured.sum() == 1
     # each distinct key once: fewer rows than nodes, and no row twice
     distinct = {row.tobytes() for row in batch.table}
     assert len(distinct) == len(batch.table) < sum(G.n for G in graphs)
+
+
+def test_gat_table_is_round_two_colours(graph8c):
+    # GAT's layer 0 reads a node's input and the multiset of its
+    # neighbours' inputs: on degree inputs its table has one row per
+    # 1-WL round-2 colour (1393 among graph8c's 88936 nodes)
+    A = np.stack([G.adjacency for G in graph8c]) > 0
+    colours = list(itertools.islice(_refine(A, "WL1"), 3))[2]
+    assert len(DatasetBatch(ModelSpec("gat"), graph8c).table) == colours.max() + 1 == 1393
 
 
 def scan_matches_brute_force(emb, t):

@@ -90,6 +90,13 @@ class TestGraph:
         with pytest.raises(ValueError):
             G.adjacency[0, 1] = 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_node_features_must_be_finite(self, value):
+        # a non-finite input embeds to non-finite rows under every kind,
+        # and a NaN distance fails `d <= threshold`: refused at construction
+        with pytest.raises(ValueError, match="^node_features must be finite$"):
+            Graph(np.zeros((2, 2)), node_features=[[value], [1.0]])
+
     def test_caller_arrays_stay_writable(self):
         # the graph keeps read-only copies; the caller's arrays stay its own
         A, X = np.zeros((2, 2)), np.ones((2, 1))
