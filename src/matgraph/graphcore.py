@@ -1,9 +1,25 @@
-"""Graph representation, graph6/edge-list ingestion and Laplacian builders."""
+"""Graph representation, datasets, graph6/edge-list ingestion and Laplacian builders.
+
+A `Dataset` is an immutable sequence of graphs that groups them by order
+once: each order's ascending positions and `(B, n, n)` float adjacency
+stack, the mask of graphs with node features, and a memo of
+whole-dataset key-rung values (`harness.CENSUS` rung name -> one key per
+graph). `load_dataset` returns one whose stacks are the decoder's arrays,
+which its graphs are views of, so loading copies nothing; one built from
+a plain list stacks it once. Every layer reads the stacks from it: the
+WL engine (`wl.signatures`), the lambda-max rung, the model engine
+(`models.DatasetBatch`) and the settling of bounded pairs
+(`harness._settled`), and a census run twice on one dataset keys each
+rung once. As nothing can be added, replaced or removed, the memo cannot
+go stale.
+"""
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -235,9 +251,10 @@ def order_stacks(graphs: list[Graph]):
     order: the ascending positions in `graphs` of the graphs of order n
     and their `(B, n, n)` float adjacency stack.
 
-    A generator, so that a caller holds one order's stack at a time. Call
-    it on the calling thread, not in tile tasks: a tracer may wrap public
-    names with a wrapper that is not thread-safe.
+    A generator, so that a caller can hold one order's stack at a time
+    (a `Dataset` keeps them all). Call it on the calling thread, not in
+    tile tasks: a tracer may wrap public names with a wrapper that is not
+    thread-safe.
     """
     by_order: dict[int, list[int]] = {}
     for i, G in enumerate(graphs):
@@ -246,15 +263,87 @@ def order_stacks(graphs: list[Graph]):
         yield np.array(idx), np.array([graphs[i].adjacency for i in idx])
 
 
-def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
-    """The graphs of a graph6 or edge-list JSON file; raises GraphFormatError if none."""
+class Dataset(Sequence):
+    """An immutable sequence of graphs with each order's stack built once.
+
+    `stacks` holds `(positions, A)` per order, in first-appearance order:
+    the graphs' ascending positions and their read-only `(B, n, n)` float
+    adjacency stack, as `order_stacks` yields them. `featured` is the
+    read-only mask of graphs that carry node features. `memo` keeps
+    whole-dataset values by name. Indexing gives a `Graph`, a slice a
+    plain list of them; item assignment and `append` do not exist.
+    """
+
+    def __init__(self, graphs: Iterable[Graph] = ()):
+        graphs = tuple(graphs)
+        featured = np.array([G.node_features is not None for G in graphs], dtype=bool)
+        self._set(graphs, list(order_stacks(graphs)), featured)
+
+    def _set(self, graphs: tuple, stacks: list, featured: np.ndarray) -> None:
+        for pos, A in stacks:
+            pos.setflags(write=False)
+            A.setflags(write=False)
+        featured.setflags(write=False)
+        self._graphs, self.stacks, self.featured = graphs, tuple(stacks), featured
+        self._memo: dict = {}
+
+    @classmethod
+    def _of_stacks(cls, graphs: tuple, stacks: list, featured: np.ndarray) -> "Dataset":
+        """A dataset of `graphs` whose stacks, `(positions, A)` per order in
+        first-appearance order, are already built."""
+        dataset = cls.__new__(cls)
+        dataset._set(graphs, stacks, featured)
+        return dataset
+
+    @classmethod
+    def of(cls, graphs: Sequence[Graph]) -> "Dataset":
+        """`graphs` if it is a dataset, else a new one of them."""
+        return graphs if isinstance(graphs, cls) else cls(graphs)
+
+    def __len__(self) -> int:
+        return len(self._graphs)
+
+    def __getitem__(self, i):
+        return list(self._graphs[i]) if isinstance(i, slice) else self._graphs[i]
+
+    def __iter__(self):
+        return iter(self._graphs)
+
+    def subset(self, positions: Sequence[int]) -> "Dataset":
+        """The dataset of the graphs at `positions`, in that order, its
+        stacks gathered from these stacks' rows: no graph is re-stacked."""
+        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        stack_of, row_of = np.empty((2, len(self)), dtype=np.int64)
+        for s, (pos, _) in enumerate(self.stacks):
+            stack_of[pos], row_of[pos] = s, np.arange(len(pos))
+        stack_of, row_of = stack_of[positions], row_of[positions]
+        stacks = []
+        for s in dict.fromkeys(stack_of.tolist()):  # first-appearance order
+            mine = np.flatnonzero(stack_of == s)
+            stacks.append((mine, self.stacks[s][1][row_of[mine]]))
+        graphs = tuple(self._graphs[i] for i in positions.tolist())
+        return self._of_stacks(graphs, stacks, self.featured[positions])
+
+    def memo(self, name: str, values: Callable[["Dataset"], list]) -> tuple:
+        """`values(self)` as a tuple, computed on the first call for `name`
+        and kept: one value per graph, e.g. a key rung's keys."""
+        if name not in self._memo:
+            self._memo[name] = tuple(values(self))
+        return self._memo[name]
+
+
+def load_dataset(path: str, format: str = "graph6") -> Dataset:
+    """The graphs of a graph6 or edge-list JSON file; raises GraphFormatError if none.
+
+    A graph6 file's graphs are read-only views of one stack per order,
+    which become the dataset's stacks."""
     if format == "graph6":
-        # one stack per header: all lines of one header have one order
+        # one decode per header: all lines of one header have one order
         groups: dict[bytes, list[int]] = {}
         entries = graph6_lines(path)
         for k, (_, s) in enumerate(entries):
             groups.setdefault(s[:4] if s[0] == 126 else s[:1], []).append(k)
-        graphs: list = [None] * len(entries)
+        by_order: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         errors = []
         for members in groups.values():
             try:
@@ -262,11 +351,22 @@ def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
             except _BadLine as e:
                 errors.append((entries[members[e.index]][0], str(e)))
                 continue
-            for k, G in zip(members, Graph._views(A)):
-                graphs[k] = G
+            by_order.setdefault(A.shape[-1], []).append((np.array(members), A))
         if errors:
             lineno, message = min(errors)
             raise GraphFormatError(f"{path}:{lineno}: {message}")
+        graphs: list = [None] * len(entries)
+        stacks = []
+        for parts in by_order.values():
+            pos, A = parts[0]
+            if len(parts) > 1:  # an order written with two headers: "~??D" is n = 5
+                pos = np.concatenate([p for p, _ in parts])
+                order = np.argsort(pos)
+                pos, A = pos[order], np.concatenate([a for _, a in parts])[order]
+            for k, G in zip(pos.tolist(), Graph._views(A)):
+                graphs[k] = G
+            stacks.append((pos, A))  # orders in first-appearance order, as their headers
+        dataset = Dataset._of_stacks(tuple(graphs), stacks, np.zeros(len(graphs), dtype=bool))
     elif format == "edgelist-json":
         with open(path) as f:
             try:
@@ -283,8 +383,9 @@ def load_dataset(path: str, format: str = "graph6") -> list[Graph]:
                 raise GraphFormatError(f"{path}: record {i}: {e}") from e
             except MemoryError as e:
                 raise MemoryError(f"{path}: record {i}: {e}") from e
+        dataset = Dataset(graphs)
     else:
         raise ValueError(f"unknown dataset format: {format!r}")
-    if not graphs:
+    if not len(dataset):
         raise GraphFormatError(f"{path} has no graphs")
-    return graphs
+    return dataset

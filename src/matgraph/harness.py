@@ -4,6 +4,18 @@ rungs of one table, `CENSUS`: a rung buckets every graph by a value, or
 splits a coarser rung's pairs by a value of only the graphs in them.
 Adding a rung is adding an entry.
 
+Every entry point takes a `graphcore.Dataset` or a plain list of graphs.
+A base rung's keys of a whole `Dataset` are kept in its memo, so the
+censuses run one after another on one loaded dataset key each rung once:
+`lambda_census` after `wl_census` reuses the 1-WL keys, and
+`distinguishability_run` counts the degree-multiset pairs as the sum of
+C(k, 2) over the memoised `1-WL@1` classes, listing none. A splitting
+rung and the settling of bounded pairs (below) key only some graphs,
+whose stack rows they gather from a `Dataset`. A list has no memo: each
+call stacks it once, for one use, and then frees the stacks (a `Dataset`
+kept around it through the pair listing and the scans raised table1's
+in-process peak RSS by 5-7 MB).
+
 The distinguishability engine avoids the full O(N^2) distance pass: in
 the first run, candidate near-duplicate pairs are found by sorting the
 embeddings on one key and scanning a window, keeping the window's pairs
@@ -58,11 +70,12 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from matgraph import appendix_data
-from matgraph.graphcore import DATASET_FORMATS, Graph, laplacian, load_dataset, order_stacks
+from matgraph.graphcore import DATASET_FORMATS, Dataset, Graph, laplacian, load_dataset
 from matgraph.graphlets import custom_sentence
 from matgraph.matlang import eval_sentence, parse
 from matgraph.models import (
@@ -131,14 +144,21 @@ class ExperimentConfig:
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """Key-value text config: one `key = value` per line, # comments.
         `overrides` take precedence over the file's values. `dataset` is
-        not a key: it comes from `overrides`. An unknown or repeated key, or
-        a value that does not parse or is not valid, raises naming its file
+        not a key: it comes from `overrides`. The file is UTF-8 whatever the
+        locale. An unknown or repeated key, a line that is not UTF-8, or a
+        value that does not parse or is not valid, raises naming its file
         and line."""
         known = {f.name for f in fields(cls)} - {"dataset"}
         values: dict = {}
         linenos: dict[str, int] = {}  # key -> the line that set it
-        with open(path) as f:
-            for lineno, line in enumerate(f, start=1):
+        with open(path, "rb") as f:
+            # lines end at \n, \r\n or \r, as in text mode; each is decoded
+            # on its own, so a decoding error names its line
+            for lineno, data in enumerate(f.read().splitlines(), start=1):
+                try:
+                    line = data.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from e
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -186,10 +206,10 @@ class PairReport:
         self.pairs[method] = sorted(pairs)[: self.PAIR_LIST_CAP]
 
 
-def _lambda_max(graphs: list[Graph]) -> np.ndarray:
+def _lambda_max(graphs: Sequence[Graph]) -> np.ndarray:
     """Normalized-Laplacian lambda-max of each graph, one eig_sym per order."""
     lam = np.empty(len(graphs))
-    for pos, A in order_stacks(graphs):
+    for pos, A in Dataset.of(graphs).stacks:
         lam[pos] = eig_sym(laplacian(A)).lam[:, -1]
     return lam
 
@@ -212,25 +232,36 @@ CENSUS = {
 }
 
 
-def _census(graphs: list[Graph], rungs) -> dict[str, list[tuple[int, int]]]:
+def _take(graphs: Sequence[Graph], positions) -> Sequence[Graph]:
+    """The graphs at `positions`: a `Dataset`'s subset, whose stacks are
+    gathered from its own, or a list of them."""
+    if isinstance(graphs, Dataset):
+        return graphs.subset(positions)
+    return [graphs[i] for i in positions]
+
+
+def _census(graphs: Sequence[Graph], rungs) -> dict[str, list[tuple[int, int]]]:
     """Every pair of each of `rungs`, which lists a base before the rungs
-    that split it; those get values, in one call, for its paired graphs."""
+    that split it: a base rung keys every graph, from a `Dataset`'s memo,
+    and a splitting rung gets values, in one call, for its base's paired
+    graphs."""
     found: dict = {}
     for name in rungs:
         base, values, keep = CENSUS[name]
         if base is None:
+            memo = isinstance(graphs, Dataset)
             buckets = defaultdict(list)
-            for i, key in enumerate(values(graphs)):
+            for i, key in enumerate(graphs.memo(name, values) if memo else values(graphs)):
                 buckets[key].append(i)
             found[name] = [p for b in buckets.values() for p in combinations(b, 2)]
         else:
             paired = sorted({i for pair in found[base] for i in pair})
-            value = dict(zip(paired, values([graphs[i] for i in paired])))
+            value = dict(zip(paired, values(_take(graphs, paired))))
             found[name] = [(i, j) for i, j in found[base] if keep(value[i], value[j])]
     return found
 
 
-def wl_census(graphs: list[Graph]) -> PairReport:
+def wl_census(graphs: Sequence[Graph]) -> PairReport:
     """1-WL and 2-FWL equivalent pair counts for a dataset.
 
     2-FWL refines 1-WL, so 2-FWL keys are computed, in one `signatures`
@@ -240,7 +271,7 @@ def wl_census(graphs: list[Graph]) -> PairReport:
     return PairReport.of_graphs("wl-census", graphs, _census(graphs, ("1-WL", "2-FWL")))
 
 
-def lambda_census(graphs: list[Graph]) -> PairReport:
+def lambda_census(graphs: Sequence[Graph]) -> PairReport:
     """1-WL-equivalent pairs whose normalized-Laplacian lambda-max agree
     within 1e-6 (the pairs Chebnet's lambda-max term cannot help with).
 
@@ -323,8 +354,10 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
     `bound`, a key rung of CENSUS. All False without a bound, when a graph
     of the batch has node features (the bound assumes degree inputs) or
     when the cut of the largest rows would exceed `threshold` (a pair of
-    equal keys might then not be a candidate). Raises when two keyed graphs
-    of equal keys are not a near pair."""
+    equal keys might then not be a candidate). The keyed graphs' stack rows
+    are gathered from a `Dataset`; a list's are stacked anew, as a batch
+    does not keep its stacks. Raises when two keyed graphs of equal keys are
+    not a near pair."""
     spec, graphs = batch.spec, batch.graphs
     bound = MODELS[spec.kind].bound
     norm = np.abs(emb).sum(axis=1)
@@ -338,7 +371,7 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
     ids: dict = {}
     key = np.full(len(graphs), -1)
     key[keyed] = [ids.setdefault(k, len(ids))
-                  for k in CENSUS[bound][1]([graphs[i] for i in keyed])]
+                  for k in CENSUS[bound][1](_take(graphs, keyed.tolist()))]
     settled[near] = key[pairs[near, 0]] == key[pairs[near, 1]]
     sizes = np.bincount(key[keyed])
     if (sizes * (sizes - 1) // 2).sum() != settled.sum():
@@ -349,14 +382,15 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
 
 def undistinguished_pairs(
     spec: ModelSpec,
-    graphs: list[Graph],
+    graphs: Sequence[Graph],
     seeds: list[int],
     threshold: float,
 ) -> list[tuple[int, int]]:
     """Pairs whose embeddings stay within threshold in every run.
 
-    Run 0 scans the whole dataset for candidates. When more runs follow,
-    the pairs that the kind's WL bound keeps in every run settle at once
+    `graphs` is a `Dataset` or a list, which the batch stacks once. Run 0
+    scans the whole dataset for candidates. When more runs follow, the
+    pairs that the kind's WL bound keeps in every run settle at once
     (`_settled`): the near ones, within a rounding cut of NEAR_EPS times
     their rows' L1 norms, are keyed by the value function of the kind's
     `bound` rung of CENSUS (`1-WL@k` or `2-FWL`), and those of equal keys
@@ -398,22 +432,24 @@ def undistinguished_pairs(
     return list(zip(index[i].tolist(), index[j].tolist()))
 
 
-def degree_multiset_pairs(graphs: list[Graph]) -> list[tuple[int, int]]:
+def degree_multiset_pairs(graphs: Sequence[Graph]) -> list[tuple[int, int]]:
     """Exact oracle for the MLP row: pairs with equal sorted degrees."""
     return _census(graphs, ("1-WL@1",))["1-WL@1"]
 
 
 def distinguishability_run(config: ExperimentConfig) -> PairReport:
-    graphs = load_dataset(config.dataset, format=config.format)
-    report = PairReport.of_graphs("distinguishability", graphs)
+    dataset = load_dataset(config.dataset, format=config.format)
+    report = PairReport.of_graphs("distinguishability", dataset)
     seeds = run_seeds(config.base_seed, config.runs)
     report.extras["runs"] = config.runs
     report.extras["threshold"] = config.threshold
-    report.extras["degree-multiset-oracle"] = len(degree_multiset_pairs(graphs))
+    # the degree-multiset pairs, counted from their classes without listing them
+    degrees = Counter(dataset.memo("1-WL@1", CENSUS["1-WL@1"][1]))
+    report.extras["degree-multiset-oracle"] = sum(k * (k - 1) // 2 for k in degrees.values())
     for kind in config.models:
         spec = ModelSpec(kind)
         try:
-            pairs = undistinguished_pairs(spec, graphs, seeds, config.threshold)
+            pairs = undistinguished_pairs(spec, dataset, seeds, config.threshold)
         except Exception as exc:  # report per model without aborting others
             report.extras[f"error:{kind}"] = str(exc)
             continue

@@ -35,10 +35,12 @@ graphs. Determinism: every weight array is regenerable bit-exactly from
 the 64-bit seed, and a graph's embedding depends only on the graph and
 the seed (below).
 
-For dataset-scale runs, `DatasetBatch` takes each order's (B, n, n)
-adjacency stack from `graphcore.order_stacks` once and splits it into
-tiles of TILE_NODES nodes; `DatasetBatch.groups` is the flat list of
-tiles, each holding its graphs' dataset positions, inputs and supports.
+For dataset-scale runs, `DatasetBatch` slices each order's (B, n, n)
+adjacency stack of a `graphcore.Dataset` (the loader's arrays, or a
+list's, stacked once for the build and then freed) into tiles of
+TILE_NODES nodes, and reads the dataset's `featured` mask;
+`DatasetBatch.groups` is the flat list of tiles, each holding its graphs'
+dataset positions, inputs and supports.
 The kind's support builder runs on each tile's stack once, when the
 batch is built, and the tile keeps its supports: elementwise formulas,
 one stacked eigendecomposition (Chebnet, GNNML3). `DatasetBatch.subset`
@@ -137,7 +139,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from matgraph.graphcore import Graph, laplacian, order_stacks
+from matgraph.graphcore import Dataset, Graph, laplacian
 from matgraph.spectral import (SupportSpec, _eig_sym, _scatter_supports, _stacked_supports,
                                scatter_supports)
 from matgraph.wl import _rank_rows
@@ -709,15 +711,15 @@ def _run_tiles(tasks: list[Callable[[], None]]) -> None:
             f.result()
 
 
-def _split(graphs: list[Graph], featured: np.ndarray) -> tuple[list[_Tile], list[np.ndarray]]:
-    """The graphs' tiles, by order, with their inputs, and each tile's
-    (T, n, n) adjacency stack."""
+def _split(dataset: Dataset) -> tuple[list[_Tile], list[np.ndarray]]:
+    """The dataset's tiles, by order, with their inputs, and each tile's
+    (T, n, n) adjacency stack: a slice of its order's stack."""
     tiles, stacks = [], []
-    for idx, A in order_stacks(graphs):
+    for idx, A in dataset.stacks:
         H0 = A.sum(axis=-1, keepdims=True)  # degree features
-        if featured[idx].any():
-            H0 = np.stack([h if graphs[i].node_features is None
-                           else graphs[i].node_features for i, h in zip(idx, H0)])
+        if dataset.featured[idx].any():
+            H0 = np.stack([h if dataset[i].node_features is None
+                           else dataset[i].node_features for i, h in zip(idx, H0)])
         for part in _tile_slices(len(idx), A.shape[-1]):
             tiles.append(_Tile(idx[part], H0[part]))
             stacks.append(A[part])
@@ -728,21 +730,22 @@ class DatasetBatch:
     """Graphs split by order into tiles, each with its supports, and for a
     kind that takes it the key table, ready for repeated seed runs.
 
-    Building the stacks, supports and keys costs one pass, its tiles on the
-    tile threads; every embed_all call reuses it, and a `subset` gathers
-    from it, which is what makes 100-run dataset sweeps affordable.
+    Building the supports and keys costs one pass over the dataset's
+    stacks (a list's are built here), its tiles on the tile threads; every
+    embed_all call reuses it, and a `subset` gathers from it, which is what
+    makes 100-run dataset sweeps affordable.
     """
 
-    def __init__(self, spec: ModelSpec, graphs: list[Graph]):
+    def __init__(self, spec: ModelSpec, graphs: Sequence[Graph]):
         self.spec = spec
-        self.graphs = graphs
+        self.graphs = graphs  # as given, a Dataset or a list
+        dataset = Dataset.of(graphs)  # a list is stacked here, once
         self.size = len(graphs)
-        # which graphs carry node features, looked up once per batch
-        self.featured = np.array([G.node_features is not None for G in graphs], dtype=bool)
+        self.featured = dataset.featured
         for i in np.flatnonzero(self.featured).tolist():
             if (width := graphs[i].node_features.shape[1]) != 1:
                 raise ValueError(f"graph {i}: node features must be 1 column, not {width}")
-        self.groups, stacks = _split(graphs, self.featured)
+        self.groups, stacks = _split(dataset)
         # every input a node can have, distinct, as sorted int64 bit patterns:
         # the degrees below the widest order, then the node features (a
         # sort, not np.unique, whose first call in a process costs ~10 ms)
@@ -753,7 +756,7 @@ class DatasetBatch:
         ).view(np.int64))
         inputs = np.concatenate([inputs[:1], inputs[1:][inputs[1:] != inputs[:-1]]])
         _run_tiles([partial(tile.build, spec, A, inputs) for tile, A in zip(self.groups, stacks)])
-        del stacks  # freed before the keys are ranked
+        del dataset, stacks  # a list's stacks are freed before the keys are ranked
         self.table = None  # the key table (k, c): each distinct key once, bit for bit
         if MODELS[spec.kind].key is not None and self.groups:
             self.table = self._rank_keys(inputs)
@@ -798,7 +801,7 @@ class DatasetBatch:
         batch = DatasetBatch.__new__(DatasetBatch)
         batch.spec, batch.graphs = self.spec, [self.graphs[i] for i in indices.tolist()]
         batch.size, batch.featured, batch.groups = len(indices), self.featured[indices], []
-        for n in dict.fromkeys(order.tolist()):  # first-appearance order, as order_stacks
+        for n in dict.fromkeys(order.tolist()):  # first-appearance order, as Dataset.stacks
             idx = np.flatnonzero(order == n)
             for part in _tile_slices(len(idx), n):
                 k = idx[part]

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from typing import Sequence
 
 import numpy as np
 
-from matgraph.graphcore import Graph, order_stacks
+from matgraph.graphcore import Dataset, Graph
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,12 @@ def _refine(A: np.ndarray, test: str):
             return
 
 
-def signatures(graphs: list[Graph], test: str = "WL1",
+def signatures(graphs: Sequence[Graph], test: str = "WL1",
                rounds: int | None = None) -> list[tuple[int, int, bytes]]:
     """One key per graph: `(n, settle round, sorted colors as bytes)`.
 
-    Graphs are refined together, one stack per order, so two keys are
+    Graphs are refined together, one stack per order (a `Dataset`'s own
+    stacks, or those of a list, stacked once), so two keys are
     equal iff `test` ("WL1", "WL2" or "FWL2") finds the two graphs
     equivalent; with `rounds=k`, iff k rounds do not separate them
     ("WL1" at k = 1 compares degree multisets). A graph whose sorted
@@ -176,7 +178,7 @@ def signatures(graphs: list[Graph], test: str = "WL1",
     depend on the other graphs refined alongside.
     """
     keys: list = [None] * len(graphs)
-    for members, A in order_stacks(graphs):
+    for members, A in Dataset.of(graphs).stacks:
         n = A.shape[-1]
         A = A != 0
         C = _initial_colors(A, test)

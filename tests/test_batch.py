@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matgraph import models
+from matgraph import graphcore, models
 from matgraph.graphcore import Graph, order_stacks
 from matgraph.harness import _candidate_pairs
 from matgraph.models import (
@@ -244,12 +244,22 @@ def tile_arrays(batch, tile) -> list[np.ndarray]:
             *keys]
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_dataset_and_list_embed_alike(kind, mixed):
+    # a batch slices a Dataset's stacks, or stacks a list once: orders 1, 3,
+    # 8 and 25 and a featured graph give byte-identical embeddings both ways
+    spec = ModelSpec(kind)
+    want = DatasetBatch(spec, mixed).embed_all(7)
+    assert same_bytes(DatasetBatch(spec, graphcore.Dataset(mixed)).embed_all(7), want)
+
+
 @pytest.mark.parametrize("features", [False, True], ids=["mixed", "node-features"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     # a subset, and a subset of that subset, take each graph's inputs,
     # supports and key rows from the built tiles: no support builder,
-    # eigendecomposition, key aggregate, key ranking or order_stacks runs,
+    # eigendecomposition, key aggregate, key ranking, stacking of a dataset
+    # (graphcore.order_stacks) or gathering of its stack rows runs,
     # every tile holds at most TILE_NODES nodes of one order, and tiles,
     # key tables and rows are byte-equal to a fresh batch's. The key table
     # keeps the rows the subset uses, in order, which is the table a fresh
@@ -269,8 +279,10 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     key = MODELS[kind].key and refuse("key")
     monkeypatch.setitem(models.MODELS, kind,
                         dataclasses.replace(MODELS[kind], supports=refuse("supports"), key=key))
-    for name in ("order_stacks", "_eig_sym", "_stacked_supports", "_rank_rows"):
+    for name in ("_eig_sym", "_stacked_supports", "_rank_rows"):
         monkeypatch.setattr(models, name, refuse(name))
+    monkeypatch.setattr(graphcore, "order_stacks", refuse("order_stacks"))
+    monkeypatch.setattr(graphcore.Dataset, "subset", refuse("Dataset.subset"))
     monkeypatch.setattr(np, "unique", refuse("unique"))
     # every order, out of order, and more order-8 graphs than one tile holds
     idx = [302, 0, 151, 7, 154, 155, 152, 3, 1, 153, 250]

@@ -414,6 +414,21 @@ class TestDistinguish:
         assert captured.err.startswith(f"error: {cfg}:3: invalid literal for int()")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, line", [
+        (b"\xff\xferuns = 3\n", 1),  # a UTF-16 byte-order mark
+        (b"models = gcn\r\n# r\xe9sum\xe9\rruns = 3\n", 2),  # Latin-1, CR-ended
+    ])
+    def test_config_not_utf8_names_file_and_line(self, capsys, tmp_path, small_dataset,
+                                                 text, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(text)
+        code = main(["--config", str(cfg), "distinguish", small_dataset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}:{line}: 'utf-8' codec can't decode byte")
+        assert captured.err.count("\n") == 1
+
     def test_malformed_edgelist_json_names_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"n": 2 "edges": [[0, 1]]}]')

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matgraph.graphcore import (
+    Dataset,
     Graph,
     GraphFormatError,
     _check_adjacency,
@@ -283,6 +284,82 @@ class TestOrderStacks:
 
     def test_no_graphs(self):
         assert list(order_stacks([])) == []
+
+
+class TestDataset:
+    @staticmethod
+    def assert_views(dataset):
+        """Every stack is read-only and its rows are its graphs' adjacencies."""
+        for pos, A in dataset.stacks:
+            assert not A.flags.writeable and not pos.flags.writeable
+            for row, i in enumerate(pos.tolist()):
+                assert dataset[i].adjacency.base is A
+                assert np.shares_memory(dataset[i].adjacency, A[row])
+
+    def test_loaded_stacks_are_the_graphs_memory(self, graph8c, sr25, tmp_path):
+        # graph8c and sr25 are one order each; the file below has three
+        # orders, order 5 under two headers ("~??D" is a valid header of
+        # n = 5), which are merged into one stack in line order
+        for dataset in (graph8c, sr25):
+            assert len(dataset.stacks) == 1
+            self.assert_views(dataset)
+        rng = np.random.default_rng(8)
+        five, three = [make_graph(rng, 5) for _ in range(3)], make_graph(rng, 3)
+        lines = [encode_graph6(G) for G in (five[0], three, five[1], five[2])]
+        lines[2] = "~??" + lines[2]
+        path = tmp_path / "headers.g6"
+        path.write_text("\n".join(lines) + "\n")
+        dataset = load_dataset(str(path))
+        assert [(pos.tolist(), A.shape[-1]) for pos, A in dataset.stacks] == [([0, 2, 3], 5),
+                                                                               ([1], 3)]
+        self.assert_views(dataset)
+        for G, H in zip((five[0], three, five[1], five[2]), dataset):
+            assert np.array_equal(G.adjacency, H.adjacency)
+        assert not dataset.featured.any() and not dataset.featured.flags.writeable
+
+    def test_immutable(self, sr25):
+        dataset = Dataset(list(sr25))
+        with pytest.raises(TypeError):
+            dataset[0] = sr25[1]
+        with pytest.raises(TypeError):
+            del dataset[0]
+        with pytest.raises(AttributeError):
+            dataset.append(sr25[0])
+        assert isinstance(dataset[1:3], list) and dataset[1:3] == list(sr25)[1:3]
+        assert list(dataset) == list(sr25) and len(dataset) == 15
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.stacks[0][1][0, 0, 1] = 0.0
+
+    def test_list_is_stacked_as_order_stacks_does(self, mixed):
+        dataset = Dataset(mixed)
+        assert Dataset.of(dataset) is dataset and list(dataset) == mixed
+        assert np.array_equal(dataset.featured, [G.node_features is not None for G in mixed])
+        for (pos, A), (want_pos, want) in zip(dataset.stacks, order_stacks(mixed), strict=True):
+            assert np.array_equal(pos, want_pos)
+            assert A.dtype == want.dtype and A.tobytes() == want.tobytes()
+
+    def test_subset_gathers_rows(self, mixed):
+        # any order of positions: stacks in first-appearance order, rows
+        # gathered, graphs and features in the order asked
+        dataset = Dataset(mixed)
+        positions = [302, 5, 151, 0, 152, 303, 40, 153]
+        sub = dataset.subset(positions)
+        assert list(sub) == [mixed[i] for i in positions]
+        assert [A.shape[-1] for _, A in sub.stacks] == [8, 3, 1, 25]
+        assert np.array_equal(sub.featured, dataset.featured[positions])
+        for (pos, A), (want_pos, want) in zip(sub.stacks, order_stacks(list(sub)), strict=True):
+            assert np.array_equal(pos, want_pos) and A.tobytes() == want.tobytes()
+            assert not A.flags.writeable
+
+    def test_memo_computes_once(self, sr25):
+        dataset, calls = Dataset(list(sr25)), []
+
+        def degrees(ds):
+            calls.append(ds)
+            return [G.adjacency.sum() for G in ds]
+
+        first = dataset.memo("degrees", degrees)
+        assert dataset.memo("degrees", degrees) is first and calls == [dataset]
 
 
 class TestLaplacian:

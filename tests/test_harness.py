@@ -15,7 +15,7 @@ from matgraph.appendix_data import (
     SHRIKHANDE,
 )
 from matgraph import harness, models
-from matgraph.graphcore import Graph, encode_graph6, laplacian
+from matgraph.graphcore import Dataset, Graph, encode_graph6, laplacian, load_dataset
 from matgraph.harness import (
     ExperimentConfig,
     degree_multiset_pairs,
@@ -31,7 +31,7 @@ from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 from matgraph.spectral import eig_sym
 from matgraph.wl import fwl2_equivalent, wl1_equivalent
 
-from .conftest import make_graph, naive_undistinguished_pairs, permute_graph
+from .conftest import DATA_DIR, make_graph, naive_undistinguished_pairs, permute_graph
 
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -354,6 +354,42 @@ class TestCensus:
         calls.clear()
         degree_multiset_pairs(graphs)
         assert calls == [("signatures", 18, (), {"rounds": 1})]
+
+    def test_loaded_dataset_keys_each_rung_once(self, monkeypatch):
+        """On a fresh `load_dataset` result, whose memo no other test warms,
+        wl_census, lambda_census and degree_multiset_pairs call the
+        whole-dataset `signatures` once per key rung (1-WL, then 1-WL@1);
+        the 2-FWL rung keys the paired graphs, gathered from the stacks.
+        Each report equals the one on the list of the same graphs, which
+        keys 1-WL again in lambda_census."""
+        dataset = load_dataset(str(DATA_DIR / "graph8c.g6"))
+        graphs = list(dataset)
+        calls = []
+
+        def spy(gs, *args, **kwargs):
+            calls.append((len(gs), isinstance(gs, Dataset), args, kwargs))
+            return signatures(gs, *args, **kwargs)
+
+        signatures = harness.signatures
+        monkeypatch.setattr(harness, "signatures", spy)
+        found = [f(dataset) for f in (wl_census, lambda_census, degree_multiset_pairs)]
+        paired = len({i for pair in found[0].pairs["1-WL"] for i in pair})  # all 312 pairs
+        assert found[0].counts["1-WL"] == 312 and paired == 395
+        assert calls == [(11117, True, (), {}), (paired, True, ("FWL2",), {}),
+                         (11117, True, (), {"rounds": 1})]
+        calls.clear()
+        assert [f(graphs) for f in (wl_census, lambda_census, degree_multiset_pairs)] == found
+        assert calls == [(11117, False, (), {}), (paired, False, ("FWL2",), {}),
+                         (11117, False, (), {}), (11117, False, (), {"rounds": 1})]
+
+    def test_distinguish_counts_the_degree_oracle(self, tmp_path):
+        # counted from the memoised 1-WL@1 classes, it is the pair list's length
+        rng = np.random.default_rng(3)
+        graphs = [make_graph(rng, n) for n in (5, 6) for _ in range(40)]
+        path = tmp_path / "small.g6"
+        path.write_text("".join(encode_graph6(G) + "\n" for G in graphs))
+        report = distinguishability_run(ExperimentConfig(str(path), models=("mlp",), runs=1))
+        assert report.extras["degree-multiset-oracle"] == len(degree_multiset_pairs(graphs)) > 0
 
     def test_model_bounds_are_key_rungs(self):
         """A kind's bound names a rung whose keys are compared for equality;

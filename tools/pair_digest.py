@@ -1,11 +1,22 @@
-"""Digest of every model's embeddings and pair lists, for comparing two trees.
+"""Digest of the census outputs and of every model's embeddings and pair
+lists, for comparing two trees.
 
     PYTHONPATH=src python tools/pair_digest.py > digest.txt
 
 Run from the repository root on each tree and diff the outputs: a change
 that reorders floating-point work must leave every pair list unchanged
-(ROADMAP aim 3), while its embedding hashes may move. For each model
-kind it prints, one line each:
+(ROADMAP aim 3), while its embedding hashes may move; census output is
+exact and never moves. First, one line per census output:
+
+  census <dataset> <output> <count> <sha256>
+      `wl_census` (its 1-WL and 2-FWL pairs), then `lambda_census` (its
+      1-WL and equal-lambda-max pairs), then `degree_multiset_pairs`, run
+      in that order on each of the loaded graph8c and sr25 datasets and on
+      graph8c-shuffled, a plain list of graph8c in a seed-7 shuffled
+      order: the pair count and the sha256 of the pairs the output holds
+      (a report keeps its first 1000), as int64 (i, j) rows in order.
+
+Then, for each model kind, one line each:
 
   embed <dataset> seed=<s> <sha256>
       sha256 of `DatasetBatch(spec, graphs).embed_all(s)` on graph8c and
@@ -29,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from matgraph.graphcore import load_dataset
-from matgraph.harness import undistinguished_pairs
+from matgraph.harness import degree_multiset_pairs, lambda_census, undistinguished_pairs, wl_census
 from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -43,8 +54,26 @@ def sha(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
+def rows(pairs) -> np.ndarray:
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def census_lines(name: str, graphs) -> None:
+    """The census outputs on one dataset, in the order that shares its memo."""
+    for report in (wl_census(graphs), lambda_census(graphs)):
+        for method, count in report.counts.items():
+            print(f"census {name} {report.kind}:{method} {count} "
+                  f"{sha(rows(report.pairs[method]))}")
+    pairs = degree_multiset_pairs(graphs)
+    print(f"census {name} degree_multiset_pairs {len(pairs)} {sha(rows(pairs))}")
+
+
 def main() -> None:
     data = {name: load_dataset(str(DATA / f"{name}.g6")) for name in DATASETS}
+    graph8c = data["graph8c"]
+    shuffled = [graph8c[i] for i in np.random.default_rng(7).permutation(len(graph8c))]
+    for name, graphs in (*data.items(), ("graph8c-shuffled", shuffled)):
+        census_lines(name, graphs)
     for kind in MODEL_KINDS:
         spec = ModelSpec(kind)
         for name, graphs in data.items():
@@ -56,8 +85,8 @@ def main() -> None:
                 start = time.perf_counter()
                 pairs = undistinguished_pairs(spec, graphs, run_seeds(base, runs), THRESHOLD)
                 took = time.perf_counter() - start
-                rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-                print(f"{kind} pairs {name} {base}x{runs} {len(pairs)} {sha(rows)}", flush=True)
+                print(f"{kind} pairs {name} {base}x{runs} {len(pairs)} {sha(rows(pairs))}",
+                      flush=True)
                 print(f"{kind} {name} {base}x{runs}: {took:.3f} s", file=sys.stderr)
 
 
