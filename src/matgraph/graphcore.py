@@ -1,24 +1,25 @@
 """Graph representation, datasets, graph6/edge-list ingestion and Laplacian builders.
 
+A graph is its adjacency alone: every node's input to the models is its
+degree, the paper's first colour H^(1) = A 1.
+
 A `Dataset` is an immutable sequence of graphs that groups them by order
 once: each order's ascending positions and `(B, n, n)` float adjacency
-stack, the mask of graphs with node features, and a memo of
-whole-dataset key-rung values (`harness.CENSUS` rung name -> one key per
-graph). `load_dataset` returns one whose stacks are the decoder's arrays,
-which its graphs are views of, so loading copies nothing; one built from
-a plain list stacks it once. Every layer reads the stacks from it: the
-WL engine (`wl.signatures`), the lambda-max rung, the model engine
-(`models.DatasetBatch`) and the settling of bounded pairs
-(`harness._settled`), and a census run twice on one dataset keys each
-rung once. As nothing can be added, replaced or removed, the memo cannot
-go stale.
+stack, and a memo of whole-dataset key-rung values (`harness.CENSUS` rung
+name -> one key per graph). `load_dataset` returns one whose stacks are
+the decoder's arrays, which its graphs are views of, so loading copies
+nothing; one built from a plain list stacks it once. Every layer reads
+the stacks from it: the WL engine (`wl.signatures`), the lambda-max
+rung and the model engine (`models.DatasetBatch`), and a census run twice
+on one dataset keys each base rung once. As nothing can be added,
+replaced or removed, the memo cannot go stale.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -30,32 +31,22 @@ class GraphFormatError(ValueError):
     """Raised when a graph file or graph6 string cannot be decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph stored as a dense symmetric 0/1 adjacency.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads. Graphs
+    compare and hash by identity: `==` on the array field would raise.
     """
 
     adjacency: np.ndarray
-    node_features: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        # copies: the graph's arrays are made read-only, the caller's stay as they were
+        # a copy: the graph's array is made read-only, the caller's stays as it was
         A = np.array(self.adjacency, dtype=float)
         _check_adjacency(A, 2)
         A.setflags(write=False)
         object.__setattr__(self, "adjacency", A)
-        if self.node_features is not None:
-            X = np.array(self.node_features, dtype=float)
-            if X.ndim != 2 or X.shape[0] != A.shape[0]:
-                raise ValueError("node_features row count must equal n")
-            if not np.isfinite(X).all():
-                # a NaN row is at no distance from anything, so it would pass
-                # for a distinguished pair; the key table pads with +inf
-                raise ValueError("node_features must be finite")
-            X.setflags(write=False)
-            object.__setattr__(self, "node_features", X)
 
     @property
     def n(self) -> int:
@@ -84,7 +75,6 @@ class Graph:
         for a in A:
             G = object.__new__(cls)
             object.__setattr__(G, "adjacency", a)
-            object.__setattr__(G, "node_features", None)
             graphs.append(G)
         return graphs
 
@@ -268,31 +258,28 @@ class Dataset(Sequence):
 
     `stacks` holds `(positions, A)` per order, in first-appearance order:
     the graphs' ascending positions and their read-only `(B, n, n)` float
-    adjacency stack, as `order_stacks` yields them. `featured` is the
-    read-only mask of graphs that carry node features. `memo` keeps
+    adjacency stack, as `order_stacks` yields them. `memo` keeps
     whole-dataset values by name. Indexing gives a `Graph`, a slice a
     plain list of them; item assignment and `append` do not exist.
     """
 
     def __init__(self, graphs: Iterable[Graph] = ()):
         graphs = tuple(graphs)
-        featured = np.array([G.node_features is not None for G in graphs], dtype=bool)
-        self._set(graphs, list(order_stacks(graphs)), featured)
+        self._set(graphs, list(order_stacks(graphs)))
 
-    def _set(self, graphs: tuple, stacks: list, featured: np.ndarray) -> None:
+    def _set(self, graphs: tuple, stacks: list) -> None:
         for pos, A in stacks:
             pos.setflags(write=False)
             A.setflags(write=False)
-        featured.setflags(write=False)
-        self._graphs, self.stacks, self.featured = graphs, tuple(stacks), featured
+        self._graphs, self.stacks = graphs, tuple(stacks)
         self._memo: dict = {}
 
     @classmethod
-    def _of_stacks(cls, graphs: tuple, stacks: list, featured: np.ndarray) -> "Dataset":
+    def _of_stacks(cls, graphs: tuple, stacks: list) -> "Dataset":
         """A dataset of `graphs` whose stacks, `(positions, A)` per order in
         first-appearance order, are already built."""
         dataset = cls.__new__(cls)
-        dataset._set(graphs, stacks, featured)
+        dataset._set(graphs, stacks)
         return dataset
 
     @classmethod
@@ -308,21 +295,6 @@ class Dataset(Sequence):
 
     def __iter__(self):
         return iter(self._graphs)
-
-    def subset(self, positions: Sequence[int]) -> "Dataset":
-        """The dataset of the graphs at `positions`, in that order, its
-        stacks gathered from these stacks' rows: no graph is re-stacked."""
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
-        stack_of, row_of = np.empty((2, len(self)), dtype=np.int64)
-        for s, (pos, _) in enumerate(self.stacks):
-            stack_of[pos], row_of[pos] = s, np.arange(len(pos))
-        stack_of, row_of = stack_of[positions], row_of[positions]
-        stacks = []
-        for s in dict.fromkeys(stack_of.tolist()):  # first-appearance order
-            mine = np.flatnonzero(stack_of == s)
-            stacks.append((mine, self.stacks[s][1][row_of[mine]]))
-        graphs = tuple(self._graphs[i] for i in positions.tolist())
-        return self._of_stacks(graphs, stacks, self.featured[positions])
 
     def memo(self, name: str, values: Callable[["Dataset"], list]) -> tuple:
         """`values(self)` as a tuple, computed on the first call for `name`
@@ -366,7 +338,7 @@ def load_dataset(path: str, format: str = "graph6") -> Dataset:
             for k, G in zip(pos.tolist(), Graph._views(A)):
                 graphs[k] = G
             stacks.append((pos, A))  # orders in first-appearance order, as their headers
-        dataset = Dataset._of_stacks(tuple(graphs), stacks, np.zeros(len(graphs), dtype=bool))
+        dataset = Dataset._of_stacks(tuple(graphs), stacks)
     elif format == "edgelist-json":
         with open(path) as f:
             try:

@@ -5,16 +5,16 @@ splits a coarser rung's pairs by a value of only the graphs in them.
 Adding a rung is adding an entry.
 
 Every entry point takes a `graphcore.Dataset` or a plain list of graphs.
-A base rung's keys of a whole `Dataset` are kept in its memo, so the
-censuses run one after another on one loaded dataset key each rung once:
+A base rung keys every graph through a dataset's memo, so the censuses
+run one after another on one loaded dataset key each base rung once:
 `lambda_census` after `wl_census` reuses the 1-WL keys, and
 `distinguishability_run` counts the degree-multiset pairs as the sum of
-C(k, 2) over the memoised `1-WL@1` classes, listing none. A splitting
-rung and the settling of bounded pairs (below) key only some graphs,
-whose stack rows they gather from a `Dataset`. A list has no memo: each
-call stacks it once, for one use, and then frees the stacks (a `Dataset`
-kept around it through the pair listing and the scans raised table1's
-in-process peak RSS by 5-7 MB).
+C(k, 2) over the memoised `1-WL@1` classes, listing none. A list is
+wrapped in a `Dataset` for one base rung and freed once keyed (a
+`Dataset` kept around it through the pair listing and the scans raised
+table1's in-process peak RSS by 5-7 MB). A splitting rung and the
+settling of bounded pairs (below) key only some graphs: the rung's value
+function gets a list of them, which it stacks anew.
 
 The distinguishability engine avoids the full O(N^2) distance pass: in
 the first run, candidate near-duplicate pairs are found by sorting the
@@ -39,7 +39,7 @@ no pair is left, no further run is embedded.
 
 Pairs that a model's WL bound keeps settle after run 0. A kind of
 `models.MODELS` declares as its `bound` a key rung of CENSUS whose equal
-keys give, on degree inputs, equal embeddings, so their computed distance
+keys give equal embeddings, so their computed distance
 is rounding in every run: `1-WL@k` (k rounds of 1-WL) for a message-passing
 model of k - 1 layers (Morris et al., arXiv 1810.02244), and `2-FWL` for
 Chebnet and GNNML3. 2-FWL-equivalent graphs are cospectral and agree on
@@ -51,8 +51,7 @@ value function, and the near pairs of equal keys go straight into the
 result. The cut only picks the graphs to key; key equality decides.
 Every pair of equal keys among the keyed graphs must be near, or run 0
 raises naming the kind, so the bound is checked on each dataset rather
-than assumed. Nothing settles when a graph has node features (the bound
-assumes degree inputs) or when a near cut could exceed the threshold.
+than assumed. Nothing settles when a near cut could exceed the threshold.
 Later runs re-check only the unsettled pairs, each with its own graphs'
 embeddings, so the batch shrinks to their graphs; when every pair
 settles, as on sr25 for every kind, no later run is embedded. The scan's
@@ -232,31 +231,22 @@ CENSUS = {
 }
 
 
-def _take(graphs: Sequence[Graph], positions) -> Sequence[Graph]:
-    """The graphs at `positions`: a `Dataset`'s subset, whose stacks are
-    gathered from its own, or a list of them."""
-    if isinstance(graphs, Dataset):
-        return graphs.subset(positions)
-    return [graphs[i] for i in positions]
-
-
 def _census(graphs: Sequence[Graph], rungs) -> dict[str, list[tuple[int, int]]]:
     """Every pair of each of `rungs`, which lists a base before the rungs
-    that split it: a base rung keys every graph, from a `Dataset`'s memo,
+    that split it: a base rung keys every graph, from a dataset's memo,
     and a splitting rung gets values, in one call, for its base's paired
     graphs."""
     found: dict = {}
     for name in rungs:
         base, values, keep = CENSUS[name]
         if base is None:
-            memo = isinstance(graphs, Dataset)
             buckets = defaultdict(list)
-            for i, key in enumerate(graphs.memo(name, values) if memo else values(graphs)):
+            for i, key in enumerate(Dataset.of(graphs).memo(name, values)):
                 buckets[key].append(i)
             found[name] = [p for b in buckets.values() for p in combinations(b, 2)]
         else:
             paired = sorted({i for pair in found[base] for i in pair})
-            value = dict(zip(paired, values(_take(graphs, paired))))
+            value = dict(zip(paired, values([graphs[i] for i in paired])))
             found[name] = [(i, j) for i, j in found[base] if keep(value[i], value[j])]
     return found
 
@@ -351,18 +341,16 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
     """Mask of run 0's candidate `pairs` of the graphs of `batch`, at the
     distances `dist` that the scan computed, that the kind's WL bound keeps
     in every run: near pairs whose graphs have equal keys of the kind's
-    `bound`, a key rung of CENSUS. All False without a bound, when a graph
-    of the batch has node features (the bound assumes degree inputs) or
-    when the cut of the largest rows would exceed `threshold` (a pair of
-    equal keys might then not be a candidate). The keyed graphs' stack rows
-    are gathered from a `Dataset`; a list's are stacked anew, as a batch
-    does not keep its stacks. Raises when two keyed graphs of equal keys are
-    not a near pair."""
+    `bound`, a key rung of CENSUS. All False without a bound or when the
+    cut of the largest rows would exceed `threshold` (a pair of equal keys
+    might then not be a candidate). The keyed graphs are stacked anew, as a
+    batch does not keep its stacks. Raises when two keyed graphs of equal
+    keys are not a near pair."""
     spec, graphs = batch.spec, batch.graphs
     bound = MODELS[spec.kind].bound
     norm = np.abs(emb).sum(axis=1)
     settled = np.zeros(len(pairs), dtype=bool)
-    if bound is None or batch.featured.any() or 2 * NEAR_EPS * norm.max() > threshold:
+    if bound is None or 2 * NEAR_EPS * norm.max() > threshold:
         return settled
     near = dist <= NEAR_EPS * norm[pairs].sum(axis=1)
     in_near = np.zeros(len(graphs), dtype=bool)
@@ -371,7 +359,7 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
     ids: dict = {}
     key = np.full(len(graphs), -1)
     key[keyed] = [ids.setdefault(k, len(ids))
-                  for k in CENSUS[bound][1](_take(graphs, keyed.tolist()))]
+                  for k in CENSUS[bound][1]([graphs[i] for i in keyed.tolist()])]
     settled[near] = key[pairs[near, 0]] == key[pairs[near, 1]]
     sizes = np.bincount(key[keyed])
     if (sizes * (sizes - 1) // 2).sum() != settled.sum():

@@ -397,11 +397,6 @@ def eval_sentence(e: Expr, A: np.ndarray) -> float:
     return float(eval_expr(e, {"A": np.asarray(A, dtype=float)})[0, 0])
 
 
-def sentence_distinguishes(e: Expr, G, H, tol: float = 1e-9) -> bool:
-    """True iff the sentence evaluates differently (beyond tol) on G and H."""
-    return abs(eval_sentence(e, G.adjacency) - eval_sentence(e, H.adjacency)) > tol
-
-
 # ---------------------------------------------------------------------------
 # Sentence corpora for property tests
 

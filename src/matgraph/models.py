@@ -13,8 +13,8 @@ that takes the key table (below), its key, front and back. `make_weights`
 draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
 runs the update, so adding a model kind means adding one table entry.
 An entry may also declare its WL bound, `bound`: the name of the
-`harness.CENSUS` key rung whose equal keys, on degree inputs, fix its
-embedding up to rounding. It is "1-WL@1" for MLP, which sums a function of
+`harness.CENSUS` key rung whose equal keys fix its embedding up to
+rounding. It is "1-WL@1" for MLP, which sums a function of
 each degree; "1-WL@4" (layers + 1 rounds) for GCN, GAT, GraphSage, GIN and
 GNNML1, each of whose layers reads a node and the multiset of its
 neighbors; and "2-FWL" for Chebnet and GNNML3, which go past 1-WL only
@@ -38,9 +38,8 @@ the seed (below).
 For dataset-scale runs, `DatasetBatch` slices each order's (B, n, n)
 adjacency stack of a `graphcore.Dataset` (the loader's arrays, or a
 list's, stacked once for the build and then freed) into tiles of
-TILE_NODES nodes, and reads the dataset's `featured` mask;
-`DatasetBatch.groups` is the flat list of tiles, each holding its graphs'
-dataset positions, inputs and supports.
+TILE_NODES nodes; `DatasetBatch.groups` is the flat list of tiles, each
+holding its graphs' dataset positions, inputs and supports.
 The kind's support builder runs on each tile's stack once, when the
 batch is built, and the tile keeps its supports: elementwise formulas,
 one stacked eigendecomposition (Chebnet, GNNML3). `DatasetBatch.subset`
@@ -55,8 +54,7 @@ builders, made dense for GNNML3 by `spectral.scatter_supports`, the
 scatter that also places its learned supports. A support that is the
 identity (the first one of MLP, GraphSage and Chebnet, declared by
 `Model.identity`) is neither built nor stored: its term C H W is
-computed as H W. A node's input is one column (its degree, or a
-1-column finite node feature; wider features are refused), so layer 0's
+computed as H W. A node's input is one column, its degree, so layer 0's
 transforms by one-row blocks W_s are one product: the broadcast H * W
 for one term, concat(X) @ W[:, 0] for several.
 
@@ -80,14 +78,13 @@ MLP never aggregates, so all of its layers run on the table.
 GAT's layer-0 logits on a 1-column input, leaky(x_v W0 a[:e] + x_u W0
 a[e:]), and its message (att x) W0 read only x_v and its neighbours'
 x_u, so its layer-0 output is a function of x_v and the multiset of
-those x_u: on degree inputs, the node's 1-WL round-2 colour (1393 on
-graph8c). Its key is x_v, then the inputs of its self-connected
-neighbourhood (the attention's mask A + I) sorted, padded to the batch's
-widest order. A tile builds it as small integer codes of the batch's
-distinct inputs (the sorted bit patterns `inputs`), which `_rank_rows`
-packs into as few words as their range allows (one per node on graph8c),
-and the table holds the inputs they stand for, +inf for padding (`Graph`
-refuses non-finite inputs). GAT's front runs the attention and its
+those x_u: the node's 1-WL round-2 colour (1393 on graph8c). Its key is
+x_v, then the degrees of its self-connected neighbourhood (the
+attention's mask A + I) sorted, padded to the batch's widest order. A
+tile builds it as small integers, the degrees themselves and the widest
+order for padding, which `_rank_rows` packs into as few words as their
+range allows (one per node on graph8c), and the table holds them as
+floats, +inf for padding. GAT's front runs the attention and its
 softmax over each row's present slots, H1 = relu(z W0 + b0) from the
 attention-weighted input sum z, then layer 1's transform HW1 = H1 W1 and
 its two attention scores; the back runs layer 1's attention from the
@@ -192,20 +189,19 @@ class Model:
     # the 8-node census.
     gain: float = 1.0
     # the harness.CENSUS key rung (a string: harness imports this module)
-    # whose equal keys give, on degree inputs, equal embeddings (None: no
-    # such bound); `harness` settles pairs by it
+    # whose equal keys give equal embeddings (None: no such bound);
+    # `harness` settles pairs by it
     bound: str | None = None
     # A kind that takes the key table declares all three (None: every node
-    # runs every layer). `key`: (H (T,n,1), C, inputs) -> (T, n, c), the
+    # runs every layer). `key`: (H (T,n,1), C, widest) -> (T, n, c), the
     # columns layer 0 reads of each node: floats (its input, when a term
     # reads it as it is, then its aggregate by each support), or GAT's
-    # codes of `inputs`, the batch's distinct inputs as sorted int64 bit
-    # patterns. `front`: (weights, the table's c columns, each (k, 1, 1))
-    # -> the (k, 1, .) rows layer 1 reads (layer 0 and layer 1's
-    # transforms, one (1, d) @ (d, e) product per row). `back`: (weights,
-    # those rows gathered to the tile's nodes (T, n, e), C) -> H after
-    # layer 1; None for a kind that never aggregates (MLP), whose front
-    # runs every layer.
+    # integer degrees, padded with the batch's widest order. `front`:
+    # (weights, the table's c columns, each (k, 1, 1)) -> the (k, 1, .)
+    # rows layer 1 reads (layer 0 and layer 1's transforms, one
+    # (1, d) @ (d, e) product per row). `back`: (weights, those rows
+    # gathered to the tile's nodes (T, n, e), C) -> H after layer 1; None
+    # for a kind that never aggregates (MLP), whose front runs every layer.
     key: Callable | None = None
     front: Callable | None = None
     back: Callable | None = None
@@ -338,7 +334,7 @@ def _aggregates(C: np.ndarray, H: np.ndarray, skip: int) -> list[np.ndarray]:
 
 
 def _key(skip: int) -> Callable:
-    return lambda H, C, inputs: np.concatenate(_aggregates(C, H, skip), axis=-1)
+    return lambda H, C, widest: np.concatenate(_aggregates(C, H, skip), axis=-1)
 
 
 def _weigh(X: list[np.ndarray], W: np.ndarray) -> np.ndarray:
@@ -446,11 +442,11 @@ def _gat_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _bias_relu(_gat_attention(*_gat_scores(HW, w[f"a{l}"]), C[:, 0]) @ HW, w[f"b{l}"])
 
 
-def _gat_key(H: np.ndarray, C: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """A node's input, then the inputs of its self-connected neighbourhood
-    sorted, len(inputs) past the last: (T, n, n + 1) codes of `inputs`."""
-    pad = np.min_scalar_type(len(inputs)).type(len(inputs))
-    codes = np.searchsorted(inputs, H[..., 0].view(np.int64)).astype(pad.dtype)
+def _gat_key(H: np.ndarray, C: np.ndarray, widest: int) -> np.ndarray:
+    """A node's degree, then the degrees of its self-connected neighbourhood
+    sorted, `widest` past the last: (T, n, n + 1) small integers."""
+    pad = np.min_scalar_type(widest).type(widest)
+    codes = H[..., 0].astype(pad.dtype)
     # pad off the neighbourhood: every code is below it (faster than np.where)
     slots = np.maximum(codes[:, None, :], (C[:, 0] == 0).view(np.uint8) * pad)
     slots.sort(axis=-1)
@@ -596,7 +592,7 @@ class _Tile:
     def __init__(self, indices: np.ndarray, H0: np.ndarray, supports=None, keys=None):
         self.indices = indices  # dataset position of each graph
         self.n = H0.shape[1]
-        self.H0 = H0  # (T, n, 1) degrees, or the graphs' node features
+        self.H0 = H0  # (T, n, 1) degrees
         # the static (T, S, n, n) supports, or GNNML3's edge-feature rows
         # (m, S), their dense positions (b, r, c) in the tile and centers
         self.supports = supports
@@ -604,12 +600,12 @@ class _Tile:
         # table, or, from the build until the batch ranks them, its keys
         self.keys = keys
 
-    def build(self, spec: ModelSpec, A: np.ndarray, inputs: np.ndarray) -> None:
+    def build(self, spec: ModelSpec, A: np.ndarray, widest: int) -> None:
         """The supports of the tile's adjacencies A, and its nodes' keys."""
         model = MODELS[spec.kind]
         self.supports = model.supports(A)
         if model.key is not None:
-            self.keys = model.key(self.H0, self.supports, inputs)
+            self.keys = model.key(self.H0, self.supports, widest)
 
     def _layer_supports(self, weights: dict) -> np.ndarray:
         """The supports the layers read: the static (T, S, n, n) ones, or
@@ -717,9 +713,6 @@ def _split(dataset: Dataset) -> tuple[list[_Tile], list[np.ndarray]]:
     tiles, stacks = [], []
     for idx, A in dataset.stacks:
         H0 = A.sum(axis=-1, keepdims=True)  # degree features
-        if dataset.featured[idx].any():
-            H0 = np.stack([h if dataset[i].node_features is None
-                           else dataset[i].node_features for i, h in zip(idx, H0)])
         for part in _tile_slices(len(idx), A.shape[-1]):
             tiles.append(_Tile(idx[part], H0[part]))
             stacks.append(A[part])
@@ -741,36 +734,24 @@ class DatasetBatch:
         self.graphs = graphs  # as given, a Dataset or a list
         dataset = Dataset.of(graphs)  # a list is stacked here, once
         self.size = len(graphs)
-        self.featured = dataset.featured
-        for i in np.flatnonzero(self.featured).tolist():
-            if (width := graphs[i].node_features.shape[1]) != 1:
-                raise ValueError(f"graph {i}: node features must be 1 column, not {width}")
         self.groups, stacks = _split(dataset)
-        # every input a node can have, distinct, as sorted int64 bit patterns:
-        # the degrees below the widest order, then the node features (a
-        # sort, not np.unique, whose first call in a process costs ~10 ms)
-        widest = max((tile.n for tile in self.groups), default=0)
-        inputs = np.sort(np.concatenate(
-            [np.arange(widest, dtype=float)]
-            + [graphs[i].node_features.ravel() for i in np.flatnonzero(self.featured)]
-        ).view(np.int64))
-        inputs = np.concatenate([inputs[:1], inputs[1:][inputs[1:] != inputs[:-1]]])
-        _run_tiles([partial(tile.build, spec, A, inputs) for tile, A in zip(self.groups, stacks)])
+        widest = max((tile.n for tile in self.groups), default=0)  # pads GAT's keys
+        _run_tiles([partial(tile.build, spec, A, widest) for tile, A in zip(self.groups, stacks)])
         del dataset, stacks  # a list's stacks are freed before the keys are ranked
         self.table = None  # the key table (k, c): each distinct key once, bit for bit
         if MODELS[spec.kind].key is not None and self.groups:
-            self.table = self._rank_keys(inputs)
+            self.table = self._rank_keys(widest)
 
-    def _rank_keys(self, inputs: np.ndarray) -> np.ndarray:
+    def _rank_keys(self, widest: int) -> np.ndarray:
         """Rank the tiles' keys into the table of distinct keys, and give
         each tile its nodes' (T, n) rows of it. Float keys rank bit for bit;
-        codes of `inputs` are small integers, so `_rank_rows` packs a row
-        into few words, and the table holds the inputs they stand for,
-        +inf for padding (GAT's keys, one wider than their order, are
-        padded to the widest)."""
+        GAT's keys are small integers, so `_rank_rows` packs a row into few
+        words, and the table holds them as floats, +inf for the padding
+        `widest` (its keys, one wider than their order, are padded to the
+        widest)."""
         width = max(tile.keys.shape[-1] for tile in self.groups)
         keys = np.full((sum(tile.keys.shape[0] * tile.n for tile in self.groups), width),
-                       len(inputs), dtype=self.groups[0].keys.dtype)
+                       widest, dtype=self.groups[0].keys.dtype)
         lo = 0
         for tile in self.groups:
             T, n, c = tile.keys.shape
@@ -784,7 +765,7 @@ class DatasetBatch:
         for tile in self.groups:
             T, n = tile.keys.shape[:2]
             tile.keys, lo = rows[lo:lo + T * n].reshape(T, n), lo + T * n
-        return np.append(inputs.view(np.float64), np.inf)[table] if coded else table
+        return np.append(np.arange(widest, dtype=float), np.inf)[table] if coded else table
 
     def subset(self, indices: Sequence[int]) -> "DatasetBatch":
         """A batch of the graphs at `indices`, in that order, with the tiles
@@ -800,7 +781,7 @@ class DatasetBatch:
         order = np.array([tile.n for tile in self.groups], dtype=np.int64)[tile_of]
         batch = DatasetBatch.__new__(DatasetBatch)
         batch.spec, batch.graphs = self.spec, [self.graphs[i] for i in indices.tolist()]
-        batch.size, batch.featured, batch.groups = len(indices), self.featured[indices], []
+        batch.size, batch.groups = len(indices), []
         for n in dict.fromkeys(order.tolist()):  # first-appearance order, as Dataset.stacks
             idx = np.flatnonzero(order == n)
             for part in _tile_slices(len(idx), n):

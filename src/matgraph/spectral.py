@@ -174,23 +174,3 @@ def maclaurin_coefficients(b: float, f_s: float, order: int) -> np.ndarray:
     for i in range(1, order):
         a[i + 1] = (2 * b * f_s * a[i] - 2 * b * a[i - 1]) / (i + 1)
     return a
-
-
-def maclaurin_residual(
-    spec_support: np.ndarray, L: np.ndarray, b: float, f_s: float, order: int
-) -> float:
-    """Max-norm gap between a dense support and its truncated power series.
-
-    Validates that the designed support is a polynomial in the Laplacian
-    (Theorem 7); converges only where the Gaussian's Maclaurin series
-    does on the spectrum (small b * lam_max^2).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    a = maclaurin_coefficients(b, f_s, order)
-    acc = np.zeros_like(L)
-    P = np.eye(L.shape[0])
-    for i in range(order + 1):
-        acc += a[i] * P
-        P = P @ L
-    return float(np.max(np.abs(spec_support - acc)))

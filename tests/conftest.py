@@ -80,8 +80,6 @@ def sr25():
 @pytest.fixture(scope="session")
 def mixed(graph8c, sr25):
     """Orders 1, 3, 8 and 25 interleaved: a lone vertex, an edgeless graph,
-    300 graph8c graphs (more than one forward-pass tile) around sr25[:3],
-    and one graph8c graph carrying node features instead of degrees."""
-    featured = Graph(graph8c[300].adjacency, node_features=np.arange(8.0)[:, None] / 4)
+    and 301 graph8c graphs (more than one forward-pass tile) around sr25[:3]."""
     return [Graph(np.zeros((1, 1))), *graph8c[:150], Graph(np.zeros((3, 3))),
-            *sr25[:3], featured, *graph8c[150:300]]
+            *sr25[:3], graph8c[300], *graph8c[150:300]]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from matgraph import graphcore, models
-from matgraph.graphcore import Graph, order_stacks
+from matgraph.graphcore import order_stacks
 from matgraph.harness import _candidate_pairs
 from matgraph.models import (
     MODEL_KINDS,
@@ -204,30 +204,6 @@ def test_adjacency_basis_supports(mixed):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_node_features_replace_degrees(kind, mixed):
-    batch = DatasetBatch(ModelSpec(kind), mixed)
-    tiles = [tile for tile in batch.groups if tile.n == 8]
-    assert len(tiles) > 1  # the order-8 graphs span several tiles
-    for tile in tiles:
-        for k, i in enumerate(tile.indices):
-            G = mixed[i]
-            want = G.node_features if G.node_features is not None else G.adjacency.sum(1)[:, None]
-            assert np.array_equal(tile.H0[k], want)
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_node_features_must_be_one_column(kind, mixed):
-    # every kind's layer 0 reads one input column, and the key table keys
-    # nodes by it: a wider or empty feature matrix is refused, naming its width
-    rng = np.random.default_rng(5)
-    for width in (0, 2, 119):
-        G = Graph(mixed[5].adjacency, node_features=rng.random((8, width)))
-        with pytest.raises(ValueError, match=rf"^graph 2: node features must be 1 column, "
-                                             rf"not {width}$"):
-            DatasetBatch(ModelSpec(kind), [mixed[0], mixed[1], G])
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_subset_equals_fresh_batch(kind, mixed):
     spec = ModelSpec(kind)
     idx = [302, 0, 151, 7, 154, 152, 3, 1, 153, 250]  # every order, out of order
@@ -247,30 +223,25 @@ def tile_arrays(batch, tile) -> list[np.ndarray]:
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_dataset_and_list_embed_alike(kind, mixed):
     # a batch slices a Dataset's stacks, or stacks a list once: orders 1, 3,
-    # 8 and 25 and a featured graph give byte-identical embeddings both ways
+    # 8 and 25 give byte-identical embeddings both ways
     spec = ModelSpec(kind)
     want = DatasetBatch(spec, mixed).embed_all(7)
     assert same_bytes(DatasetBatch(spec, graphcore.Dataset(mixed)).embed_all(7), want)
 
 
-@pytest.mark.parametrize("features", [False, True], ids=["mixed", "node-features"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
+def test_subset_gathers_without_rebuilding(kind, mixed, monkeypatch):
     # a subset, and a subset of that subset, take each graph's inputs,
     # supports and key rows from the built tiles: no support builder,
-    # eigendecomposition, key aggregate, key ranking, stacking of a dataset
-    # (graphcore.order_stacks) or gathering of its stack rows runs,
+    # eigendecomposition, key aggregate, key ranking or stacking of a
+    # dataset (graphcore.order_stacks) runs,
     # every tile holds at most TILE_NODES nodes of one order, and tiles,
     # key tables and rows are byte-equal to a fresh batch's. The key table
     # keeps the rows the subset uses, in order, which is the table a fresh
     # batch ranks (both subsets hold an order-25 graph, so GAT's tables are
     # as wide)
-    graphs = mixed
-    if features:
-        rng = np.random.default_rng(3)
-        graphs = [Graph(G.adjacency, node_features=rng.normal(size=(G.n, 1))) for G in mixed]
     spec = ModelSpec(kind)
-    batch = DatasetBatch(spec, graphs)
+    batch = DatasetBatch(spec, mixed)
     calls = []
 
     def refuse(name):
@@ -282,7 +253,6 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     for name in ("_eig_sym", "_stacked_supports", "_rank_rows"):
         monkeypatch.setattr(models, name, refuse(name))
     monkeypatch.setattr(graphcore, "order_stacks", refuse("order_stacks"))
-    monkeypatch.setattr(graphcore.Dataset, "subset", refuse("Dataset.subset"))
     monkeypatch.setattr(np, "unique", refuse("unique"))
     # every order, out of order, and more order-8 graphs than one tile holds
     idx = [302, 0, 151, 7, 154, 155, 152, 3, 1, 153, 250]
@@ -292,15 +262,14 @@ def test_subset_gathers_without_rebuilding(kind, features, mixed, monkeypatch):
     second = first.subset(again)
     monkeypatch.undo()
     assert calls == []
-    for sub, gs in ((first, [graphs[i] for i in idx]),
-                    (second, [graphs[idx[k]] for k in again])):
+    for sub, gs in ((first, [mixed[i] for i in idx]),
+                    (second, [mixed[idx[k]] for k in again])):
         assert sub.graphs == gs and sub.size == len(gs)
         assert sum(tile.n == 8 for tile in sub.groups) > 1
         for tile in sub.groups:
             assert {gs[i].n for i in tile.indices} == {tile.n}
             assert len(tile.indices) == 1 or len(tile.indices) * tile.n <= models.TILE_NODES
         fresh = DatasetBatch(spec, gs)
-        assert np.array_equal(sub.featured, [G.node_features is not None for G in gs])
         assert (sub.table is None) == (fresh.table is None)
         if sub.table is not None:
             assert same_bytes(sub.table, fresh.table)
@@ -394,8 +363,8 @@ def test_table_kinds_declared():
 
 
 def gat_slots(tile, width) -> np.ndarray:
-    """GAT's key of each node of a tile (T, n, width): its input, then the
-    inputs of its neighbours and itself in ascending order, then +inf."""
+    """GAT's key of each node of a tile (T, n, width): its degree, then the
+    degrees of its neighbours and itself in ascending order, then +inf."""
     H, n = tile.H0[..., 0], tile.n
     slots = np.full((*H.shape, width), np.inf)
     slots[..., 0] = H
@@ -476,16 +445,13 @@ def test_table_rows_equal_per_node_rows(kind, seed, monkeypatch):
     # the kind's layer 0 and layer 1's transforms run once per distinct
     # key of the batch; every row must equal the per-node reference byte
     # for byte, on stacks with edgeless, complete and random graphs with
-    # isolated vertices. One order-8 graph carries a 1-column node feature
-    # that is not its degree: its nodes are keyed by their feature rows.
+    # isolated vertices.
     rng = np.random.default_rng(seed)
     graphs = []
     for n in range(1, 31):
         graphs += [make_graph(rng, n, p) for p in (0.0, 1.0)]
         graphs += [make_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
                    for _ in range(rng.integers(1, 5))]
-    featured = len(graphs)
-    graphs.append(Graph(make_graph(rng, 8).adjacency, node_features=rng.random((8, 1))))
     update, layers = MODELS[kind].update, []
 
     def recorded(w, l, H, C):
@@ -496,14 +462,14 @@ def test_table_rows_equal_per_node_rows(kind, seed, monkeypatch):
     spec = ModelSpec(kind)
     weights = make_weights(spec, seed)
     batch = DatasetBatch(spec, graphs)
-    keep = [i for i in range(len(graphs)) if i != featured][::-1]
+    keep = list(range(len(graphs)))[::-2]  # every order, the widest included
     subset = batch.subset(keep)
     # the subset keeps the rows its nodes use, and GAT's width
     assert same_bytes(subset.table, DatasetBatch(spec, [graphs[i] for i in keep]).table)
     for b in (batch, subset):
         layers.clear()
         got = b.embed_all(seed)
-        # no tile runs layer 0 or 1 on its nodes, the featured one included
+        # no tile runs layer 0 or 1 on its nodes
         assert set(layers) == (set() if kind == "mlp" else {2})
         assert len(b.groups) == 30
         width = b.table.shape[1]
@@ -514,7 +480,6 @@ def test_table_rows_equal_per_node_rows(kind, seed, monkeypatch):
                 axis=-1)
             assert same_bytes(b.table[tile.keys], key)
             assert same_bytes(got[tile.indices], per_node_rows(kind, tile, weights, width))
-    assert batch.featured.sum() == 1
     # each distinct key once: fewer rows than nodes, and no row twice
     distinct = {row.tobytes() for row in batch.table}
     assert len(distinct) == len(batch.table) < sum(G.n for G in graphs)

@@ -1,7 +1,7 @@
 import dataclasses
 import json
 import operator
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -38,6 +38,15 @@ TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3,
 BOUNDED = [k for k in MODEL_KINDS if models.MODELS[k].bound is not None]
 
 
+def unbounded_kind(monkeypatch, base: str) -> ModelSpec:
+    """A test-only kind "<base>-unbounded": `base` without its WL bound, so
+    it embeds as `base` does and settles nothing."""
+    name = f"{base}-unbounded"  # per base: the budget width is cached per name
+    monkeypatch.setitem(models.MODELS, name, dataclasses.replace(models.MODELS[base], bound=None))
+    monkeypatch.setattr(models, "MODEL_KINDS", (*MODEL_KINDS, name))
+    return ModelSpec(name)
+
+
 def ordered_kind(monkeypatch, base: str) -> ModelSpec:
     """A test-only kind "ordered": `base` with the node index in place of
     the degree input, so that it reads node order but keeps `base`'s bound.
@@ -72,22 +81,17 @@ class TestBucketedEngine:
 
     @staticmethod
     def datasets():
-        """120 graphs of orders 4 to 7; 120 of order 10, 12 of them with a
-        relabelled copy; and the same two with their degrees as node
-        features, on which nothing settles and after run 0 some but not
-        all of the graphs are in a pair for every kind tested, so the batch
-        shrinks: to more than half of the 120 and to under half of the 132."""
+        """120 graphs of orders 4 to 7, and 120 of order 10, 12 of them with
+        a relabelled copy. Under a kind without a bound nothing settles, and
+        after run 0 some but not all of the graphs are in a pair for every
+        kind tested, so the batch shrinks: to more than half of the 120 and
+        to under half of the 132."""
         rng = np.random.default_rng(5)
         small = [make_graph(rng, int(rng.integers(4, 8))) for _ in range(120)]
         rng = np.random.default_rng(6)
         copies = [make_graph(rng, 10) for _ in range(120)]
         copies += [permute_graph(G, rng.permutation(10)) for G in copies[:12]]
-
-        def with_degrees(graphs):
-            return [Graph(G.adjacency, node_features=G.adjacency.sum(axis=1)[:, None])
-                    for G in graphs]
-
-        return small, copies, with_degrees(small), with_degrees(copies)
+        return small, copies
 
     @pytest.mark.parametrize("kind", ["mlp", "gcn", "graphsage", "gin", "chebnet", "gnnml3"])
     def test_matches_naive_oracle(self, kind, monkeypatch):
@@ -105,10 +109,10 @@ class TestBucketedEngine:
 
         monkeypatch.setattr(DatasetBatch, "embed_all", recorded_embed_all)
         monkeypatch.setattr(harness, "_settled", recorded_settled)
-        spec = ModelSpec(kind=kind)
         seeds = run_seeds(3, 10)
-        small, copies, *featured = self.datasets()
-        for graphs in (small, copies, *featured):
+        small, copies = self.datasets()
+        unbounded = unbounded_kind(monkeypatch, kind)
+        for spec, graphs in product((ModelSpec(kind), unbounded), (small, copies)):
             slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
             # within[k][i, j]: graphs i and j stay within the threshold in runs 0..k
             full = DatasetBatch(spec, graphs)
@@ -134,18 +138,18 @@ class TestBucketedEngine:
                     unsettled[tuple(np.array(settled, dtype=int).reshape(-1, 2).T)] = False
                     active = np.flatnonzero(unsettled.any(axis=0) | unsettled.any(axis=1))
                     assert batch_graphs == [graphs[i] for i in active]
-            if graphs is not small:
+            if graphs is copies or spec is unbounded:
                 assert len(fast) >= 12  # the relabelled copies are never separated
-            if graphs is copies:
+            if graphs is copies and spec is not unbounded:
                 # the relabelled copies settle after run 0, so no later run
                 # embeds one of them
                 copied = {id(G) for G in copies[:12] + copies[120:]}
                 assert not copied & {id(G) for later, _ in embedded[1:] for G in later}
-            if any(graphs is f for f in featured):
+            if spec is unbounded:
                 # nothing settles, so later runs embed only the graphs in pairs
                 assert settled == []
                 assert 0 < len(embedded[1][0]) < len(graphs)
-            if graphs is featured[0]:
+            if spec is unbounded and graphs is small:
                 # over half of the graphs are in pairs, and they alone are embedded
                 assert len(embedded[1][0]) > len(graphs) // 2
 
@@ -162,24 +166,6 @@ class TestBucketedEngine:
         pairs = undistinguished_pairs(ModelSpec(kind), sr25, run_seeds(7, 100), 1e-3)
         assert len(pairs) == 105
         assert embedded[0] == 15 and sum(embedded[1:]) == 0
-
-    def test_node_features_skip_settling(self, monkeypatch):
-        """The WL bound assumes degree inputs. Decalin and bicyclopentyl are
-        1-WL equivalent; with different node features each taken twice,
-        settling would key all four graphs and find the separated pairs of
-        equal keys, so it must be skipped, and no graph is keyed. One
-        featured graph among plain ones is enough to skip it."""
-        dec = Graph(DECALIN.adjacency, node_features=np.ones((10, 1)))
-        bic = Graph(BICYCLOPENTYL.adjacency, node_features=np.arange(10.0)[:, None])
-        spec, seeds = ModelSpec("gcn"), run_seeds(3, 4)
-        keyed = []
-        monkeypatch.setattr(harness, "signatures", lambda gs, **kw: keyed.append(gs))
-        for graphs, expected in (([dec, bic, dec, bic], [(0, 2), (1, 3)]),
-                                 ([DECALIN, BICYCLOPENTYL, DECALIN, bic],
-                                  [(0, 1), (0, 2), (1, 2)])):
-            slow = naive_undistinguished_pairs(spec, graphs, seeds, 1e-3)
-            assert undistinguished_pairs(spec, graphs, seeds, 1e-3) == slow == expected
-        assert keyed == []
 
     def test_threshold_below_rounding_skips_settling(self):
         """A near cut above the threshold could leave rounding-apart pairs of
@@ -359,9 +345,9 @@ class TestCensus:
         """On a fresh `load_dataset` result, whose memo no other test warms,
         wl_census, lambda_census and degree_multiset_pairs call the
         whole-dataset `signatures` once per key rung (1-WL, then 1-WL@1);
-        the 2-FWL rung keys the paired graphs, gathered from the stacks.
-        Each report equals the one on the list of the same graphs, which
-        keys 1-WL again in lambda_census."""
+        the 2-FWL rung keys a list of the paired graphs. Each report equals
+        the one on the list of the same graphs, whose base rungs key a
+        temporary dataset of it, 1-WL again in lambda_census."""
         dataset = load_dataset(str(DATA_DIR / "graph8c.g6"))
         graphs = list(dataset)
         calls = []
@@ -375,12 +361,12 @@ class TestCensus:
         found = [f(dataset) for f in (wl_census, lambda_census, degree_multiset_pairs)]
         paired = len({i for pair in found[0].pairs["1-WL"] for i in pair})  # all 312 pairs
         assert found[0].counts["1-WL"] == 312 and paired == 395
-        assert calls == [(11117, True, (), {}), (paired, True, ("FWL2",), {}),
+        assert calls == [(11117, True, (), {}), (paired, False, ("FWL2",), {}),
                          (11117, True, (), {"rounds": 1})]
         calls.clear()
         assert [f(graphs) for f in (wl_census, lambda_census, degree_multiset_pairs)] == found
-        assert calls == [(11117, False, (), {}), (paired, False, ("FWL2",), {}),
-                         (11117, False, (), {}), (11117, False, (), {"rounds": 1})]
+        assert calls == [(11117, True, (), {}), (paired, False, ("FWL2",), {}),
+                         (11117, True, (), {}), (11117, True, (), {"rounds": 1})]
 
     def test_distinguish_counts_the_degree_oracle(self, tmp_path):
         # counted from the memoised 1-WL@1 classes, it is the pair list's length

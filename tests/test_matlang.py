@@ -18,7 +18,6 @@ from matgraph.matlang import (
     is_sentence,
     parse,
     sentence_corpus,
-    sentence_distinguishes,
     shape_check,
 )
 from matgraph.wl import wl1_equivalent
@@ -31,6 +30,11 @@ TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 def ev(text, G):
     return eval_sentence(parse(text), G.adjacency)
+
+
+def sentence_distinguishes(e: Expr, G, H, tol: float = 1e-9) -> bool:
+    """True iff the sentence evaluates differently (beyond tol) on G and H."""
+    return abs(eval_sentence(e, G.adjacency) - eval_sentence(e, H.adjacency)) > tol
 
 
 class TestParser:

@@ -10,7 +10,6 @@ from matgraph.spectral import (
     eig_sym,
     frequency_response,
     maclaurin_coefficients,
-    maclaurin_residual,
     scatter_supports,
     stacked_supports,
 )
@@ -18,6 +17,26 @@ from matgraph.spectral import (
 from .conftest import graphs, permute_graph, random_adjacency
 
 P2 = Graph.from_edges(2, [(0, 1)])
+
+
+def maclaurin_residual(
+    spec_support: np.ndarray, L: np.ndarray, b: float, f_s: float, order: int
+) -> float:
+    """Max-norm gap between a dense support and its truncated power series.
+
+    Validates that the designed support is a polynomial in the Laplacian
+    (Theorem 7); converges only where the Gaussian's Maclaurin series
+    does on the spectrum (small b * lam_max^2).
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    a = maclaurin_coefficients(b, f_s, order)
+    acc = np.zeros_like(L)
+    P = np.eye(L.shape[0])
+    for i in range(order + 1):
+        acc += a[i] * P
+        P = P @ L
+    return float(np.max(np.abs(spec_support - acc)))
 
 
 def dense_supports(A: np.ndarray, spec: SupportSpec = SupportSpec()) -> np.ndarray:
