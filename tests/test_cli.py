@@ -14,7 +14,7 @@ from matgraph import appendix_data, cli, models
 from matgraph.cli import main
 from matgraph.graphcore import Graph, encode_graph6
 
-from .conftest import DATA_DIR, permute_graph
+from .conftest import DATA_DIR, permute_graph, random_adjacency
 
 GRAPH8C = DATA_DIR / "graph8c.g6"
 
@@ -663,16 +663,27 @@ class TestOutOfMemory:
                               timeout=120)
 
     def test_allocation_during_the_work(self, tmp_path):
-        # 2-FWL's first round on 134 disjoint triangles needs a
-        # (2, 402, 402, 402) int64 array: 991 MiB, past the cap by itself
-        G = Graph.from_edges(402, [(t + a, t + b) for t in range(0, 402, 3)
-                                   for a, b in ((0, 1), (1, 2), (0, 2))])
-        (tmp_path / "tri.g6").write_text(encode_graph6(G) + "\n")
-        proc = self.run_capped(tmp_path, "wl", "--graph", "tri.g6", "--other", "tri.g6")
+        # a random graph of order 402 has many 2-FWL colors after round 1,
+        # so round 2 sorts: a (2, 402, 402, 403) int64 buffer, 994 MiB,
+        # past the cap by itself
+        G = Graph(random_adjacency(np.random.default_rng(0), 402))
+        (tmp_path / "rand.g6").write_text(encode_graph6(G) + "\n")
+        proc = self.run_capped(tmp_path, "wl", "--graph", "rand.g6", "--other", "rand.g6")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: Unable to allocate ")
         assert proc.stderr.count("\n") == 1
+
+    def test_few_colors_count_walks_under_the_cap(self, tmp_path):
+        # 134 disjoint triangles keep 2-FWL's 3 initial colors, 3**2 <= 402,
+        # so each round counts walks in (2, 402, 402, 10) int64 rows (25 MiB),
+        # where the sorted codes would need 994 MiB
+        G = Graph.from_edges(402, [(t + a, t + b) for t in range(0, 402, 3)
+                                   for a, b in ((0, 1), (1, 2), (0, 2))])
+        (tmp_path / "tri.g6").write_text(encode_graph6(G) + "\n")
+        proc = self.run_capped(tmp_path, "wl", "--graph", "tri.g6", "--other", "tri.g6")
+        assert proc.returncode == 0, proc.stderr
+        assert all(v["equivalent"] for v in json.loads(proc.stdout).values())
 
     def test_edgelist_record_too_large_names_file_and_record(self, tmp_path):
         (tmp_path / "big.json").write_text('[{"n": 3, "edges": []}, {"n": 200000, "edges": []}]')

@@ -48,20 +48,22 @@ def unbounded_kind(monkeypatch, base: str) -> ModelSpec:
 
 
 def ordered_kind(monkeypatch, base: str) -> ModelSpec:
-    """A test-only kind "ordered": `base` with the node index in place of
-    the degree input, so that it reads node order but keeps `base`'s bound.
-    Its layer 0 is then no function of a node's key, so it runs every node."""
+    """A test-only kind "<base>-ordered": `base` with the node index in place
+    of the degree input, so that it reads node order but keeps `base`'s
+    bound. Its layer 0 is then no function of a node's key, so it runs
+    every node."""
     def ordered_update(w, l, H, C):
         if l == 0:
             H = np.broadcast_to(np.arange(H.shape[1], dtype=float)[:, None], H.shape)
         return models._conv_update(w, l, H, C)
 
-    monkeypatch.setitem(models.MODELS, "ordered",
+    name = f"{base}-ordered"  # per base: the budget width is cached per name
+    monkeypatch.setitem(models.MODELS, name,
                         dataclasses.replace(models.MODELS[base], update=ordered_update,
                                             key=None, front=None, back=None))
-    monkeypatch.setattr(models, "MODEL_KINDS", (*MODEL_KINDS, "ordered"))
+    monkeypatch.setattr(models, "MODEL_KINDS", (*MODEL_KINDS, name))
     monkeypatch.setattr(harness, "MODEL_KINDS", models.MODEL_KINDS)
-    return ModelSpec("ordered")
+    return ModelSpec(name)
 
 
 class TestGoldenSuite:
@@ -189,14 +191,14 @@ class TestBucketedEngine:
         G = make_graph(rng, 8)
         P = permute_graph(G, rng.permutation(8))
         graphs = [G, G, P, P]
-        with pytest.raises(ValueError, match=r"^ordered: .*WL bound does not hold$"):
+        with pytest.raises(ValueError, match=r"^gcn-ordered: .*WL bound does not hold$"):
             undistinguished_pairs(spec, graphs, run_seeds(3, 2), 1e-3)
         path = tmp_path / "copies.g6"
         path.write_text("".join(encode_graph6(H) + "\n" for H in graphs))
         report = distinguishability_run(
-            ExperimentConfig(str(path), models=("ordered", "gcn"), runs=2))
-        assert report.extras["error:ordered"].startswith("ordered: ")
-        assert "ordered" not in report.counts
+            ExperimentConfig(str(path), models=(spec.kind, "gcn"), runs=2))
+        assert report.extras["error:gcn-ordered"].startswith("gcn-ordered: ")
+        assert spec.kind not in report.counts
         assert report.counts["gcn"] == 6  # four isomorphic graphs
 
     def test_wrong_2fwl_bound_raises(self, monkeypatch):
@@ -207,7 +209,7 @@ class TestBucketedEngine:
         rng = np.random.default_rng(7)
         G = make_graph(rng, 8)
         P = permute_graph(G, rng.permutation(8))
-        with pytest.raises(ValueError, match=r"^ordered: graphs of equal 2-FWL keys differ "
+        with pytest.raises(ValueError, match=r"^chebnet-ordered: graphs of equal 2-FWL keys differ "
                                              r"in run 0, so its declared WL bound does not hold$"):
             undistinguished_pairs(spec, [G, G, P, P], run_seeds(3, 2), 1e-3)
 

@@ -18,6 +18,8 @@ from matgraph.wl import (
     _next_colors,
     _rank_rows,
     _refine,
+    _sorted_codes,
+    _walk_counts,
     fwl2_equivalent,
     fwl3_tensor_statistic,
     signatures,
@@ -307,9 +309,9 @@ class TestFWL3Statistic:
         assert fwl3_tensor_statistic(G) == fwl3_tensor_statistic(H)
 
 
-def reference_colors(graphs, test):
+def reference_colors(graphs, test, last=None):
     """Exact signatures interned into one table, one graph after another,
-    for n rounds: per graph, each round's colors (initial first) in
+    for rounds 0..n (or 0..`last`): per graph, each round's colors in
     row-major cell order. The definition the array engine must match."""
     table = {}
 
@@ -325,7 +327,7 @@ def reference_colors(graphs, test):
             cells = [(v, u) for v in range(n) for u in range(n)]
             c = {(v, u): intern(("init", v == u, bool(A[v, u]))) for v, u in cells}
         out = []
-        for _ in range(n + 1):
+        for _ in range((n if last is None else last) + 1):
             out.append([c[x] for x in cells])
             if test == "WL1":
                 sig = {v: (c[v], tuple(sorted(c[u] for u in range(n) if A[v, u])))
@@ -374,21 +376,91 @@ def test_engine_matches_interned_reference(test, pair_test):
                     sorted(H.adjacency.sum(1)) == sorted(G.adjacency.sum(1)))
             if not same:
                 continue
-        expected = (True, None)
-        if G.n != H.n:
-            expected = (False, 0)
-        else:
-            ref_g, ref_h = reference_colors([G, H], test)
-            rounds = list(_refine(np.stack([G.adjacency != 0, H.adjacency != 0]), test))
-            for t in range(n + 1):  # the engine's last round repeats once stable
-                assert same_partition(rounds[min(t, len(rounds) - 1)], [ref_g[t], ref_h[t]])
-            for t in range(n + 1):
-                if sorted(ref_g[t]) != sorted(ref_h[t]):
-                    expected = (False, t)
-                    break
-        v = pair_test(G, H)
-        assert (v.equivalent, v.separating_iteration) == expected
+        assert_matches_reference(G, H, test, pair_test)
         checked += 1
+
+
+def assert_matches_reference(G, H, test, pair_test, past_stable=None):
+    """G and H, if of one order, get the reference's partition of their
+    union in every round, and the verdict of comparing the reference's
+    sorted colors round by round. The reference runs n rounds, or
+    `past_stable` rounds past the engine's last, which repeats the stable
+    partition."""
+    expected = (True, None)
+    if G.n != H.n:
+        expected = (False, 0)
+    else:
+        rounds = list(_refine(np.stack([G.adjacency != 0, H.adjacency != 0]), test))
+        ref_g, ref_h = reference_colors(
+            [G, H], test, None if past_stable is None else len(rounds) - 1 + past_stable)
+        for t in range(len(ref_g)):
+            assert same_partition(rounds[min(t, len(rounds) - 1)], [ref_g[t], ref_h[t]])
+        for t in range(len(ref_g)):
+            if sorted(ref_g[t]) != sorted(ref_h[t]):
+                expected = (False, t)
+                break
+    v = pair_test(G, H)
+    assert (v.equivalent, v.separating_iteration) == expected
+
+
+def circulant(n, jumps):
+    return Graph.from_edges(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
+PETERSEN = Graph.from_edges(10, cycle_edges(5) + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)])
+PRISM5 = Graph.from_edges(10, cycle_edges(5) + cycle_edges(5, 5) + [(i, i + 5) for i in range(5)])
+
+
+def complete_bipartite(m):
+    return Graph.from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+
+
+def test_walk_count_rounds_match_interned_reference(sr25):
+    """2-FWL pairs of orders 9-25, whose first round and, for the strongly
+    regular ones, every round has k**2 <= n colors and so counts
+    color-pair walks: cycles against two half cycles, K_(m,m), circulants
+    of equal degree, Petersen, rook/Shrikhande and relabelled sr25 graphs
+    against the interned-tuple reference."""
+    rng = np.random.default_rng(11)
+
+    def relabel(G):
+        return permute_graph(G, rng.permutation(G.n))
+
+    pairs = [(Graph.from_edges(n, cycle_edges(n)),
+              Graph.from_edges(n, cycle_edges(n // 2) + cycle_edges(n // 2, n // 2)))
+             for n in (10, 12, 16, 18)]
+    pairs += [(complete_bipartite(5), relabel(complete_bipartite(5))),
+              (complete_bipartite(6), circulant(12, (1, 2, 3))),
+              (circulant(13, (1, 5)), circulant(13, (1, 2))),
+              (circulant(13, (1, 3, 4)), relabel(circulant(13, (1, 3, 4)))),
+              (circulant(9, (1, 3)), circulant(9, (1, 2))),
+              (PETERSEN, relabel(PETERSEN)), (PETERSEN, PRISM5),
+              (ROOK4X4, SHRIKHANDE), (relabel(SHRIKHANDE), ROOK4X4),
+              (sr25[0], relabel(sr25[0])), (relabel(sr25[1]), relabel(sr25[2]))]
+    for G, H in pairs:
+        assert G.n == H.n and 3 ** 2 <= G.n  # round 1 counts walks
+        assert_matches_reference(G, H, "FWL2", fwl2_equivalent, past_stable=2)
+
+
+def test_walk_counts_and_sorted_codes_partition_alike():
+    """Both 2-FWL rows give one partition on random stacks of 1-4 colors,
+    drawn cell by cell or as circulant patterns f(u - v) under random
+    relabellings, whose cells repeat rows across graphs and across the
+    diagonal."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        B, n, k = int(rng.integers(1, 4)), int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            C = rng.integers(0, k, size=(B, n, n))
+        else:
+            f = rng.integers(0, k, size=n)
+            shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+            C = np.stack([f[shift][np.ix_(p, p)] for p in (rng.permutation(n) for _ in range(B))])
+        C, classes = _compact(C, k)
+        by_walks = _rank_rows(_walk_counts(C, classes).reshape(C.size, -1))
+        by_codes = _rank_rows(_sorted_codes(C, classes).reshape(C.size, -1))
+        assert same_partition(by_walks, by_codes)
 
 
 @pytest.mark.parametrize("test", ["WL1", "FWL2"])
