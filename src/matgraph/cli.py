@@ -167,11 +167,12 @@ def cmd_supports(args) -> int:
     G = _load_graph(args.graph, args.dataset_format)
     basis = "normalized-laplacian" if args.basis == "nlap" else "adjacency"
     spec = SupportSpec(basis_kind=basis, b=args.b, S=args.count)
-    features, (_, rows, cols), centers = stacked_supports(G.adjacency[None], spec)
+    supports, centers = stacked_supports(G.adjacency[None], spec)
+    rows, cols = np.nonzero(G.adjacency + np.eye(G.n))
     result = {
         "mask_index": [list(p) for p in zip(rows.tolist(), cols.tolist())],
         "band_centers": centers[0].tolist(),
-        "features": features.tolist(),
+        "features": supports[0][:, rows, cols].T.tolist(),
     }
     args.stream.write(json.dumps(result, indent=2) + "\n")
     return 0

@@ -32,9 +32,10 @@ undistinguished iff its Manhattan distance stays at or below the
 threshold in every run. The survivors stay one (P, 2) integer array
 until the final sorted list of tuples is made. A graph's embedding does
 not depend on the batch that holds it, so shrinking the batch between
-runs changes no distance. `DatasetBatch.subset` gathers the kept graphs
-from the built tiles, so before each later run the batch shrinks to the
-graphs of the pairs still unsettled, and the run embeds only those. Once
+runs changes no distance. `DatasetBatch.subset` gathers the kept graphs'
+adjacency, supports and key rows from the built tiles, so before each
+later run the batch shrinks to the graphs of the pairs still unsettled,
+and the run embeds only those. Once
 no pair is left, no further run is embedded.
 
 Pairs that a model's WL bound keeps settle after run 0. A kind of

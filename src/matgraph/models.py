@@ -4,12 +4,13 @@ All models are instances of the unified message-passing layer
 H^{l+1} = sigma(sum_s C^{(s)} H^l W^{(l,s)}), differing in how the
 convolution supports C^{(s)} are built: fixed matrices (MLP, GCN,
 GraphSage, GIN, Chebnet), attention computed from the running
-representation (GAT), an explicit Hadamard term (GNNML1), or learned
-sparse spectral supports (GNNML3).
+representation (GAT), an explicit Hadamard term (GNNML1), or supports
+learned from designed spectral ones (GNNML3).
 
 Each kind is declared once, as a `Model` entry of `MODELS`: its support
-builder, its per-layer weight schema, its layer update and, for a kind
-that takes the key table (below), its key, front and back. `make_weights`
+builder, its per-layer weight schema, its layer update, for GNNML3 the
+step that learns its supports from the weights, and, for a kind that
+takes the key table (below), its key, front and back. `make_weights`
 draws the schema, `parameter_count` sums its shapes and `DatasetBatch`
 runs the update, so adding a model kind means adding one table entry.
 An entry may also declare its WL bound, `bound`: the name of the
@@ -37,26 +38,30 @@ the seed (below).
 
 For dataset-scale runs, `DatasetBatch` slices each order's (B, n, n)
 adjacency stack of a `graphcore.Dataset` (the loader's arrays, or a
-list's, stacked once for the build and then freed) into tiles of
-TILE_NODES nodes; `DatasetBatch.groups` is the flat list of tiles, each
-holding its graphs' dataset positions, inputs and supports.
-The kind's support builder runs on each tile's stack once, when the
-batch is built, and the tile keeps its supports: elementwise formulas,
-one stacked eigendecomposition (Chebnet, GNNML3). `DatasetBatch.subset`
-builds nothing: it gathers each kept graph's inputs, supports (for
-GNNML3 its mask rows, renumbered) and key rows from the built tiles into
-the tiles a new batch of those graphs would have, and keeps the rows of
-the batch's key table that they use, renumbered by counting, so a subset
-before every later run costs a copy, not a build, and its runs' fronts
-cover only its own keys.
+list's, stacked once and freed once the tiles hold their slices) into
+tiles of TILE_NODES nodes; `DatasetBatch.groups` is the flat list of
+tiles. Every tile has one format: its graphs' dataset positions, their
+(T, n, n) bool adjacency, one dense (T, S, n, n) stack of static
+supports and its key rows; a node's degree, its input, is read off the
+adjacency. The kind's support builder runs on each tile's stack once,
+when the batch is built, and the tile keeps its supports: elementwise
+formulas, one stacked eigendecomposition (Chebnet, GNNML3's designed
+supports). GNNML3's learned supports depend on the weights: per seed,
+`Model.learn` maps each mask entry's designed supports through
+mlp1..mlp4 and places the results in a zero stack.
+`DatasetBatch.subset` builds nothing: it gathers each kept graph's
+adjacency, supports and key rows from the built tiles into the tiles a
+new batch of those graphs would have, and keeps the rows of the batch's
+key table that they use, renumbered by counting, so a subset before
+every later run costs a copy, not a build, and its runs' fronts cover
+only its own keys.
 The one-graph helper `static_supports` is the B = 1 case of the same
-builders, made dense for GNNML3 by `spectral.scatter_supports`, the
-scatter that also places its learned supports. A support that is the
-identity (the first one of MLP, GraphSage and Chebnet, declared by
-`Model.identity`) is neither built nor stored: its term C H W is
-computed as H W. A node's input is one column, its degree, so layer 0's
-transforms by one-row blocks W_s are one product: the broadcast H * W
-for one term, concat(X) @ W[:, 0] for several.
+builders. A support that is the identity (the first one of MLP,
+GraphSage and Chebnet, declared by `Model.identity`) is neither built
+nor stored: its term C H W is computed as H W. A node's input is one
+column, its degree, so layer 0's transforms by one-row blocks W_s are
+one product: the broadcast H * W for one term, concat(X) @ W[:, 0] for
+several.
 
 The key table. The paper's first colour is the degree, H^(1) = A 1, and
 layer 0 aggregates before it transforms, sum_s (C_s H) W_s, so a node's
@@ -137,8 +142,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from matgraph.graphcore import Dataset, Graph, laplacian
-from matgraph.spectral import (SupportSpec, _eig_sym, _scatter_supports, _stacked_supports,
-                               scatter_supports)
+from matgraph.spectral import SupportSpec, _eig_sym, _stacked_supports
 from matgraph.wl import _rank_rows
 
 PARAM_BUDGET = 30_000
@@ -175,8 +179,7 @@ class Model:
     """One model kind: its supports, its weights and its layer update."""
 
     # A (B,n,n) -> (B,S,n,n) static supports of the stack, the identity
-    # left out when `identity`, or GNNML3's stacked_supports
-    # (features, (b, r, c), centers)
+    # left out when `identity`; GNNML3's designed ones
     supports: Callable
     layer: Callable  # (l, d_in, width) -> schema of layer l, in draw order
     update: Callable  # (weights, l, H (B,n,d), C (B,S,n,n)) -> H after layer l
@@ -192,6 +195,10 @@ class Model:
     # whose equal keys give equal embeddings (None: no such bound);
     # `harness` settles pairs by it
     bound: str | None = None
+    # (weights, A (T,n,n) bool, the static supports) -> the (T,S,n,n)
+    # supports the layers read, for a kind whose supports depend on the
+    # weights (GNNML3's learned ones; None: the static supports)
+    learn: Callable | None = None
     # A kind that takes the key table declares all three (None: every node
     # runs every layer). `key`: (H (T,n,1), C, widest) -> (T, n, c), the
     # columns layer 0 reads of each node: floats (its input, when a term
@@ -275,10 +282,7 @@ def static_supports(spec: ModelSpec, G: Graph) -> list[np.ndarray]:
     For GNNML3 these are the S designed supports the learned part reads.
     A declared identity support comes first, as np.eye(n)."""
     model = MODELS[spec.kind]
-    supports = model.supports(G.adjacency[None])
-    if not isinstance(supports, np.ndarray):  # GNNML3's (rows, (b, r, c), centers)
-        supports = scatter_supports(*supports[:2], (1, G.n))
-    return [np.eye(G.n)] * model.identity + list(supports[0])
+    return [np.eye(G.n)] * model.identity + list(model.supports(G.adjacency[None])[0])
 
 
 # --- the model table ---------------------------------------------------------
@@ -532,6 +536,27 @@ def _gnnml3_head(S: int) -> tuple[Entry, ...]:
     ) + (("mlp4.W", (4 * S, S), 4 * S, S), ("mlp4.b", (S,), 4 * S, S))
 
 
+def _gnnml3_learn(w: dict, A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The learned masked supports (Eq. 8): mlp1..mlp4 map each entry of
+    the mask A + I, its designed supports D[b, :, r, c] as one row, to S
+    learned values; zeros off the mask. The rows and the MLP temporaries
+    are freed before the output is allocated, so that the embed's peak
+    memory holds none of them next to it."""
+    b, r, c = np.nonzero(A | np.eye(A.shape[-1], dtype=bool))
+    rows = D[b, :, r, c]  # (m, S), entries row-major per graph
+    x1, x2, x3 = (_sigmoid(rows @ w[f"mlp{k}.W"] + w[f"mlp{k}.b"]) for k in (1, 2, 3))
+    del rows
+    x2 *= x3
+    del x3
+    mixed = np.concatenate([x1, x2], axis=1)
+    del x1, x2
+    learned = _bias_relu(mixed @ w["mlp4.W"], w["mlp4.b"])
+    del mixed
+    out = np.zeros_like(D)
+    out[b, :, r, c] = learned
+    return out
+
+
 def _gnnml3_update(w: dict, l: int, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Each layer emits width (conv part) + width (Hadamard part)."""
     conv = _conv(C, H, w[f"W{l}"])
@@ -568,9 +593,9 @@ MODELS: dict[str, Model] = {
                      identity=True, bound="2-FWL"),
     "gnnml1": Model(lambda A: _stack(A, A), _gnnml1_layer, _gnnml1_update, bound=_MP_BOUND,
                     key=_key(1), front=_gnnml1_front, back=_conv_back),
-    "gnnml3": Model(lambda A: _stacked_supports(A, ModelSpec.support_spec), _gnnml3_layer,
+    "gnnml3": Model(lambda A: _stacked_supports(A, ModelSpec.support_spec)[0], _gnnml3_layer,
                     _gnnml3_update, emits=2, head=_gnnml3_head(ModelSpec.support_spec.S),
-                    bound="2-FWL"),
+                    bound="2-FWL", learn=_gnnml3_learn),
 }
 MODEL_KINDS = tuple(MODELS)
 
@@ -587,47 +612,38 @@ def _tile_slices(count: int, n: int) -> list[slice]:
 
 class _Tile:
     """Up to TILE_NODES nodes of graphs of one order: their dataset
-    positions, their inputs and supports, and their rows of the key table."""
+    positions, adjacency and supports, and their rows of the key table."""
 
-    def __init__(self, indices: np.ndarray, H0: np.ndarray, supports=None, keys=None):
+    def __init__(self, indices: np.ndarray, A: np.ndarray, supports=None, keys=None):
         self.indices = indices  # dataset position of each graph
-        self.n = H0.shape[1]
-        self.H0 = H0  # (T, n, 1) degrees
-        # the static (T, S, n, n) supports, or GNNML3's edge-feature rows
-        # (m, S), their dense positions (b, r, c) in the tile and centers
-        self.supports = supports
+        self.n = A.shape[-1]
+        self.A = A  # (T, n, n) bool adjacency
+        self.supports = supports  # the static (T, S, n, n) supports
         # a kind with a key table: each node's (T, n) row of the batch's
         # table, or, from the build until the batch ranks them, its keys
         self.keys = keys
 
-    def build(self, spec: ModelSpec, A: np.ndarray, widest: int) -> None:
-        """The supports of the tile's adjacencies A, and its nodes' keys."""
-        model = MODELS[spec.kind]
-        self.supports = model.supports(A)
-        if model.key is not None:
-            self.keys = model.key(self.H0, self.supports, widest)
+    def degrees(self) -> np.ndarray:
+        """(T, n, 1) degrees, every node's input."""
+        return self.A.sum(axis=-1, keepdims=True, dtype=np.float64)
 
-    def _layer_supports(self, weights: dict) -> np.ndarray:
-        """The supports the layers read: the static (T, S, n, n) ones, or
-        GNNML3's learned masked supports (Eq. 8), which depend on the
-        weights; a method of its own, so that its temporaries are freed
-        before the layers run."""
-        if isinstance(self.supports, np.ndarray):
-            return self.supports
-        edge_rows, index, _ = self.supports
-        x1, x2, x3 = (_sigmoid(edge_rows @ weights[f"mlp{k}.W"] + weights[f"mlp{k}.b"])
-                      for k in (1, 2, 3))
-        C_vec = _bias_relu(np.concatenate([x1, x2 * x3], axis=1) @ weights["mlp4.W"],
-                           weights["mlp4.b"])
-        return _scatter_supports(C_vec, index, (len(self.indices), self.n))
+    def build(self, spec: ModelSpec, widest: int) -> None:
+        """The supports of the tile's adjacencies, and its nodes' keys."""
+        model = MODELS[spec.kind]
+        self.supports = model.supports(self.A.astype(np.float64))
+        if model.key is not None:
+            self.keys = model.key(self.degrees(), self.supports, widest)
 
     def embed(self, spec: ModelSpec, weights: dict, out: np.ndarray, rows) -> None:
         """Every layer, the readout and the final linear, into the tile's
         graphs' rows of out. Given the key table's `rows` (the front's, each
         (k, e)), each node gathers its own and the layers go on from the back."""
-        model, C = MODELS[spec.kind], self._layer_supports(weights)
-        H, first = self.H0, 0
-        if rows is not None:
+        model, C = MODELS[spec.kind], self.supports
+        if model.learn is not None:
+            C = model.learn(weights, self.A, C)
+        if rows is None:
+            H, first = self.degrees(), 0
+        else:
             G = [r[self.keys] for r in rows]
             H, first = (G[0], spec.layers) if model.back is None else (model.back(weights, G, C), 2)
         for l in range(first, spec.layers):
@@ -639,30 +655,13 @@ class _Tile:
 
 def _gathered(indices: np.ndarray, parts: list[tuple[_Tile, np.ndarray]]) -> _Tile:
     """The tile at dataset positions `indices` of the graphs at `rows` of
-    each (tile, rows) of `parts`, in that order: their inputs and supports
-    copied, GNNML3's edge rows with their graphs renumbered."""
-    H0 = np.concatenate([tile.H0[rows] for tile, rows in parts])
-    keys = None if parts[0][0].keys is None else np.concatenate(
-        [tile.keys[rows] for tile, rows in parts])
-    if isinstance(parts[0][0].supports, np.ndarray):
-        return _Tile(indices, H0, np.concatenate([tile.supports[rows] for tile, rows in parts]),
-                     keys)
-    edge_rows, b, r, c, centers = [], [], [], [], []
-    first = 0  # the part's first graph in the gathered tile
-    for tile, rows in parts:
-        tile_rows, (tile_b, tile_r, tile_c), tile_centers = tile.supports
-        # a graph's edge rows are consecutive: b is ascending
-        lo, hi = np.searchsorted(tile_b, rows), np.searchsorted(tile_b, rows, side="right")
-        count = hi - lo
-        e = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-        edge_rows.append(tile_rows[e])
-        b.append(np.repeat(np.arange(first, first + len(rows)), count))
-        r.append(tile_r[e])
-        c.append(tile_c[e])
-        centers.append(tile_centers[rows])
-        first += len(rows)
-    cat = np.concatenate
-    return _Tile(indices, H0, (cat(edge_rows), (cat(b), cat(r), cat(c)), cat(centers)), keys)
+    each (tile, rows) of `parts`, in that order: every field copied."""
+    def cat(field: str):
+        if getattr(parts[0][0], field) is None:
+            return None
+        return np.concatenate([getattr(tile, field)[rows] for tile, rows in parts])
+
+    return _Tile(indices, cat("A"), cat("supports"), cat("keys"))
 
 
 @cache
@@ -707,16 +706,11 @@ def _run_tiles(tasks: list[Callable[[], None]]) -> None:
             f.result()
 
 
-def _split(dataset: Dataset) -> tuple[list[_Tile], list[np.ndarray]]:
-    """The dataset's tiles, by order, with their inputs, and each tile's
-    (T, n, n) adjacency stack: a slice of its order's stack."""
-    tiles, stacks = [], []
-    for idx, A in dataset.stacks:
-        H0 = A.sum(axis=-1, keepdims=True)  # degree features
-        for part in _tile_slices(len(idx), A.shape[-1]):
-            tiles.append(_Tile(idx[part], H0[part]))
-            stacks.append(A[part])
-    return tiles, stacks
+def _split(dataset: Dataset) -> list[_Tile]:
+    """The dataset's tiles, by order, each with its slice of its order's
+    adjacency stack."""
+    return [_Tile(idx[part], A[part] != 0) for idx, A in dataset.stacks
+            for part in _tile_slices(len(idx), A.shape[-1])]
 
 
 class DatasetBatch:
@@ -732,12 +726,11 @@ class DatasetBatch:
     def __init__(self, spec: ModelSpec, graphs: Sequence[Graph]):
         self.spec = spec
         self.graphs = graphs  # as given, a Dataset or a list
-        dataset = Dataset.of(graphs)  # a list is stacked here, once
         self.size = len(graphs)
-        self.groups, stacks = _split(dataset)
+        # a list is stacked here, once, and its stacks freed before the build
+        self.groups = _split(Dataset.of(graphs))
         widest = max((tile.n for tile in self.groups), default=0)  # pads GAT's keys
-        _run_tiles([partial(tile.build, spec, A, widest) for tile, A in zip(self.groups, stacks)])
-        del dataset, stacks  # a list's stacks are freed before the keys are ranked
+        _run_tiles([partial(tile.build, spec, widest) for tile in self.groups])
         self.table = None  # the key table (k, c): each distinct key once, bit for bit
         if MODELS[spec.kind].key is not None and self.groups:
             self.table = self._rank_keys(widest)
@@ -769,7 +762,7 @@ class DatasetBatch:
 
     def subset(self, indices: Sequence[int]) -> "DatasetBatch":
         """A batch of the graphs at `indices`, in that order, with the tiles
-        that a new batch of them would have. Each graph's inputs, supports
+        that a new batch of them would have. Each graph's adjacency, supports
         and key rows are gathered from this batch's tiles, and the key table
         keeps the rows they use, in order, renumbered by counting: no stack,
         support, eigendecomposition or key is built or ranked again."""

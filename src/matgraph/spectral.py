@@ -5,17 +5,14 @@ Phi_s(lambda) = exp(-b (lambda - f_s)^2) over the eigenvalues of a basis
 matrix (normalized Laplacian by default), reconstructing the dense matrix
 U diag(Phi_s(lambda)) U^T, and masking it to the 1-hop receptive field
 M = A + I. Of the S supports, S - 1 are Gaussian bands and the last is
-the all-pass support (Phi = 1, the identity). The masked entries are
-stored as sparse edge-feature rows.
+the all-pass support (Phi = 1, the identity).
 
 `eig_sym` and `stacked_supports` work on a whole (B, n, n) stack of
 equal-order graphs at once; a single graph is a stack of one.
-`scatter_supports` is the inverse of the gather `stacked_supports` does:
-it turns the rows back into dense supports.
-`_eig_sym`, `_stacked_supports` and `_scatter_supports` are the same
-functions under private names, for callers on worker threads: perfbench's
-tracer replaces every public name with a span-recording wrapper that keeps
-one call stack and so must only be entered from one thread.
+`_eig_sym` and `_stacked_supports` are the same functions under private
+names, for callers on worker threads: perfbench's tracer replaces every
+public name with a span-recording wrapper that keeps one call stack and
+so must only be entered from one thread.
 """
 
 from __future__ import annotations
@@ -115,50 +112,31 @@ def basis_matrix(A: np.ndarray, kind: str) -> np.ndarray:
 
 def stacked_supports(
     A: np.ndarray, spec: SupportSpec = SupportSpec()
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 1: design S masked convolution supports for each graph of
     a (B, n, n) adjacency stack.
 
     Each support is U diag(Phi_s(lambda)) U^T restricted to the 1-hop
-    mask M = A + I. The all-pass support (response identically 1)
-    reconstructs the identity, so its masked entries are 1 on the
-    diagonal, 0 on edges. Returns `(features, (b, r, c), centers)`: row t
-    of the m x S `features` holds every support's value at mask entry
-    (graph b[t], row r[t], col c[t]), entries row-major per graph and
-    graphs in stack order; `centers` holds each graph's `band_centers`,
-    B x (number of bands), so that a degenerate spectrum (edgeless
-    graphs, n = 1) repeats its single center and every graph has S
-    supports.
+    mask M = A + I, zeros off it. The all-pass support (response
+    identically 1) is the identity, stored as such. Returns
+    `(supports, centers)`: the (B, S, n, n) supports, and each graph's
+    `band_centers`, B x (number of bands), so that a degenerate spectrum
+    (edgeless graphs, n = 1) repeats its single center and every graph
+    has S supports.
     """
     basis = _eig_sym(basis_matrix(A, spec.basis_kind))
-    index = np.nonzero(A + np.eye(A.shape[-1]))
+    n = A.shape[-1]
+    mask = A + np.eye(n) != 0
     centers = band_centers(basis.lam[:, :1], basis.lam[:, -1:], spec.S)
-    columns = [
-        basis.reconstruct(frequency_response(basis.lam, spec.b, centers[:, s:s + 1]))[index]
-        for s in range(spec.S - 1)
-    ]
-    columns.append((index[1] == index[2]).astype(np.float64))
-    return np.column_stack(columns), index, centers
+    supports = np.zeros((len(A), spec.S, n, n))
+    for s in range(spec.S - 1):
+        band = basis.reconstruct(frequency_response(basis.lam, spec.b, centers[:, s:s + 1]))
+        np.copyto(supports[:, s], band, where=mask)
+    supports[:, -1] = np.eye(n)
+    return supports, centers
 
 
 _stacked_supports = stacked_supports
-
-
-def scatter_supports(
-    rows: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.ndarray],
-    shape: tuple[int, int],
-) -> np.ndarray:
-    """Dense (B, S, n, n) supports of a stack of B graphs of order n from
-    their m x S mask rows and the rows' positions (b, r, c), as
-    `stacked_supports` returns them; zeros off the mask. The inverse of
-    its gather: `scatter_supports(rows, index, shape)[b, :, r, c]` is rows."""
-    b, r, c = index
-    out = np.zeros((shape[0], rows.shape[1], shape[1], shape[1]))
-    out[b, :, r, c] = rows
-    return out
-
-
-_scatter_supports = scatter_supports
 
 
 def maclaurin_coefficients(b: float, f_s: float, order: int) -> np.ndarray:

@@ -59,8 +59,10 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     """Lexicographic rank of each row of `rows` among its distinct rows.
 
     Runs of columns are packed into int64 words as base-(max - min + 1)
-    digits, as many per word as keep it below 2**63, so the words order
-    the rows as the columns do: one word is argsorted, more are lexsorted.
+    digits, as many per word as keep it below 2**63, all words by one
+    integer product of the rows with a matrix of digit powers, so the
+    words order the rows as the columns do: one word is argsorted, more
+    are lexsorted.
     """
     (N, m), lo, hi = rows.shape, int(rows.min()), int(rows.max())
     base = hi - lo + 1
@@ -70,22 +72,15 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     if digits == 1:
         words = rows
     else:
-        # one word per run of `digits` columns, the last run may be shorter
-        full = m - m % digits
-        runs = [rows[:, :full].reshape(N, -1, digits)]
-        if full < m:
-            runs.append(rows[:, None, full:])
-        words = []
-        for run in runs:
-            word = run[..., 0].astype(np.int64)  # small codes may come as uint8
-            word -= lo
-            for column in np.moveaxis(run[..., 1:], 2, 0):
-                # wraps past 2**63 only by lo, and wraps back on subtracting it
-                word *= base
-                word += column
-                word -= lo
-            words.append(word)
-        words = np.concatenate(words, axis=1)
+        # P[k, j]: column k's digit power in word j, the last run may be
+        # shorter. rows @ P is the words (rows - lo) @ P plus lo * P.sum(0);
+        # every word is below 2**63, so the int64 product may wrap but the
+        # subtraction wraps back to it exactly
+        P = np.zeros((m, -(-m // digits)), dtype=np.int64)
+        for j, first in enumerate(range(0, m, digits)):
+            run = min(digits, m - first)
+            P[first:first + run, j] = [base ** e for e in range(run - 1, -1, -1)]
+        words = rows.astype(np.int64, copy=False) @ P - lo * P.sum(axis=0)
     order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
     ordered = words[order]
     step = np.ones(N, dtype=np.int64)

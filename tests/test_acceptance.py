@@ -151,8 +151,8 @@ class TestCriterion6PropertySuites:
     - embed determinism / permutation invariance: test_models.py
     - 1-WL-bounded models never separate 1-WL pairs: test_models.py
     - support symmetry / norm / equivariance: test_spectral.py
-    - mask-row gather / scatter_supports round-trip, Maclaurin residual:
-      test_spectral.py
+    - supports zero off the mask A + I with the identity last, Maclaurin
+      residual: test_spectral.py
 
     This check just asserts those files are collected alongside this one.
     """

@@ -28,7 +28,7 @@ from matgraph.models import (
     make_weights,
     static_supports,
 )
-from matgraph.spectral import SupportSpec, scatter_supports, stacked_supports
+from matgraph.spectral import SupportSpec, stacked_supports
 from matgraph.wl import _refine
 
 from .conftest import make_graph
@@ -41,31 +41,44 @@ def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 ADJACENCY = SupportSpec(basis_kind="adjacency")
 
 
-def dense_supports(A: np.ndarray, spec: SupportSpec) -> np.ndarray:
-    """Dense (B, S, n, n) designed supports of the stack A."""
-    rows, index, _ = stacked_supports(A, spec)
-    return scatter_supports(rows, index, (len(A), A.shape[-1]))
-
-
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_stacked_supports_equal_one_graph_builder(kind, mixed):
-    # every tile keeps its graphs' static_supports, less a declared identity
+    # every tile keeps its graphs' adjacency and static_supports, less a
+    # declared identity
     spec, skip = ModelSpec(kind), MODELS[kind].identity
     batch = DatasetBatch(spec, mixed)
     assert sorted({tile.n for tile in batch.groups}) == [1, 3, 8, 25]
     assert len(batch.groups) > 4  # order 8 spans several tiles
     for tile in batch.groups:
-        idx, n, supports = tile.indices, tile.n, tile.supports
+        idx, n = tile.indices, tile.n
+        assert same_bytes(tile.A, np.stack([mixed[i].adjacency for i in idx]) > 0)
         ones = [static_supports(spec, mixed[i]) for i in idx]
         want = np.stack([np.array(C[skip:]).reshape(-1, n, n) for C in ones])
-        if kind == "gnnml3":
-            # the tile's mask rows sit at the nonzero positions of its A + I
-            rows, index, _ = supports
-            A = np.stack([mixed[i].adjacency for i in idx])
-            assert all(np.array_equal(got, i)
-                       for got, i in zip(index, np.nonzero(A + np.eye(n))))
-            supports = scatter_supports(rows, index, (len(idx), n))
-        assert same_bytes(supports, want)
+        assert same_bytes(tile.supports, want)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_learned_supports_zero_off_the_mask(seed, mixed):
+    # GNNML3's learned supports of a tile (Eq. 8) are zero off each graph's
+    # A + I, and on it they are mlp4 of its designed supports' mlp1..mlp3
+    spec = ModelSpec("gnnml3")
+    w = make_weights(spec, seed)
+    assert {k for k in MODEL_KINDS if MODELS[k].learn is not None} == {"gnnml3"}
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    for tile in DatasetBatch(spec, mixed).groups:
+        learned = MODELS["gnnml3"].learn(w, tile.A, tile.supports)
+        assert learned.shape == tile.supports.shape
+        off = ~(tile.A | np.eye(tile.n, dtype=bool))[:, None]
+        assert same_bytes(np.where(off, learned, 0.0), np.zeros_like(learned))
+        assert not np.signbit(learned).any()
+        D = np.moveaxis(tile.supports, 1, -1)  # each entry's designed supports, last
+        x1, x2, x3 = (sigmoid(D @ w[f"mlp{k}.W"] + w[f"mlp{k}.b"]) for k in (1, 2, 3))
+        want = np.maximum(np.concatenate([x1, x2 * x3], -1) @ w["mlp4.W"] + w["mlp4.b"], 0.0)
+        np.testing.assert_allclose(np.moveaxis(learned, 1, -1),
+                                   np.where(off[:, 0, :, :, None], 0.0, want), rtol=1e-12)
 
 
 def test_adjacency_basis_stack_equals_one_graph(mixed):
@@ -74,8 +87,10 @@ def test_adjacency_basis_stack_equals_one_graph(mixed):
     for idx, A in order_stacks(mixed):
         step = max(1, models.TILE_NODES // A.shape[-1])
         for lo in range(0, len(idx), step):
-            want = [dense_supports(mixed[i].adjacency[None], ADJACENCY) for i in idx[lo:lo + step]]
-            assert same_bytes(dense_supports(A[lo:lo + step], ADJACENCY), np.concatenate(want))
+            want = [stacked_supports(mixed[i].adjacency[None], ADJACENCY)[0]
+                    for i in idx[lo:lo + step]]
+            assert same_bytes(stacked_supports(A[lo:lo + step], ADJACENCY)[0],
+                              np.concatenate(want))
 
 
 def test_identity_supports_declared(mixed):
@@ -191,8 +206,8 @@ def test_traced_flops_read_the_tiles(kind, mixed):
 def test_adjacency_basis_supports(mixed):
     # masked U diag(exp(-b (lam - f)^2)) U^T over the adjacency spectrum
     G = mixed[5]
-    _, _, centers = stacked_supports(G.adjacency[None], ADJACENCY)
-    dense = dense_supports(G.adjacency[None], ADJACENCY)[0]
+    dense, centers = stacked_supports(G.adjacency[None], ADJACENCY)
+    dense = dense[0]
     lam, U = np.linalg.eigh(G.adjacency)
     M = G.adjacency + np.eye(G.n)
     assert len(dense) == len(centers[0]) + 1
@@ -213,11 +228,9 @@ def test_subset_equals_fresh_batch(kind, mixed):
 
 
 def tile_arrays(batch, tile) -> list[np.ndarray]:
-    """A tile's positions, inputs, supports and keys, as one list of arrays."""
-    s = tile.supports  # GNNML3's is (rows, (b, r, c), centers)
+    """A tile's positions, adjacency, supports and keys, as one list of arrays."""
     keys = [] if batch.table is None else [batch.table[tile.keys]]
-    return [tile.indices, tile.H0, *([s] if isinstance(s, np.ndarray) else [s[0], *s[1], s[2]]),
-            *keys]
+    return [tile.indices, tile.A, tile.supports, *keys]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -365,7 +378,7 @@ def test_table_kinds_declared():
 def gat_slots(tile, width) -> np.ndarray:
     """GAT's key of each node of a tile (T, n, width): its degree, then the
     degrees of its neighbours and itself in ascending order, then +inf."""
-    H, n = tile.H0[..., 0], tile.n
+    H, n = tile.degrees()[..., 0], tile.n
     slots = np.full((*H.shape, width), np.inf)
     slots[..., 0] = H
     slots[..., 1:n + 1] = np.sort(np.where(tile.supports[:, 0] > 0, H[:, None, :], np.inf), -1)
@@ -390,7 +403,7 @@ def per_node_rows(kind, tile, w, width=None) -> np.ndarray:
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
 
-    H, C = tile.H0, tile.supports
+    H, C = tile.degrees(), tile.supports
     A = [C[:, s] @ H for s in range(C.shape[1])]  # each node's aggregates
     if kind in ("mlp", "gcn", "graphsage"):
         X = [H] * MODELS[kind].identity + A  # the key's columns
@@ -474,7 +487,7 @@ def test_table_rows_equal_per_node_rows(kind, seed, monkeypatch):
         assert len(b.groups) == 30
         width = b.table.shape[1]
         for tile in b.groups:
-            H, C = tile.H0, tile.supports
+            H, C = tile.degrees(), tile.supports
             key = gat_slots(tile, width) if kind == "gat" else np.concatenate(
                 [H] * (kind not in ("gcn", "gin")) + [C[:, s] @ H for s in range(C.shape[1])],
                 axis=-1)

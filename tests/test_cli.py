@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -257,6 +258,52 @@ class TestSupportsAndEmbed:
             want = (U * np.exp(-5.0 * (lam - f) ** 2)) @ U.T
             np.testing.assert_allclose(features[:, s], want[rows, cols], atol=1e-12)
         assert features[:, -1].tolist() == (rows == cols).astype(float).tolist()
+
+    # sha256 of each JSON output: a change to the support builder must not move it
+    SUPPORT_PINS = {
+        ("sr25.g6:3", "nlap", ""): "bb89ea9a7cbffdfcd68a4c5f83375fecc3324970baf553b5146f6459960be2a9",
+        ("sr25.g6:3", "nlap", "--b 3.0 --count 4"):
+            "9f9e9a6d08e8eb53a6204c894cd18b079e4b0a5104574cc9fd0c7f4a88fb7fe3",
+        ("sr25.g6:3", "adj", ""): "143b44cda5d49a76bde2140105c995cee84ad448ea3d95bb3249559ccf41b2f1",
+        ("sr25.g6:3", "adj", "--b 3.0 --count 4"):
+            "c7cb9f08bb7baf922982275a088125d8f0a6cb7ef299dc7272000ba282bad584",
+        ("graph8c.g6:100", "nlap", ""):
+            "f8aa95a91214b94e491dd4d4df559303899d00f2721e2b5f73bd47be858a9480",
+        ("graph8c.g6:100", "nlap", "--b 3.0 --count 4"):
+            "5202a34f1419ee55dda4eb02c9c4992019e2a401de1cfa7c110bdcd10a8889ca",
+        ("graph8c.g6:100", "adj", ""):
+            "159c7909714b7a197bc46a4896687cd19310703c5060d8d8df6316b73d204baf",
+        ("graph8c.g6:100", "adj", "--b 3.0 --count 4"):
+            "63eb390a2018d4289ae80ec1ac7f36cf44b6fc1d645154ef111f1fa5ad3db50c",
+        ("one.g6", "nlap", ""): "674968d62896014797a5d3a0b56f97a3caa674a642260357ab9527265af61318",
+        ("one.g6", "nlap", "--b 3.0 --count 4"):
+            "d575b38f85ef201573a8bc9cefc2777ddbf210b822ce09f9259bf0e638f7a072",
+        ("one.g6", "adj", ""): "4a92a5918fa4ad279b798a59f271a1b7994e90b7ed875c6f2fd91dbedc655bae",
+        ("one.g6", "adj", "--b 3.0 --count 4"):
+            "d464b73abcbbc7d56ca5605feae6296b1e610f0344aaf86a73fe407bd512b933",
+    }
+
+    @pytest.mark.parametrize("graph, basis, extra", sorted(SUPPORT_PINS))
+    def test_supports_output_is_pinned(self, capsys, tmp_path, graph, basis, extra):
+        # sr25 and graph8c graphs and a 1-vertex graph, both bases, the
+        # default and a non-default bandwidth and support count
+        (tmp_path / "one.g6").write_text("@\n")
+        path = tmp_path / graph if graph == "one.g6" else DATA_DIR / graph
+        code, out = run_cli(capsys, "supports", "--graph", str(path), "--basis", basis,
+                            *extra.split())
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.SUPPORT_PINS[graph, basis, extra]
+
+    def test_gnnml3_embed_of_an_edgeless_graph_is_pinned(self, capsys, tmp_path):
+        # an empty mask off the diagonal: every learned support is diagonal
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps([{"n": 5, "edges": []}]))
+        code, out = run_cli(capsys, "--dataset-format", "edgelist-json", "embed", "--graph",
+                            str(path), "--model", "gnnml3", "--seeds", "3")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "2546fef9ecb658215c70decb58bed595abb087270863a5cad2a0ca0fa4e57646")
 
     @pytest.mark.parametrize("b", ["nan", "inf"])
     def test_supports_bandwidth_must_be_finite(self, capsys, small_dataset, b):

@@ -10,7 +10,6 @@ from matgraph.spectral import (
     eig_sym,
     frequency_response,
     maclaurin_coefficients,
-    scatter_supports,
     stacked_supports,
 )
 
@@ -37,12 +36,6 @@ def maclaurin_residual(
         acc += a[i] * P
         P = P @ L
     return float(np.max(np.abs(spec_support - acc)))
-
-
-def dense_supports(A: np.ndarray, spec: SupportSpec = SupportSpec()) -> np.ndarray:
-    """(B, S, n, n) dense supports of the stack A: Algorithm 1's rows, scattered."""
-    rows, index, _ = stacked_supports(A, spec)
-    return scatter_supports(rows, index, A.shape[:2])
 
 
 class TestEigSym:
@@ -99,7 +92,7 @@ class TestSupports:
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=2, max_n=8, connected=True))
     def test_symmetry_and_norm(self, G):
-        for C in dense_supports(G.adjacency[None])[0]:
+        for C in stacked_supports(G.adjacency[None])[0][0]:
             assert np.allclose(C, C.T, atol=1e-10)
             # Gaussian responses are bounded by 1, so the full (unmasked)
             # operator norm is <= 1; masking can only shrink the max entry
@@ -112,7 +105,7 @@ class TestSupports:
         rng = np.random.default_rng(G.num_edges * 31 + G.n)
         perm = rng.permutation(G.n)
         H = permute_graph(G, perm)
-        CG, CH = dense_supports(np.stack([G.adjacency, H.adjacency]))
+        CG, CH = stacked_supports(np.stack([G.adjacency, H.adjacency]))[0]
         for s in range(CG.shape[0]):
             assert np.allclose(
                 CG[s][np.ix_(perm, perm)], CH[s], atol=1e-8
@@ -120,38 +113,31 @@ class TestSupports:
 
     def test_masked_to_receptive_field(self):
         G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        C = dense_supports(G.adjacency[None])[0]
+        C = stacked_supports(G.adjacency[None])[0][0]
         M = G.adjacency + np.eye(4)
         assert np.all(C[:, M == 0] == 0.0)
 
     def test_allpass_support(self):
         spec = SupportSpec()
         G = Graph.from_edges(3, [(0, 1), (1, 2)])
-        C = dense_supports(G.adjacency[None], spec)[0]
+        C = stacked_supports(G.adjacency[None], spec)[0][0]
         assert np.allclose(C[-1], np.eye(3))
 
-
-class TestSparseVec:
-    """The mask rows of a stack: `stacked_supports`' gather X[b, :, r, c]
-    at the nonzero positions of A + I and `scatter_supports` invert each
-    other."""
-
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(2, 9), st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    def test_roundtrip(self, n, B, S, seed):
+    @given(st.integers(1, 9), st.integers(1, 4), st.integers(2, 6),
+           st.sampled_from(["normalized-laplacian", "adjacency"]), st.floats(0.1, 20.0),
+           st.integers(0, 2**32 - 1))
+    def test_zero_off_the_mask_and_identity_last(self, n, B, S, basis, b, seed):
+        # every designed support of a stack, edgeless and complete graphs
+        # among them, is zero off its graph's A + I, and the last is I
         rng = np.random.default_rng(seed)
-        A = np.stack([random_adjacency(rng, n) for _ in range(B)])
-        index = np.nonzero(A + np.eye(n))
-        M = (A + np.eye(n) > 0)[:, None]  # (B, 1, n, n), the mask of every support
-        X = np.where(M, rng.standard_normal((B, S, n, n)), 0.0)
-        b, r, c = index
-        rows = X[b, :, r, c]
-        assert rows.shape == (int(M.sum()), S)
-        assert np.array_equal(scatter_supports(rows, index, (B, n)), X)
-        # stacked_supports gathers at the same positions, graphs in stack order
-        features, got, _ = stacked_supports(A, SupportSpec(S=S + 1))
-        assert all(np.array_equal(g, i) for g, i in zip(got, index))
-        assert np.array_equal(scatter_supports(features, got, (B, n))[b, :, r, c], features)
+        A = np.stack([random_adjacency(rng, n, rng.choice([0.0, 0.5, 1.0])) for _ in range(B)])
+        supports, centers = stacked_supports(A, SupportSpec(basis, b, S))
+        assert supports.shape == (B, S, n, n) and centers.shape == (B, S - 1)
+        off = (A + np.eye(n) == 0)[:, None]
+        assert np.array_equal(np.where(off, supports, 0.0), np.zeros_like(supports))
+        assert not np.signbit(supports[np.broadcast_to(off, supports.shape)]).any()
+        assert np.array_equal(supports[:, -1], np.broadcast_to(np.eye(n), (B, n, n)))
 
 
 class TestMaclaurin:

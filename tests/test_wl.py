@@ -189,6 +189,56 @@ def test_rank_rows_matches_unique(width, count, digits, offset, low, fill, seed)
     assert np.array_equal(ranks, reference_ranks(rows))
 
 
+def loop_packed_ranks(rows):
+    """`_rank_rows` with its words packed column by column, three in-place
+    operations per column: the reference for the one-product packing."""
+    (N, m), lo, hi = rows.shape, int(rows.min()), int(rows.max())
+    base = hi - lo + 1
+    digits = 1
+    while digits < m and base ** (digits + 1) <= 1 << 63:
+        digits += 1
+    if digits == 1:
+        words = rows
+    else:
+        full = m - m % digits
+        runs = [rows[:, :full].reshape(N, -1, digits)]
+        if full < m:
+            runs.append(rows[:, None, full:])
+        words = []
+        for run in runs:
+            word = run[..., 0].astype(np.int64)
+            word -= lo
+            for column in np.moveaxis(run[..., 1:], 2, 0):
+                word *= base
+                word += column
+                word -= lo
+            words.append(word)
+        words = np.concatenate(words, axis=1)
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
+    ordered = words[order]
+    step = np.ones(N, dtype=np.int64)
+    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step) - 1
+    return ranks
+
+
+def test_rank_rows_matches_column_loop():
+    # 3000 random row sets: least values -5..4, spans 1..2**40 (so 1 to 63
+    # columns per word, the last word often shorter), small codes as
+    # uint8, and duplicate rows
+    rng = np.random.default_rng(29)
+    for case in range(3000):
+        lo, span = int(rng.integers(-5, 5)), int(2 ** rng.uniform(0, 40))
+        N, m = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        pool = rng.integers(lo, lo + span, size=(int(rng.integers(1, N + 1)), m),
+                            endpoint=True)
+        rows = pool[rng.integers(0, len(pool), N)]
+        if case % 4 == 0 and lo >= 0 and lo + span < 256:
+            rows = rows.astype(np.uint8)
+        assert np.array_equal(_rank_rows(rows), loop_packed_ranks(rows)), case
+
+
 def degree_round_by_rows(A):
     """1-WL's round from one color with every vertex's full row: color 0,
     then -1 per non-neighbour and 0 per neighbour, sorted."""

@@ -21,6 +21,10 @@ Then, for each model kind, one line each:
   embed <dataset> seed=<s> <sha256>
       sha256 of `DatasetBatch(spec, graphs).embed_all(s)` on graph8c and
       sr25 at seeds 7 and 0;
+  subset <dataset> seed=<s> <sha256>
+      the same for `DatasetBatch(spec, graphs).subset(idx).embed_all(s)`,
+      idx a seed-29 shuffled choice of 500 graph8c or 7 sr25 graphs: the
+      gather of every tile field from the built batch;
   pairs <dataset> <base>x<runs> <count> <sha256>
       `undistinguished_pairs` at threshold 1e-3 and `run_seeds(base, runs)`
       for (7, 3), (7, 100) and (0, 100): the pair count and the sha256 of
@@ -46,6 +50,7 @@ from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 DATA = Path(__file__).resolve().parent.parent / "data"
 DATASETS = ("graph8c", "sr25")
 EMBED_SEEDS = (7, 0)
+SUBSET_SIZES = {"graph8c": 500, "sr25": 7}
 SWEEPS = ((7, 3), (7, 100), (0, 100))
 THRESHOLD = 1e-3
 
@@ -80,6 +85,10 @@ def main() -> None:
             batch = DatasetBatch(spec, graphs)
             for seed in EMBED_SEEDS:
                 print(f"{kind} embed {name} seed={seed} {sha(batch.embed_all(seed))}")
+            idx = np.random.default_rng(29).permutation(len(graphs))[:SUBSET_SIZES[name]]
+            subset = batch.subset(idx)
+            for seed in EMBED_SEEDS:
+                print(f"{kind} subset {name} seed={seed} {sha(subset.embed_all(seed))}")
         for name, graphs in data.items():
             for base, runs in SWEEPS:
                 start = time.perf_counter()
