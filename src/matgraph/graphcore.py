@@ -6,12 +6,13 @@ degree, the paper's first colour H^(1) = A 1.
 A `Dataset` is an immutable sequence of graphs that groups them by order
 once: each order's ascending positions and `(B, n, n)` float adjacency
 stack, and a memo of whole-dataset key-rung values (`harness.CENSUS` rung
-name -> one key per graph). `load_dataset` returns one whose stacks are
-the decoder's arrays, which its graphs are views of, so loading copies
-nothing; one built from a plain list stacks it once. Every layer reads
+name -> a read-only array of one class label per graph). `load_dataset`
+returns one whose stacks are the decoder's arrays, which its graphs are
+views of, so loading copies nothing; one built from a plain list stacks
+it once. Every layer reads
 the stacks from it: the WL engine (`wl.signatures`), the lambda-max
 rung and the model engine (`models.DatasetBatch`), and a census run twice
-on one dataset keys each base rung once. As nothing can be added,
+on one dataset labels each base rung once. As nothing can be added,
 replaced or removed, the memo cannot go stale.
 """
 
@@ -259,8 +260,9 @@ class Dataset(Sequence):
     `stacks` holds `(positions, A)` per order, in first-appearance order:
     the graphs' ascending positions and their read-only `(B, n, n)` float
     adjacency stack, as `order_stacks` yields them. `memo` keeps
-    whole-dataset values by name. Indexing gives a `Graph`, a slice a
-    plain list of them; item assignment and `append` do not exist.
+    whole-dataset values by name, each a read-only array. Indexing gives
+    a `Graph`, a slice a plain list of them; item assignment and `append`
+    do not exist.
     """
 
     def __init__(self, graphs: Iterable[Graph] = ()):
@@ -296,11 +298,12 @@ class Dataset(Sequence):
     def __iter__(self):
         return iter(self._graphs)
 
-    def memo(self, name: str, values: Callable[["Dataset"], list]) -> tuple:
-        """`values(self)` as a tuple, computed on the first call for `name`
-        and kept: one value per graph, e.g. a key rung's keys."""
+    def memo(self, name: str, values: Callable[["Dataset"], np.ndarray]) -> np.ndarray:
+        """`values(self)` as a read-only array, computed on the first call
+        for `name` and kept: one value per graph, e.g. a key rung's labels."""
         if name not in self._memo:
-            self._memo[name] = tuple(values(self))
+            self._memo[name] = np.array(values(self))
+            self._memo[name].setflags(write=False)
         return self._memo[name]
 
 

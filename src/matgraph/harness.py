@@ -5,11 +5,13 @@ splits a coarser rung's pairs by a value of only the graphs in them.
 Adding a rung is adding an entry.
 
 Every entry point takes a `graphcore.Dataset` or a plain list of graphs.
-A base rung keys every graph through a dataset's memo, so the censuses
-run one after another on one loaded dataset key each base rung once:
-`lambda_census` after `wl_census` reuses the 1-WL keys, and
-`distinguishability_run` counts the degree-multiset pairs as the sum of
-C(k, 2) over the memoised `1-WL@1` classes, listing none. A list is
+A key rung's values are `wl.signatures` class labels, one int64 per
+graph, so a key rung is a partition of the graphs. A base rung labels
+every graph through a dataset's memo, so the censuses run one after
+another on one loaded dataset label each base rung once: `lambda_census`
+after `wl_census` reuses the 1-WL labels, and `distinguishability_run`
+counts the degree-multiset pairs as the sum of C(k, 2) over the
+`np.bincount` of the memoised `1-WL@1` labels, listing none. A list is
 wrapped in a `Dataset` for one base rung and freed once keyed (a
 `Dataset` kept around it through the pair listing and the scans raised
 table1's in-process peak RSS by 5-7 MB). A splitting rung and the
@@ -40,7 +42,7 @@ no pair is left, no further run is embedded.
 
 Pairs that a model's WL bound keeps settle after run 0. A kind of
 `models.MODELS` declares as its `bound` a key rung of CENSUS whose equal
-keys give equal embeddings, so their computed distance
+labels give equal embeddings, so their computed distance
 is rounding in every run: `1-WL@k` (k rounds of 1-WL) for a message-passing
 model of k - 1 layers (Morris et al., arXiv 1810.02244), and `2-FWL` for
 Chebnet and GNNML3. 2-FWL-equivalent graphs are cospectral and agree on
@@ -48,9 +50,9 @@ every L3 sentence (Geerts, ICDT 2019; Maron et al., arXiv 1905.11136), and
 these two go past 1-WL only through such spectral terms. When more runs
 follow, run 0's near candidates, within NEAR_EPS = 64 eps times the sum of
 their rows' L1 norms, have their graphs keyed by one call of the rung's
-value function, and the near pairs of equal keys go straight into the
-result. The cut only picks the graphs to key; key equality decides.
-Every pair of equal keys among the keyed graphs must be near, or run 0
+value function, and the near pairs of equal labels go straight into the
+result. The cut only picks the graphs to key; label equality decides.
+Every pair of equal labels among the keyed graphs must be near, or run 0
 raises naming the kind, so the bound is checked on each dataset rather
 than assumed. Nothing settles when a near cut could exceed the threshold.
 Later runs re-check only the unsettled pairs, each with its own graphs'
@@ -67,7 +69,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Sequence
@@ -214,9 +216,10 @@ def _lambda_max(graphs: Sequence[Graph]) -> np.ndarray:
     return lam
 
 
-# rung -> (the rung it splits, or None; graphs -> one value each; the test
-# two values pass to keep their pair). The functions look `signatures` and
-# `eig_sym` up when called, so a wrapper put on those names sees each call.
+# rung -> (the rung it splits, or None; graphs -> one value each, for a key
+# rung an int64 class label; the test two values pass to keep their pair).
+# The functions look `signatures` and `eig_sym` up when called, so a
+# wrapper put on those names sees each call.
 CENSUS = {
     "1-WL@1": (None, lambda gs: signatures(gs, rounds=1), operator.eq),  # degree multisets
     # 1-WL cut off after k rounds: the bound of a (k - 1)-layer model (models.MODELS)
@@ -234,16 +237,16 @@ CENSUS = {
 
 def _census(graphs: Sequence[Graph], rungs) -> dict[str, list[tuple[int, int]]]:
     """Every pair of each of `rungs`, which lists a base before the rungs
-    that split it: a base rung keys every graph, from a dataset's memo,
-    and a splitting rung gets values, in one call, for its base's paired
-    graphs."""
+    that split it: a base rung buckets every graph by its label, from a
+    dataset's memo, and a splitting rung gets values, in one call, for
+    its base's paired graphs."""
     found: dict = {}
     for name in rungs:
         base, values, keep = CENSUS[name]
         if base is None:
             buckets = defaultdict(list)
-            for i, key in enumerate(Dataset.of(graphs).memo(name, values)):
-                buckets[key].append(i)
+            for i, label in enumerate(Dataset.of(graphs).memo(name, values).tolist()):
+                buckets[label].append(i)
             found[name] = [p for b in buckets.values() for p in combinations(b, 2)]
         else:
             paired = sorted({i for pair in found[base] for i in pair})
@@ -341,12 +344,12 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
              dist: np.ndarray, threshold: float) -> np.ndarray:
     """Mask of run 0's candidate `pairs` of the graphs of `batch`, at the
     distances `dist` that the scan computed, that the kind's WL bound keeps
-    in every run: near pairs whose graphs have equal keys of the kind's
-    `bound`, a key rung of CENSUS. All False without a bound or when the
-    cut of the largest rows would exceed `threshold` (a pair of equal keys
-    might then not be a candidate). The keyed graphs are stacked anew, as a
+    in every run: near pairs whose graphs have equal labels of the kind's
+    `bound`, a key rung of CENSUS, from one call for the keyed graphs. All
+    False without a bound or when the cut of the largest rows would exceed
+    `threshold` (a pair of equal labels might then not be a candidate). The keyed graphs are stacked anew, as a
     batch does not keep its stacks. Raises when two keyed graphs of equal
-    keys are not a near pair."""
+    labels are not a near pair."""
     spec, graphs = batch.spec, batch.graphs
     bound = MODELS[spec.kind].bound
     norm = np.abs(emb).sum(axis=1)
@@ -357,10 +360,8 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
     in_near = np.zeros(len(graphs), dtype=bool)
     in_near[pairs[near].ravel()] = True
     keyed = np.flatnonzero(in_near)
-    ids: dict = {}
     key = np.full(len(graphs), -1)
-    key[keyed] = [ids.setdefault(k, len(ids))
-                  for k in CENSUS[bound][1]([graphs[i] for i in keyed.tolist()])]
+    key[keyed] = CENSUS[bound][1]([graphs[i] for i in keyed.tolist()])
     settled[near] = key[pairs[near, 0]] == key[pairs[near, 1]]
     sizes = np.bincount(key[keyed])
     if (sizes * (sizes - 1) // 2).sum() != settled.sum():
@@ -382,8 +383,8 @@ def undistinguished_pairs(
     pairs that the kind's WL bound keeps in every run settle at once
     (`_settled`): the near ones, within a rounding cut of NEAR_EPS times
     their rows' L1 norms, are keyed by the value function of the kind's
-    `bound` rung of CENSUS (`1-WL@k` or `2-FWL`), and those of equal keys
-    go straight into the result. Every pair of equal keys among the keyed
+    `bound` rung of CENSUS (`1-WL@k` or `2-FWL`), and those of equal labels
+    go straight into the result. Every pair of equal labels among the keyed
     graphs must be near, or the bound is wrong and this raises naming the
     kind. Afterwards, before each run, the batch shrinks to the graphs of
     the unsettled pairs whenever some of its graphs are in none (a gather
@@ -433,8 +434,8 @@ def distinguishability_run(config: ExperimentConfig) -> PairReport:
     report.extras["runs"] = config.runs
     report.extras["threshold"] = config.threshold
     # the degree-multiset pairs, counted from their classes without listing them
-    degrees = Counter(dataset.memo("1-WL@1", CENSUS["1-WL@1"][1]))
-    report.extras["degree-multiset-oracle"] = sum(k * (k - 1) // 2 for k in degrees.values())
+    sizes = np.bincount(dataset.memo("1-WL@1", CENSUS["1-WL@1"][1]))
+    report.extras["degree-multiset-oracle"] = int((sizes * (sizes - 1) // 2).sum())
     for kind in config.models:
         spec = ModelSpec(kind)
         try:
@@ -516,10 +517,10 @@ def golden_pairs_suite() -> list[GoldenCheck]:
             _check(f"{name} L3 sentence", 331776.0, eval_sentence(sentence, G.adjacency))
         )
         lam = eig_sym(laplacian(G)).lam
-        hist = Counter(round(float(v), 2) for v in lam)
+        values = [round(float(v), 2) for v in lam]
         checks.append(
             _check(f"{name} spectrum multiplicities", {0.0: 1, 0.67: 6, 1.33: 9},
-                   dict(sorted(hist.items())))
+                   {v: values.count(v) for v in sorted(set(values))})
         )
     checks.append(
         _check("rook/shrikhande 2-WL equivalent", True,

@@ -22,9 +22,12 @@ initial colors are stable; see `_next_colors` for the bound. Refinement
 stops at the stable partition, the first round whose class count does
 not grow (every later round repeats it).
 `signatures` lets a graph leave the stack as soon as its sorted colors
-are unique there (or at round `rounds`): its key is then final, and the
-graphs left are refined without it. Nothing is kept between calls, so
-keys of `signatures` compare only within one call.
+are unique there (or at round `rounds`): its class label is then final,
+and the graphs left are refined without it. Each round's settling graphs
+take fresh labels, which compress their sorted colors to one integer as
+WL relabelling does, so a key rung is one int64 label per graph. Nothing
+is kept between calls, so labels of `signatures` compare only within one
+call.
 
 The pair tests keep their own loop, `_refine`, as merging it with
 `signatures` was slower both ways (2-core Xeon): a two-graph `signatures`
@@ -196,40 +199,40 @@ def _refine(A: np.ndarray, test: str):
 
 
 def signatures(graphs: Sequence[Graph], test: str = "WL1",
-               rounds: int | None = None) -> list[tuple[int, int, bytes]]:
-    """One key per graph: `(n, settle round, sorted colors as bytes)`.
+               rounds: int | None = None) -> np.ndarray:
+    """One int64 class label per graph, numbered 0..L-1.
 
     Graphs are refined together, one stack per order (a `Dataset`'s own
-    stacks, or those of a list, stacked once), so two keys are
+    stacks, or those of a list, stacked once), so two labels are
     equal iff `test` ("WL1", "WL2" or "FWL2") finds the two graphs
     equivalent; with `rounds=k`, iff k rounds do not separate them
     ("WL1" at k = 1 compares degree multisets). A graph whose sorted
-    colors are unique in the stack at round t settles: it takes its key
-    from that round and leaves the stack. This is exact. A cell's color
+    colors are unique in the stack at round t settles: it takes its label
+    at that round and leaves the stack. This is exact. A cell's color
     class in the union refinement depends only on its own graph, so
     dropping graphs renumbers the others' colors but leaves their
     partition, and two graphs whose sorted colors differ at round t
     differ at every later round, so a settled graph is equivalent to no
     other. The rest are re-ranked and refined until their partition
     stops growing; the round after that, or at round k, all of them
-    settle. Keys are comparable only within one call: color numbers
-    depend on the other graphs refined alongside.
+    settle. Each (stack, round) hands out a fresh block of labels, the
+    settling graphs' ranks renumbered by counting, so the labels are a
+    partition of the graphs: `np.bincount` gives the class sizes. Labels
+    are comparable only within one call.
     """
-    keys: list = [None] * len(graphs)
+    labels = np.empty(len(graphs), dtype=np.int64)
+    issued = 0
     for members, A in Dataset.of(graphs).stacks:
-        n = A.shape[-1]
         A = A != 0
         C = _initial_colors(A, test)
         classes = int(C.max()) + 1
         stable = False
         for t in count():
-            hist = np.sort(C.reshape(len(C), -1), axis=1)
-            ranks = _rank_rows(hist)
+            ranks = _rank_rows(np.sort(C.reshape(len(C), -1), axis=1))
             settled = (stable or t == rounds) | (np.bincount(ranks)[ranks] == 1)
-            # each settled graph's key slices one bytes object of their rows
-            row, done = hist.shape[1] * hist.itemsize, hist[settled].tobytes()
-            for j, i in enumerate(members[settled].tolist()):
-                keys[i] = (n, t, done[j * row:(j + 1) * row])
+            fresh, k = _compact(ranks[settled], len(C))
+            labels[members[settled]] = issued + fresh
+            issued += k
             if settled.all():
                 break
             live = ~settled
@@ -238,7 +241,7 @@ def signatures(graphs: Sequence[Graph], test: str = "WL1",
             C = _next_colors(A, C, classes, test)
             grown = int(C.max()) + 1
             stable, classes = grown == classes, grown
-    return keys
+    return labels
 
 
 def _pair_test(G: Graph, H: Graph, test: str) -> PairVerdict:

@@ -345,6 +345,9 @@ class TestDataset:
 
         first = dataset.memo("degrees", degrees)
         assert dataset.memo("degrees", degrees) is first and calls == [dataset]
+        assert first.tolist() == [300.0] * 15  # SRG(25,12,5,6): 25 * 12 ones
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
 
 
 class TestLaplacian:

@@ -18,6 +18,7 @@ from matgraph import harness, models
 from matgraph.graphcore import Dataset, Graph, encode_graph6, laplacian, load_dataset
 from matgraph.harness import (
     ExperimentConfig,
+    PairReport,
     degree_multiset_pairs,
     distinguishability_run,
     golden_pairs_suite,
@@ -427,6 +428,24 @@ class TestConfigAndRendering:
             ExperimentConfig(dataset="x", models=())
         with pytest.raises(ValueError, match=r"^base_seed must be >= 0$"):
             ExperimentConfig(dataset="x", base_seed=-1)
+
+    def test_record_counts_all_and_keeps_the_first_sorted(self):
+        """`record` counts every pair and keeps the first PAIR_LIST_CAP in
+        sorted order, whatever order it is given; more pairs than
+        C(graph_count, 2) raise."""
+        report = PairReport.of_graphs("x", [None] * 50)
+        every = list(combinations(range(50), 2))
+        assert report.pair_count == len(every) == 1225 > PairReport.PAIR_LIST_CAP
+        rng = np.random.default_rng(2)
+        for given in (every, every[::-1], [every[k] for k in rng.permutation(len(every))]):
+            report.record("m", given)
+            assert report.counts["m"] == 1225
+            assert report.pairs["m"] == every[:1000]
+        few = every[::-3]
+        report.record("few", few)
+        assert report.counts["few"] == len(few) and report.pairs["few"] == sorted(few)
+        with pytest.raises(ValueError, match="more pairs than"):
+            report.record("m", every + [(0, 1)])
 
     def test_render_formats(self):
         report = golden_report(golden_pairs_suite())

@@ -77,6 +77,24 @@ def test_signature_keys_match_pairwise_wl1(mixed):
         assert (keys[i] == keys[j]) == wl1_equivalent(graphs[i], graphs[j]).equivalent
 
 
+@pytest.mark.parametrize("rounds", [None, 0, 1, 3])
+@pytest.mark.parametrize("test", ["WL1", "WL2", "FWL2"])
+def test_labels_are_dense_int64(mixed, test, rounds):
+    """Labels are int64 and dense in 0..L-1, so `np.bincount` counts the
+    classes with no empty one: on orders 1, 3, 8 and 25 with a relabelled
+    copy of every graph (which shares its graph's label), on one graph and
+    on none."""
+    rng = np.random.default_rng(4)
+    graphs = mixed + [permute_graph(G, rng.permutation(G.n)) for G in mixed]
+    labels = {len(gs): signatures(gs, test, rounds) for gs in (graphs, graphs[:1], [])}
+    for size, got in labels.items():
+        assert got.dtype == np.int64 and got.shape == (size,)
+        assert (np.bincount(got) > 0).all()
+    assert labels[1].tolist() == [0]
+    m = len(mixed)
+    assert np.array_equal(labels[2 * m][:m], labels[2 * m][m:])
+
+
 def path_edges(n, start=0):
     return [(start + i, start + i + 1) for i in range(n - 1)]
 
@@ -111,10 +129,21 @@ def test_signature_keys_match_pairwise(sr25, test, pair_test):
     graphs += [permute_graph(G, rng.permutation(G.n))
                for G in [*randoms[::9], ROOK4X4, sr25[0]]]
     keys = signatures(graphs, test)
-    # a settled graph's key is unique; the graphs that never settle share theirs
-    settle_rounds = {k[1] for k in keys if keys.count(k) == 1}
+    # a settled graph's label is unique, and it settles at the first round
+    # k whose `rounds=k` labels already single it out; the graphs that
+    # never settle share theirs
+    def alone(labels):
+        return set(np.flatnonzero(np.bincount(labels)[labels] == 1).tolist())
+
+    unsettled, settle_rounds, k = alone(keys), set(), 0
+    while unsettled:
+        settled = unsettled & alone(signatures(graphs, test, rounds=k))
+        if settled:
+            settle_rounds.add(k)
+        unsettled -= settled
+        k += 1
     assert {0, 1, 2} <= settle_rounds and max(settle_rounds) >= 3
-    assert len(set(keys)) < len(keys)
+    assert len(np.unique(keys)) < len(keys)
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
             if graphs[i].n == graphs[j].n:

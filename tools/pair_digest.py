@@ -15,6 +15,11 @@ exact and never moves. First, one line per census output:
       graph8c-shuffled, a plain list of graph8c in a seed-7 shuffled
       order: the pair count and the sha256 of the pairs the output holds
       (a report keeps its first 1000), as int64 (i, j) rows in order.
+  census <dataset> rung:<name> <count> <sha256>
+      then, on the same dataset, every key rung of `harness.CENSUS`
+      (`1-WL@1` .. `1-WL@5`, `1-WL`, `2-FWL`) through the census
+      evaluator, after its base rung: the pair count and the sha256 of
+      every pair, as int64 (i, j) rows in the order returned.
 
 Then, for each model kind, one line each:
 
@@ -37,6 +42,7 @@ that the digests of two trees diff cleanly.
 from __future__ import annotations
 
 import hashlib
+import operator
 import sys
 import time
 from pathlib import Path
@@ -44,7 +50,14 @@ from pathlib import Path
 import numpy as np
 
 from matgraph.graphcore import load_dataset
-from matgraph.harness import degree_multiset_pairs, lambda_census, undistinguished_pairs, wl_census
+from matgraph.harness import (
+    CENSUS,
+    _census,
+    degree_multiset_pairs,
+    lambda_census,
+    undistinguished_pairs,
+    wl_census,
+)
 from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -71,6 +84,10 @@ def census_lines(name: str, graphs) -> None:
                   f"{sha(rows(report.pairs[method]))}")
     pairs = degree_multiset_pairs(graphs)
     print(f"census {name} degree_multiset_pairs {len(pairs)} {sha(rows(pairs))}")
+    for rung, (base, _, keep) in CENSUS.items():
+        if keep is operator.eq:
+            pairs = _census(graphs, (rung,) if base is None else (base, rung))[rung]
+            print(f"census {name} rung:{rung} {len(pairs)} {sha(rows(pairs))}")
 
 
 def main() -> None:
