@@ -5,15 +5,15 @@ degree, the paper's first colour H^(1) = A 1.
 
 A `Dataset` is an immutable sequence of graphs that groups them by order
 once: each order's ascending positions and `(B, n, n)` float adjacency
-stack, and a memo of whole-dataset key-rung values (`harness.CENSUS` rung
-name -> a read-only array of one class label per graph). `load_dataset`
-returns one whose stacks are the decoder's arrays, which its graphs are
-views of, so loading copies nothing; one built from a plain list stacks
-it once. Every layer reads
-the stacks from it: the WL engine (`wl.signatures`), the lambda-max
-rung and the model engine (`models.DatasetBatch`), and a census run twice
-on one dataset labels each base rung once. As nothing can be added,
-replaced or removed, the memo cannot go stale.
+stack, and a memo of whole-dataset values by name (`harness` keeps its
+1-WL ladder there, a read-only array of every graph's labels after each
+round). `load_dataset` returns one whose stacks are the decoder's arrays,
+which its graphs are views of, so loading copies nothing; one built from
+a plain list stacks it once. Every layer reads the stacks from it: the
+WL engine (`wl.signatures`), the lambda-max rung and the model engine
+(`models.DatasetBatch`), and censuses run one after another on one
+dataset refine 1-WL once. As no graph can be added, replaced or removed,
+the memo cannot go stale.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -259,30 +259,22 @@ class Dataset(Sequence):
 
     `stacks` holds `(positions, A)` per order, in first-appearance order:
     the graphs' ascending positions and their read-only `(B, n, n)` float
-    adjacency stack, as `order_stacks` yields them. `memo` keeps
-    whole-dataset values by name, each a read-only array. Indexing gives
-    a `Graph`, a slice a plain list of them; item assignment and `append`
-    do not exist.
+    adjacency stack, as `order_stacks` yields them. `memo` is a dict of
+    whole-dataset values by name, which callers fill and read. Indexing
+    gives a `Graph`, a slice a plain list of them; item assignment and
+    `append` do not exist.
     """
 
-    def __init__(self, graphs: Iterable[Graph] = ()):
-        graphs = tuple(graphs)
-        self._set(graphs, list(order_stacks(graphs)))
-
-    def _set(self, graphs: tuple, stacks: list) -> None:
-        for pos, A in stacks:
+    def __init__(self, graphs: Iterable[Graph] = (), stacks: Iterable | None = None):
+        """A dataset of `graphs`, stacked here unless `stacks` gives their
+        stacks already built, `(positions, A)` per order in first-appearance
+        order."""
+        self._graphs = tuple(graphs)
+        self.stacks = tuple(order_stacks(self._graphs) if stacks is None else stacks)
+        for pos, A in self.stacks:
             pos.setflags(write=False)
             A.setflags(write=False)
-        self._graphs, self.stacks = graphs, tuple(stacks)
-        self._memo: dict = {}
-
-    @classmethod
-    def _of_stacks(cls, graphs: tuple, stacks: list) -> "Dataset":
-        """A dataset of `graphs` whose stacks, `(positions, A)` per order in
-        first-appearance order, are already built."""
-        dataset = cls.__new__(cls)
-        dataset._set(graphs, stacks)
-        return dataset
+        self.memo: dict = {}
 
     @classmethod
     def of(cls, graphs: Sequence[Graph]) -> "Dataset":
@@ -297,14 +289,6 @@ class Dataset(Sequence):
 
     def __iter__(self):
         return iter(self._graphs)
-
-    def memo(self, name: str, values: Callable[["Dataset"], np.ndarray]) -> np.ndarray:
-        """`values(self)` as a read-only array, computed on the first call
-        for `name` and kept: one value per graph, e.g. a key rung's labels."""
-        if name not in self._memo:
-            self._memo[name] = np.array(values(self))
-            self._memo[name].setflags(write=False)
-        return self._memo[name]
 
 
 def load_dataset(path: str, format: str = "graph6") -> Dataset:
@@ -341,7 +325,7 @@ def load_dataset(path: str, format: str = "graph6") -> Dataset:
             for k, G in zip(pos.tolist(), Graph._views(A)):
                 graphs[k] = G
             stacks.append((pos, A))  # orders in first-appearance order, as their headers
-        dataset = Dataset._of_stacks(tuple(graphs), stacks)
+        dataset = Dataset(graphs, stacks)
     elif format == "edgelist-json":
         with open(path) as f:
             try:

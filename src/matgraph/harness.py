@@ -5,18 +5,21 @@ splits a coarser rung's pairs by a value of only the graphs in them.
 Adding a rung is adding an entry.
 
 Every entry point takes a `graphcore.Dataset` or a plain list of graphs.
-A key rung's values are `wl.signatures` class labels, one int64 per
-graph, so a key rung is a partition of the graphs. A base rung labels
-every graph through a dataset's memo, so the censuses run one after
-another on one loaded dataset label each base rung once: `lambda_census`
-after `wl_census` reuses the 1-WL labels, and `distinguishability_run`
-counts the degree-multiset pairs as the sum of C(k, 2) over the
-`np.bincount` of the memoised `1-WL@1` labels, listing none. A list is
-wrapped in a `Dataset` for one base rung and freed once keyed (a
-`Dataset` kept around it through the pair listing and the scans raised
-table1's in-process peak RSS by 5-7 MB). A splitting rung and the
-settling of bounded pairs (below) key only some graphs: the rung's value
-function gets a list of them, which it stacks anew.
+A key rung's values are the class labels of a `wl.signatures` row, one
+int64 per graph, so a key rung is a partition of the graphs. The base
+rungs, `1-WL@1` .. `1-WL@5` and `1-WL`, are rows of one 1-WL ladder,
+which a dataset's memo keeps with the depth it was refined to. A census
+refines it once, down to its deepest base rung, and a later request
+reads a row unless it goes deeper. So the censuses run one after another
+on one loaded dataset refine 1-WL once: `lambda_census` after
+`wl_census` reads its ladder, and `distinguishability_run` counts the
+degree-multiset pairs as the sum of C(k, 2) over the `np.bincount` of
+row 1, listing none. A list is wrapped in a `Dataset` for the ladder and
+freed once it is refined (a `Dataset` kept around it through the pair
+listing and the scans raised table1's in-process peak RSS by 5-7 MB). A
+splitting rung keys only its base's paired graphs, a list of them that
+it stacks anew; the settling of bounded pairs (below) refines its
+graphs' adjacency from the batch's tiles.
 
 The distinguishability engine avoids the full O(N^2) distance pass: in
 the first run, candidate near-duplicate pairs are found by sorting the
@@ -49,12 +52,13 @@ Chebnet and GNNML3. 2-FWL-equivalent graphs are cospectral and agree on
 every L3 sentence (Geerts, ICDT 2019; Maron et al., arXiv 1905.11136), and
 these two go past 1-WL only through such spectral terms. When more runs
 follow, run 0's near candidates, within NEAR_EPS = 64 eps times the sum of
-their rows' L1 norms, have their graphs keyed by one call of the rung's
-value function, and the near pairs of equal labels go straight into the
-result. The cut only picks the graphs to key; label equality decides.
-Every pair of equal labels among the keyed graphs must be near, or run 0
-raises naming the kind, so the bound is checked on each dataset rather
-than assumed. Nothing settles when a near cut could exceed the threshold.
+their rows' L1 norms, have their graphs keyed by one `wl.ladder` call on
+their bool adjacency, gathered from the batch's tiles one stack per order
+and refined to the bound's depth, and the near pairs of equal labels go
+straight into the result. The cut only picks the graphs to key; label
+equality decides. Every pair of equal labels among the keyed graphs must
+be near, or run 0 raises naming the kind, so the bound is checked on each
+dataset rather than assumed. Nothing settles when a near cut could exceed the threshold.
 Later runs re-check only the unsettled pairs, each with its own graphs'
 embeddings, so the batch shrinks to their graphs; when every pair
 settles, as on sr25 for every kind, no later run is embedded. The scan's
@@ -71,7 +75,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Sequence
 
 import numpy as np
@@ -92,6 +96,7 @@ from matgraph.spectral import eig_sym
 from matgraph.wl import (
     fwl2_equivalent,
     fwl3_tensor_statistic,
+    ladder,
     signatures,
     wl1_equivalent,
     wl2_equivalent,
@@ -216,41 +221,59 @@ def _lambda_max(graphs: Sequence[Graph]) -> np.ndarray:
     return lam
 
 
-# rung -> (the rung it splits, or None; graphs -> one value each, for a key
-# rung an int64 class label; the test two values pass to keep their pair).
-# The functions look `signatures` and `eig_sym` up when called, so a
-# wrapper put on those names sees each call.
+# rung -> (the rung it splits, or None; a key rung's `signatures` test and
+# rounds (math.inf: stable), whose labels its values are, or a function
+# from a list of graphs to one value each; the test two values pass to
+# keep their pair). A base rung is a 1-WL rung: a row of the dataset's
+# 1-WL ladder. The rungs look `signatures` and `eig_sym` up when called,
+# so a wrapper put on those names sees each call.
 CENSUS = {
-    "1-WL@1": (None, lambda gs: signatures(gs, rounds=1), operator.eq),  # degree multisets
-    # 1-WL cut off after k rounds: the bound of a (k - 1)-layer model (models.MODELS)
-    "1-WL@2": (None, lambda gs: signatures(gs, rounds=2), operator.eq),
-    "1-WL@3": (None, lambda gs: signatures(gs, rounds=3), operator.eq),
-    "1-WL@4": (None, lambda gs: signatures(gs, rounds=4), operator.eq),
-    "1-WL@5": (None, lambda gs: signatures(gs, rounds=5), operator.eq),
-    "1-WL": (None, lambda gs: signatures(gs), operator.eq),
+    # 1-WL cut off after k rounds: the bound of a (k - 1)-layer model
+    # (models.MODELS); 1-WL@1 compares degree multisets
+    **{f"1-WL@{k}": (None, ("WL1", k), operator.eq) for k in range(1, 6)},
+    "1-WL": (None, ("WL1", math.inf), operator.eq),
     # its keys alone are complete; the bound of Chebnet and GNNML3
-    "2-FWL": ("1-WL", lambda gs: signatures(gs, "FWL2"), operator.eq),
+    "2-FWL": ("1-WL", ("FWL2", math.inf), operator.eq),
     # within 1e-6 is not transitive: it splits pairs but cannot be a key
     "equal-lambda-max": ("1-WL", _lambda_max, lambda a, b: abs(a - b) <= 1e-6),
 }
 
 
+def _wl1_ladder(dataset: Dataset, rounds: float) -> np.ndarray:
+    """The dataset's 1-WL ladder, read-only, reaching round `rounds`
+    (math.inf: stable), whose row min(k, R) is the `1-WL@k` rung for any
+    k up to `rounds`. The dataset's memo keeps it with the depth it
+    reaches; a request that goes deeper refines once more, to its own
+    depth, and the new ladder takes the old one's place. A ladder that
+    stops short of its depth is stable, so it reaches every depth."""
+    if dataset.memo.get("1-WL", (-1,))[0] < rounds:
+        rows = signatures(dataset, "WL1", rounds)
+        rows.setflags(write=False)
+        dataset.memo["1-WL"] = (math.inf if len(rows) <= rounds else rounds), rows
+    return dataset.memo["1-WL"][1]
+
+
 def _census(graphs: Sequence[Graph], rungs) -> dict[str, list[tuple[int, int]]]:
     """Every pair of each of `rungs`, which lists a base before the rungs
-    that split it: a base rung buckets every graph by its label, from a
-    dataset's memo, and a splitting rung gets values, in one call, for
-    its base's paired graphs."""
+    that split it. The 1-WL ladder is read, through a dataset's memo,
+    down to the deepest base rung, so every base rung buckets every graph
+    by its row of one refinement; a splitting rung gets values, in one
+    call, for its base's paired graphs."""
+    depth = max(CENSUS[name][1][1] for name in rungs if CENSUS[name][0] is None)
+    wl1 = _wl1_ladder(Dataset.of(graphs), depth)
     found: dict = {}
     for name in rungs:
         base, values, keep = CENSUS[name]
         if base is None:
             buckets = defaultdict(list)
-            for i, label in enumerate(Dataset.of(graphs).memo(name, values).tolist()):
+            for i, label in enumerate(wl1[min(values[1], len(wl1) - 1)].tolist()):
                 buckets[label].append(i)
             found[name] = [p for b in buckets.values() for p in combinations(b, 2)]
         else:
             paired = sorted({i for pair in found[base] for i in pair})
-            value = dict(zip(paired, values([graphs[i] for i in paired])))
+            sub = [graphs[i] for i in paired]
+            labels = signatures(sub, *values)[-1] if isinstance(values, tuple) else values(sub)
+            value = dict(zip(paired, labels))
             found[name] = [(i, j) for i, j in found[base] if keep(value[i], value[j])]
     return found
 
@@ -345,27 +368,31 @@ def _settled(batch: DatasetBatch, emb: np.ndarray, pairs: np.ndarray,
     """Mask of run 0's candidate `pairs` of the graphs of `batch`, at the
     distances `dist` that the scan computed, that the kind's WL bound keeps
     in every run: near pairs whose graphs have equal labels of the kind's
-    `bound`, a key rung of CENSUS, from one call for the keyed graphs. All
-    False without a bound or when the cut of the largest rows would exceed
-    `threshold` (a pair of equal labels might then not be a candidate). The keyed graphs are stacked anew, as a
-    batch does not keep its stacks. Raises when two keyed graphs of equal
-    labels are not a near pair."""
-    spec, graphs = batch.spec, batch.graphs
-    bound = MODELS[spec.kind].bound
+    `bound`, a key rung of CENSUS. The near graphs' bool adjacency is
+    gathered from the batch's tiles, one stack per order, and refined to
+    the bound's depth in one `ladder` call. All False without a bound or
+    when the cut of the largest rows would exceed `threshold` (a pair of
+    equal labels might then not be a candidate). Raises when two keyed
+    graphs of equal labels are not a near pair."""
+    bound = MODELS[batch.spec.kind].bound
     norm = np.abs(emb).sum(axis=1)
     settled = np.zeros(len(pairs), dtype=bool)
     if bound is None or 2 * NEAR_EPS * norm.max() > threshold:
         return settled
     near = dist <= NEAR_EPS * norm[pairs].sum(axis=1)
-    in_near = np.zeros(len(graphs), dtype=bool)
-    in_near[pairs[near].ravel()] = True
-    keyed = np.flatnonzero(in_near)
-    key = np.full(len(graphs), -1)
-    key[keyed] = CENSUS[bound][1]([graphs[i] for i in keyed.tolist()])
-    settled[near] = key[pairs[near, 0]] == key[pairs[near, 1]]
-    sizes = np.bincount(key[keyed])
+    keyed = np.zeros(batch.size, dtype=bool)
+    keyed[pairs[near].ravel()] = True
+    local = np.cumsum(keyed) - 1  # a keyed graph's position among the keyed
+    # each tile is of one order, and a batch's tiles of one order are consecutive
+    parts = [(local[tile.indices[rows]], tile.A[rows]) for tile in batch.groups
+             if (rows := keyed[tile.indices]).any()]
+    stacks = [tuple(map(np.concatenate, zip(*group)))
+              for _, group in groupby(parts, key=lambda part: part[1].shape[-1])]
+    labels = ladder(stacks, int(local[-1]) + 1, *CENSUS[bound][1])[-1]
+    settled[near] = np.equal(*labels[local[pairs[near]]].T)
+    sizes = np.bincount(labels)
     if (sizes * (sizes - 1) // 2).sum() != settled.sum():
-        raise ValueError(f"{spec.kind}: graphs of equal {bound} keys differ in run 0, "
+        raise ValueError(f"{batch.spec.kind}: graphs of equal {bound} keys differ in run 0, "
                          "so its declared WL bound does not hold")
     return settled
 
@@ -382,8 +409,8 @@ def undistinguished_pairs(
     scans the whole dataset for candidates. When more runs follow, the
     pairs that the kind's WL bound keeps in every run settle at once
     (`_settled`): the near ones, within a rounding cut of NEAR_EPS times
-    their rows' L1 norms, are keyed by the value function of the kind's
-    `bound` rung of CENSUS (`1-WL@k` or `2-FWL`), and those of equal labels
+    their rows' L1 norms, are keyed by the kind's `bound` rung of CENSUS
+    (`1-WL@k` or `2-FWL`) on the batch's tiles, and those of equal labels
     go straight into the result. Every pair of equal labels among the keyed
     graphs must be near, or the bound is wrong and this raises naming the
     kind. Afterwards, before each run, the batch shrinks to the graphs of
@@ -434,7 +461,8 @@ def distinguishability_run(config: ExperimentConfig) -> PairReport:
     report.extras["runs"] = config.runs
     report.extras["threshold"] = config.threshold
     # the degree-multiset pairs, counted from their classes without listing them
-    sizes = np.bincount(dataset.memo("1-WL@1", CENSUS["1-WL@1"][1]))
+    wl1 = _wl1_ladder(dataset, 1)
+    sizes = np.bincount(wl1[min(1, len(wl1) - 1)])
     report.extras["degree-multiset-oracle"] = int((sizes * (sizes - 1) // 2).sum())
     for kind in config.models:
         spec = ModelSpec(kind)

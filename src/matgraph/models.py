@@ -725,7 +725,6 @@ class DatasetBatch:
 
     def __init__(self, spec: ModelSpec, graphs: Sequence[Graph]):
         self.spec = spec
-        self.graphs = graphs  # as given, a Dataset or a list
         self.size = len(graphs)
         # a list is stacked here, once, and its stacks freed before the build
         self.groups = _split(Dataset.of(graphs))
@@ -773,8 +772,7 @@ class DatasetBatch:
         tile_of, row_of = tile_of[indices], row_of[indices]
         order = np.array([tile.n for tile in self.groups], dtype=np.int64)[tile_of]
         batch = DatasetBatch.__new__(DatasetBatch)
-        batch.spec, batch.graphs = self.spec, [self.graphs[i] for i in indices.tolist()]
-        batch.size, batch.groups = len(indices), []
+        batch.spec, batch.size, batch.groups = self.spec, len(indices), []
         for n in dict.fromkeys(order.tolist()):  # first-appearance order, as Dataset.stacks
             idx = np.flatnonzero(order == n)
             for part in _tile_slices(len(idx), n):

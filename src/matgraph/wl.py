@@ -21,13 +21,18 @@ strongly regular pair (sr25, rook/Shrikhande) refines that way, as its 3
 initial colors are stable; see `_next_colors` for the bound. Refinement
 stops at the stable partition, the first round whose class count does
 not grow (every later round repeats it).
-`signatures` lets a graph leave the stack as soon as its sorted colors
-are unique there (or at round `rounds`): its class label is then final,
-and the graphs left are refined without it. Each round's settling graphs
-take fresh labels, which compress their sorted colors to one integer as
-WL relabelling does, so a key rung is one int64 label per graph. Nothing
-is kept between calls, so labels of `signatures` compare only within one
-call.
+
+`ladder`, and `signatures` on graphs, record every round: row t of their
+`(R + 1, N)` int64 matrix labels each graph by its sorted colors after t
+rounds, which compresses them to one integer as WL relabelling does. So
+one refinement labels every depth of a test, and an L-layer
+message-passing model's bound, 1-WL at round L + 1 (Morris et al., arXiv
+1810.02244), is a row of it. A graph leaves its stack as soon as its
+sorted colors are unique there (or at round `rounds`): it is a singleton
+in every later row, and the graphs left are refined without it. A stack
+that stops repeats its last row, so every row is a partition of all the
+graphs. Nothing is kept between calls, so labels compare only within one
+row of one call.
 
 The pair tests keep their own loop, `_refine`, as merging it with
 `signatures` was slower both ways (2-core Xeon): a two-graph `signatures`
@@ -38,6 +43,7 @@ settled graphs, took the graph8c 1-WL census from 0.146 to 0.420 s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Sequence
@@ -198,41 +204,42 @@ def _refine(A: np.ndarray, test: str):
             return
 
 
-def signatures(graphs: Sequence[Graph], test: str = "WL1",
-               rounds: int | None = None) -> np.ndarray:
-    """One int64 class label per graph, numbered 0..L-1.
+def ladder(stacks, size: int, test: str = "WL1", rounds: float = math.inf) -> np.ndarray:
+    """The `(R + 1, size)` int64 class labels of graphs given as one
+    `(positions, A)` per order, `positions` covering 0..size-1 and `A`
+    their `(B, n, n)` adjacency stack: row t labels every graph by `test`
+    ("WL1", "WL2" or "FWL2") after t rounds, numbered 0..L_t-1, so two
+    labels of one row are equal iff t rounds do not separate the graphs
+    ("WL1" at t = 1 compares degree multisets). R is `rounds`, or the
+    round at which the last stack stops, whichever comes first.
 
-    Graphs are refined together, one stack per order (a `Dataset`'s own
-    stacks, or those of a list, stacked once), so two labels are
-    equal iff `test` ("WL1", "WL2" or "FWL2") finds the two graphs
-    equivalent; with `rounds=k`, iff k rounds do not separate them
-    ("WL1" at k = 1 compares degree multisets). A graph whose sorted
-    colors are unique in the stack at round t settles: it takes its label
-    at that round and leaves the stack. This is exact. A cell's color
-    class in the union refinement depends only on its own graph, so
-    dropping graphs renumbers the others' colors but leaves their
-    partition, and two graphs whose sorted colors differ at round t
-    differ at every later round, so a settled graph is equivalent to no
-    other. The rest are re-ranked and refined until their partition
-    stops growing; the round after that, or at round k, all of them
-    settle. Each (stack, round) hands out a fresh block of labels, the
-    settling graphs' ranks renumbered by counting, so the labels are a
-    partition of the graphs: `np.bincount` gives the class sizes. Labels
-    are comparable only within one call.
+    Each stack is refined as one union. A graph whose sorted colors are
+    unique in the stack at round t settles: it leaves the stack, a
+    singleton in every later row. This is exact. A cell's color class in
+    the union refinement depends only on its own graph, so dropping
+    graphs renumbers the others' colors but leaves their partition, and
+    two graphs whose sorted colors differ at round t differ at every
+    later round. The rest are re-ranked and refined until their
+    partition stops growing; the round after that, or at round `rounds`,
+    the stack stops, and its last row repeats in every later one. A
+    graph's code in row t is its rank among the stack's live graphs at
+    the last round, up to t, that ranked it, offset so that each (stack,
+    round) has codes of its own; each row renumbers its codes by
+    counting, so `np.bincount` of a row gives its class sizes. Labels are
+    comparable only within one row of one call.
     """
-    labels = np.empty(len(graphs), dtype=np.int64)
-    issued = 0
-    for members, A in Dataset.of(graphs).stacks:
+    rows = np.zeros((1, size), dtype=np.int64)  # each round's codes of every graph
+    for members, A in stacks:
         A = A != 0
         C = _initial_colors(A, test)
         classes = int(C.max()) + 1
         stable = False
         for t in count():
             ranks = _rank_rows(np.sort(C.reshape(len(C), -1), axis=1))
+            if t == len(rows):  # the first stack this deep: the others repeat their last row
+                rows = np.vstack([rows, rows[-1:]])
+            rows[t:, members] = rows.max() + 1 + ranks  # past every code handed out so far
             settled = (stable or t == rounds) | (np.bincount(ranks)[ranks] == 1)
-            fresh, k = _compact(ranks[settled], len(C))
-            labels[members[settled]] = issued + fresh
-            issued += k
             if settled.all():
                 break
             live = ~settled
@@ -241,7 +248,16 @@ def signatures(graphs: Sequence[Graph], test: str = "WL1",
             C = _next_colors(A, C, classes, test)
             grown = int(C.max()) + 1
             stable, classes = grown == classes, grown
-    return labels
+    return np.stack([_compact(row, int(rows.max(initial=0)) + 1)[0] for row in rows])
+
+
+def signatures(graphs: Sequence[Graph], test: str = "WL1",
+               rounds: float = math.inf) -> np.ndarray:
+    """The `ladder` of `graphs`, refined together one stack per order (a
+    `Dataset`'s own stacks, or those of a list, stacked once): row t is
+    the partition after t rounds, and the last row the stable partition,
+    or that of round `rounds` if it comes first."""
+    return ladder(Dataset.of(graphs).stacks, len(graphs), test, rounds)
 
 
 def _pair_test(G: Graph, H: Graph, test: str) -> PairVerdict:

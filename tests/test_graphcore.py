@@ -336,19 +336,6 @@ class TestDataset:
             assert np.array_equal(pos, want_pos)
             assert A.dtype == want.dtype and A.tobytes() == want.tobytes()
 
-    def test_memo_computes_once(self, sr25):
-        dataset, calls = Dataset(list(sr25)), []
-
-        def degrees(ds):
-            calls.append(ds)
-            return [G.adjacency.sum() for G in ds]
-
-        first = dataset.memo("degrees", degrees)
-        assert dataset.memo("degrees", degrees) is first and calls == [dataset]
-        assert first.tolist() == [300.0] * 15  # SRG(25,12,5,6): 25 * 12 ones
-        with pytest.raises(ValueError, match="read-only"):
-            first[0] = 0.0
-
 
 class TestLaplacian:
     @settings(max_examples=120, deadline=None)

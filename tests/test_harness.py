@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import operator
 from itertools import combinations, product
 
@@ -14,7 +15,7 @@ from matgraph.appendix_data import (
     ROOK4X4,
     SHRIKHANDE,
 )
-from matgraph import harness, models
+from matgraph import graphcore, harness, models
 from matgraph.graphcore import Dataset, Graph, encode_graph6, laplacian, load_dataset
 from matgraph.harness import (
     ExperimentConfig,
@@ -30,7 +31,7 @@ from matgraph.harness import (
 )
 from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 from matgraph.spectral import eig_sym
-from matgraph.wl import fwl2_equivalent, wl1_equivalent
+from matgraph.wl import fwl2_equivalent, signatures, wl1_equivalent
 
 from .conftest import DATA_DIR, make_graph, naive_undistinguished_pairs, permute_graph
 
@@ -98,11 +99,20 @@ class TestBucketedEngine:
 
     @pytest.mark.parametrize("kind", ["mlp", "gcn", "graphsage", "gin", "chebnet", "gnnml3"])
     def test_matches_naive_oracle(self, kind, monkeypatch):
-        embedded, embed_all = [], DatasetBatch.embed_all
+        embedded, embed_all, subset = [], DatasetBatch.embed_all, DatasetBatch.subset
         settled, find_settled = [], harness._settled
 
+        def positions(batch):
+            """The dataset positions of a batch's graphs."""
+            return getattr(batch, "positions", list(range(batch.size)))
+
+        def recorded_subset(batch, indices):
+            sub = subset(batch, indices)
+            sub.positions = [positions(batch)[i] for i in indices]
+            return sub
+
         def recorded_embed_all(batch, seed):
-            embedded.append((batch.graphs, seed))
+            embedded.append((positions(batch), seed))
             return embed_all(batch, seed)
 
         def recorded_settled(batch, emb, pairs, *args):
@@ -111,6 +121,7 @@ class TestBucketedEngine:
             return keep
 
         monkeypatch.setattr(DatasetBatch, "embed_all", recorded_embed_all)
+        monkeypatch.setattr(DatasetBatch, "subset", recorded_subset)
         monkeypatch.setattr(harness, "_settled", recorded_settled)
         seeds = run_seeds(3, 10)
         small, copies = self.datasets()
@@ -131,23 +142,23 @@ class TestBucketedEngine:
                 assert fast == slow  # the same sorted list
                 assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
                            for p in fast)
-                assert embedded[0][0] is graphs
+                assert embedded[0][0] == list(range(len(graphs)))
                 assert [seed for _, seed in embedded] == seeds[:len(embedded)]
                 assert all(type(seed) is int for _, seed in embedded)
                 # each later run embeds exactly the graphs, in dataset
                 # order, of the pairs still unsettled before it
-                for done, (batch_graphs, _) in enumerate(embedded[1:], start=1):
+                for done, (batch_positions, _) in enumerate(embedded[1:], start=1):
                     unsettled = np.triu(within[done - 1], 1)
                     unsettled[tuple(np.array(settled, dtype=int).reshape(-1, 2).T)] = False
                     active = np.flatnonzero(unsettled.any(axis=0) | unsettled.any(axis=1))
-                    assert batch_graphs == [graphs[i] for i in active]
+                    assert batch_positions == active.tolist()
             if graphs is copies or spec is unbounded:
                 assert len(fast) >= 12  # the relabelled copies are never separated
             if graphs is copies and spec is not unbounded:
                 # the relabelled copies settle after run 0, so no later run
                 # embeds one of them
-                copied = {id(G) for G in copies[:12] + copies[120:]}
-                assert not copied & {id(G) for later, _ in embedded[1:] for G in later}
+                copied = {*range(12), *range(120, len(copies))}
+                assert not copied & {i for later, _ in embedded[1:] for i in later}
             if spec is unbounded:
                 # nothing settles, so later runs embed only the graphs in pairs
                 assert settled == []
@@ -155,6 +166,35 @@ class TestBucketedEngine:
             if spec is unbounded and graphs is small:
                 # over half of the graphs are in pairs, and they alone are embedded
                 assert len(embedded[1][0]) > len(graphs) // 2
+
+    @pytest.mark.parametrize("kind", ["mlp", "gcn", "chebnet"])
+    def test_settling_refines_the_tiles(self, kind, monkeypatch):
+        """On a plain list of orders 4 to 7 and 10, `_settled` builds no
+        `Dataset` and stacks no graphs: it refines the near graphs'
+        adjacency gathered from the batch's tiles, and settles exactly the
+        near pairs whose graphs get equal labels when the same graphs are
+        keyed from their `Graph` objects."""
+        small, copies = self.datasets()
+        graphs, spec = small + copies, ModelSpec(kind)
+        batch = DatasetBatch(spec, graphs)
+        emb = batch.embed_all(3)
+        pairs, dist = harness._candidate_pairs(emb, 1e-3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph list was stacked")
+
+        monkeypatch.setattr(graphcore, "order_stacks", refuse)
+        monkeypatch.setattr(Dataset, "__init__", refuse)
+        got = harness._settled(batch, emb, pairs, dist, 1e-3)
+        monkeypatch.undo()
+        norm = np.abs(emb).sum(axis=1)
+        near = dist <= harness.NEAR_EPS * norm[pairs].sum(axis=1)
+        keyed = sorted(set(pairs[near].ravel().tolist()))
+        labels = dict(zip(keyed, signatures([graphs[i] for i in keyed],
+                                            *harness.CENSUS[models.MODELS[kind].bound][1])[-1]))
+        want = [bool(n) and labels[i] == labels[j] for (i, j), n in zip(pairs.tolist(), near)]
+        assert got.tolist() == want
+        assert got.any() and len({graphs[i].n for i in keyed}) > 1
 
     @pytest.mark.parametrize("kind", BOUNDED)
     def test_sr25_settles_after_run_0(self, kind, sr25, monkeypatch):
@@ -335,22 +375,24 @@ class TestCensus:
         monkeypatch.setattr(harness, "eig_sym", spy("eig_sym", harness.eig_sym,
                                                      lambda B: B.shape))
         wl_census(graphs)
-        assert calls == [("signatures", 18, (), {}), ("signatures", 16, ("FWL2",), {})]
+        assert calls == [("signatures", 18, ("WL1", math.inf), {}),
+                         ("signatures", 16, ("FWL2", math.inf), {})]
         calls.clear()
         lambda_census(graphs)
-        assert calls == [("signatures", 18, (), {}), ("eig_sym", (4, 16, 16), (), {}),
+        assert calls == [("signatures", 18, ("WL1", math.inf), {}), ("eig_sym", (4, 16, 16), (), {}),
                          ("eig_sym", (4, 6, 6), (), {}), ("eig_sym", (8, 10, 10), (), {})]
         calls.clear()
         degree_multiset_pairs(graphs)
-        assert calls == [("signatures", 18, (), {"rounds": 1})]
+        assert calls == [("signatures", 18, ("WL1", 1), {})]
 
     def test_loaded_dataset_keys_each_rung_once(self, monkeypatch):
         """On a fresh `load_dataset` result, whose memo no other test warms,
         wl_census, lambda_census and degree_multiset_pairs call the
-        whole-dataset `signatures` once per key rung (1-WL, then 1-WL@1);
-        the 2-FWL rung keys a list of the paired graphs. Each report equals
-        the one on the list of the same graphs, whose base rungs key a
-        temporary dataset of it, 1-WL again in lambda_census."""
+        whole-dataset `signatures` once, for the stable 1-WL ladder, whose
+        row 1 is the 1-WL@1 rung; the 2-FWL rung keys a list of the paired
+        graphs. Each report equals the one on the list of the same graphs,
+        whose base rungs key a temporary dataset of it, to stable 1-WL
+        again in lambda_census and to depth 1 in degree_multiset_pairs."""
         dataset = load_dataset(str(DATA_DIR / "graph8c.g6"))
         graphs = list(dataset)
         calls = []
@@ -364,12 +406,47 @@ class TestCensus:
         found = [f(dataset) for f in (wl_census, lambda_census, degree_multiset_pairs)]
         paired = len({i for pair in found[0].pairs["1-WL"] for i in pair})  # all 312 pairs
         assert found[0].counts["1-WL"] == 312 and paired == 395
-        assert calls == [(11117, True, (), {}), (paired, False, ("FWL2",), {}),
-                         (11117, True, (), {"rounds": 1})]
+        assert calls == [(11117, True, ("WL1", math.inf), {}), (paired, False, ("FWL2", math.inf), {})]
         calls.clear()
         assert [f(graphs) for f in (wl_census, lambda_census, degree_multiset_pairs)] == found
-        assert calls == [(11117, True, (), {}), (paired, False, ("FWL2",), {}),
-                         (11117, True, (), {}), (11117, True, (), {"rounds": 1})]
+        assert calls == [(11117, True, ("WL1", math.inf), {}), (paired, False, ("FWL2", math.inf), {}),
+                         (11117, True, ("WL1", math.inf), {}), (11117, True, ("WL1", 1), {})]
+
+    def test_one_refinement_labels_every_1wl_rung(self, monkeypatch):
+        """All six 1-WL rungs of a fresh graph8c read rows of one stable
+        ladder, refined by one `signatures` call and kept read-only in the
+        memo, which later rungs read. On another fresh dataset a rung
+        within the kept ladder's depth reads a row, a deeper one refines
+        once, to its own depth, and a ladder that stopped short of its
+        depth (sr25 is 1-WL stable at round 1) is stable, so reaches
+        every rung."""
+        calls = []
+
+        def spy(gs, *args, **kwargs):
+            calls.append(args)
+            return signatures(gs, *args, **kwargs)
+
+        signatures = harness.signatures
+        monkeypatch.setattr(harness, "signatures", spy)
+        rungs = ("1-WL@1", "1-WL@2", "1-WL@3", "1-WL@4", "1-WL@5", "1-WL")
+        dataset = load_dataset(str(DATA_DIR / "graph8c.g6"))
+        found = harness._census(dataset, rungs)
+        assert calls == [("WL1", math.inf)]
+        assert [len(found[r]) for r in rungs] == [293364, 3752, 478, 320, 312, 312]
+        assert not harness._wl1_ladder(dataset, math.inf).flags.writeable
+        assert harness._census(dataset, ("1-WL@3",)) == {"1-WL@3": found["1-WL@3"]}
+        assert calls == [("WL1", math.inf)]
+        fresh = Dataset(list(dataset))
+        for rung, refined in (("1-WL@2", [("WL1", 2)]), ("1-WL@1", []), ("1-WL@4", [("WL1", 4)]),
+                              ("1-WL@3", []), ("1-WL", [("WL1", math.inf)]), ("1-WL@5", [])):
+            calls.clear()
+            assert harness._census(fresh, (rung,))[rung] == found[rung], rung
+            assert calls == refined, rung
+        sr25 = load_dataset(str(DATA_DIR / "sr25.g6"))
+        for rung, refined in (("1-WL@3", [("WL1", 3)]), ("1-WL", []), ("1-WL@5", [])):
+            calls.clear()
+            assert len(harness._census(sr25, (rung,))[rung]) == 105
+            assert calls == refined, rung
 
     def test_distinguish_counts_the_degree_oracle(self, tmp_path):
         # counted from the memoised 1-WL@1 classes, it is the pair list's length

@@ -66,7 +66,7 @@ def test_signature_keys_match_pairwise_wl1(mixed):
     rng = np.random.default_rng(0)
     copies = [permute_graph(G, rng.permutation(G.n)) for G in mixed]
     graphs = mixed + copies
-    keys = signatures(graphs)
+    keys = signatures(graphs)[-1]
     m = len(mixed)
     pairs = {(i, i + m) for i in range(m)}  # each graph and its copy
     pairs |= {(i, i + m + 1) for i in range(m - 1)}  # each graph and the next copy
@@ -80,19 +80,22 @@ def test_signature_keys_match_pairwise_wl1(mixed):
 @pytest.mark.parametrize("rounds", [None, 0, 1, 3])
 @pytest.mark.parametrize("test", ["WL1", "WL2", "FWL2"])
 def test_labels_are_dense_int64(mixed, test, rounds):
-    """Labels are int64 and dense in 0..L-1, so `np.bincount` counts the
-    classes with no empty one: on orders 1, 3, 8 and 25 with a relabelled
-    copy of every graph (which shares its graph's label), on one graph and
-    on none."""
+    """Labels are int64 and every row is dense in 0..L-1, so `np.bincount`
+    counts its classes with no empty one: on orders 1, 3, 8 and 25 with a
+    relabelled copy of every graph (which shares its graph's label in
+    every row), on one graph and on none. With `rounds=k` there are at
+    most k + 1 rows."""
     rng = np.random.default_rng(4)
     graphs = mixed + [permute_graph(G, rng.permutation(G.n)) for G in mixed]
     labels = {len(gs): signatures(gs, test, rounds) for gs in (graphs, graphs[:1], [])}
     for size, got in labels.items():
-        assert got.dtype == np.int64 and got.shape == (size,)
-        assert (np.bincount(got) > 0).all()
-    assert labels[1].tolist() == [0]
+        assert got.dtype == np.int64 and got.ndim == 2 and got.shape[1] == size
+        assert rounds is None or len(got) <= rounds + 1
+        for row in got:
+            assert (np.bincount(row) > 0).all()
+    assert labels[1].tolist() == [[0]] * len(labels[1])
     m = len(mixed)
-    assert np.array_equal(labels[2 * m][:m], labels[2 * m][m:])
+    assert np.array_equal(labels[2 * m][:, :m], labels[2 * m][:, m:])
 
 
 def path_edges(n, start=0):
@@ -128,7 +131,7 @@ def test_signature_keys_match_pairwise(sr25, test, pair_test):
     graphs = randoms + paths_and_cycles + appendix
     graphs += [permute_graph(G, rng.permutation(G.n))
                for G in [*randoms[::9], ROOK4X4, sr25[0]]]
-    keys = signatures(graphs, test)
+    keys = signatures(graphs, test)[-1]
     # a settled graph's label is unique, and it settles at the first round
     # k whose `rounds=k` labels already single it out; the graphs that
     # never settle share theirs
@@ -137,7 +140,7 @@ def test_signature_keys_match_pairwise(sr25, test, pair_test):
 
     unsettled, settle_rounds, k = alone(keys), set(), 0
     while unsettled:
-        settled = unsettled & alone(signatures(graphs, test, rounds=k))
+        settled = unsettled & alone(signatures(graphs, test, rounds=k)[-1])
         if settled:
             settle_rounds.add(k)
         unsettled -= settled
@@ -174,7 +177,7 @@ class TestWL1:
         G, perm = gp
         H = permute_graph(G, perm)
         keys = signatures([G, H], "WL1")
-        assert keys[0] == keys[1]
+        assert np.array_equal(keys[:, 0], keys[:, 1])  # in every round
         assert wl1_equivalent(G, H).equivalent
 
 
@@ -352,7 +355,7 @@ class TestWL2:
         G, perm = gp
         H = permute_graph(G, perm)
         keys = signatures([G, H], "WL2")
-        assert keys[0] == keys[1]
+        assert np.array_equal(keys[:, 0], keys[:, 1])  # in every round
         assert wl2_equivalent(G, H).equivalent
 
 
@@ -371,7 +374,7 @@ class TestFWL2:
         G, perm = gp
         H = permute_graph(G, perm)
         keys = signatures([G, H], "FWL2")
-        assert keys[0] == keys[1]
+        assert np.array_equal(keys[:, 0], keys[:, 1])  # in every round
         assert fwl2_equivalent(G, H).equivalent
 
 
@@ -572,7 +575,7 @@ def test_signature_rounds_match_reference(test):
         pairs = [(i, j) for i in range(len(graphs)) for j in range(i + 1, len(graphs))]
         equal_before = set(pairs)
         for k in range(4):
-            keys = signatures(graphs, test, rounds=k)
+            keys = signatures(graphs, test, rounds=k)[-1]
             for i, j in pairs:
                 expected = graphs[i].n == graphs[j].n and all(
                     ref[i][t] == ref[j][t] for t in range(k + 1))
@@ -582,3 +585,42 @@ def test_signature_rounds_match_reference(test):
                 separated_at.add(k)
             equal_before = equal
     assert separated_at == {0, 1, 2, 3}
+
+
+def refines(fine, coarse):
+    """Every class of the labels `fine` lies within one class of `coarse`."""
+    fine, coarse = np.ravel(fine).tolist(), np.ravel(coarse).tolist()
+    return len(set(zip(fine, coarse))) == len(set(fine))
+
+
+@pytest.mark.parametrize("test", ["WL1", "WL2", "FWL2"])
+def test_ladder_rows_are_the_round_partitions(graph8c, sr25, test):
+    """Row t of the ladder is the partition of the last row of
+    `rounds=t`, for t up to two past its last row R; every row refines
+    the one before it and keeps the orders apart; `rounds` past R gives
+    the same R + 1 rows. Each order's graphs, refined on their own, get
+    the same rows, their own last row repeated once their stack stops
+    (sr25 is 1-WL stable at round 1). On graph8c[:600], sr25, random
+    graphs of orders 4-9 and relabelled copies of every seventh graph."""
+    rng = np.random.default_rng(9)
+    randoms = [make_graph(rng, int(rng.integers(4, 10)), p)
+               for p in (0.3, 0.5, 0.7) for _ in range(30)]
+    graphs = [*graph8c[:600], *sr25, *randoms]
+    graphs += [permute_graph(G, rng.permutation(G.n)) for G in graphs[::7]]
+    orders = [G.n for G in graphs]
+    rows = signatures(graphs, test)
+    R = len(rows) - 1
+    for t in range(R + 3):
+        assert same_partition(rows[min(t, R)], signatures(graphs, test, rounds=t)[-1]), t
+    assert all(refines(row, orders) for row in rows)
+    assert all(refines(fine, coarse) for coarse, fine in zip(rows, rows[1:]))
+    past = signatures(graphs, test, rounds=R + 2)
+    assert len(past) == R + 1 and all(map(same_partition, past, rows))
+    stops = set()
+    for n in set(orders):
+        own = [i for i, m in enumerate(orders) if m == n]
+        alone = signatures([graphs[i] for i in own], test)
+        stops.add(len(alone) - 1)
+        for t in range(R + 1):
+            assert same_partition(rows[t, own], alone[min(t, len(alone) - 1)]), (n, t)
+    assert max(stops) == R > min(stops)
