@@ -200,29 +200,6 @@ def parse_graph6(text: str | bytes) -> Graph:
     return Graph._views(_graph6_stack([s]))[0]
 
 
-def encode_graph6(G: Graph) -> str:
-    """Inverse of parse_graph6 (used for round-trip checks)."""
-    n = G.n
-    if n > 258047:
-        raise GraphFormatError("only n <= 258047 supported")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(int(G.adjacency[i, j]))
-    while len(bits) % 6:
-        bits.append(0)
-    if n <= 62:
-        chars = [chr(n + 63)]
-    else:
-        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k : k + 6]:
-            v = (v << 1) | b
-        chars.append(chr(v + 63))
-    return "".join(chars)
-
-
 def laplacian(G: Graph | np.ndarray) -> np.ndarray:
     """Normalized graph Laplacian I - D^{-1/2} A D^{-1/2} of a graph or of
     every adjacency in a (..., n, n) stack.

@@ -368,10 +368,6 @@ def shape_check(e: Expr, n: int) -> tuple[int, int]:
     return rec(e)
 
 
-def is_sentence(e: Expr, n: int) -> bool:
-    return shape_check(e, n) == (1, 1)
-
-
 def fragment_check(e: Expr, opset: OpSet) -> bool:
     """True iff every operator in the AST is permitted by the fragment."""
     return opset.allows(e) and all(fragment_check(a, opset) for a in e.args)

@@ -311,7 +311,7 @@ def _graphsage_supports(A: np.ndarray) -> np.ndarray:
 def _chebnet_supports(A: np.ndarray) -> np.ndarray:
     """T_1 .. T_{k-1} of the scaled Laplacian; T_0 = I is declared in MODELS."""
     I, L = np.eye(A.shape[-1]), laplacian(A)
-    lam_max = _eig_sym(L).lam[:, -1:, None]
+    lam_max = _eig_sym(L)[0][:, -1:, None]
     C = [I, 2.0 / lam_max * L - I]
     while len(C) < ModelSpec.cheb_k:
         C.append(2.0 * C[1] @ C[-1] - C[-2])

@@ -5,10 +5,13 @@ Phi_s(lambda) = exp(-b (lambda - f_s)^2) over the eigenvalues of a basis
 matrix (normalized Laplacian by default), reconstructing the dense matrix
 U diag(Phi_s(lambda)) U^T, and masking it to the 1-hop receptive field
 M = A + I. Of the S supports, S - 1 are Gaussian bands and the last is
-the all-pass support (Phi = 1, the identity).
+the all-pass support (Phi = 1, the identity). The paper's Theorem 7 (a
+support is a power series in the basis matrix) is checked by the tests,
+which hold the Gaussian's Maclaurin coefficients.
 
 `eig_sym` and `stacked_supports` work on a whole (B, n, n) stack of
-equal-order graphs at once; a single graph is a stack of one.
+equal-order graphs at once; a single graph is a stack of one. `eig_sym`
+checks its input and returns numpy's eigenpairs `(lam, U)` as they are.
 `_eig_sym` and `_stacked_supports` are the same functions under private
 names, for callers on worker threads: perfbench's tracer replaces every
 public name with a span-recording wrapper that keeps one call stack and
@@ -25,35 +28,21 @@ import numpy as np
 from matgraph.graphcore import laplacian
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
-    U: np.ndarray  # (..., n, n), eigenvectors in columns
-    lam: np.ndarray  # (..., n)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.lam) < -1e-12):
-            raise ValueError("eigenvalues must be nondecreasing")
-
-    def reconstruct(self, response: np.ndarray) -> np.ndarray:
-        """Dense matrices with the given per-eigenvalue response applied."""
-        return (self.U * response[..., None, :]) @ self.U.mT
-
-
-def eig_sym(B: np.ndarray) -> SpectralBasis:
-    """Symmetric eigendecomposition of a matrix or a (..., n, n) stack,
-    eigenvalues ascending.
+def eig_sym(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigendecomposition `(lam, U)` of a matrix or a (..., n, n)
+    stack, as `np.linalg.eigh` returns it: eigenvalues ascending, (..., n),
+    and eigenvectors in the columns of U, (..., n, n).
 
     Rejects matrices that are not symmetric within 1e-12. Within
     degenerate eigenspaces the basis is arbitrary; all downstream uses
-    (matrix functions) are basis-invariant.
+    (matrix functions U diag(phi(lam)) U^T) are basis-invariant.
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim < 2 or B.shape[-1] != B.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {B.shape}")
     if np.max(np.abs(B - B.mT), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    lam, U = np.linalg.eigh(B)
-    return SpectralBasis(U=U, lam=lam)
+    return np.linalg.eigh(B)
 
 
 _eig_sym = eig_sym
@@ -101,15 +90,6 @@ class SupportSpec:
             raise ValueError("b must be finite and > 0")
 
 
-def basis_matrix(A: np.ndarray, kind: str) -> np.ndarray:
-    """The spectral basis of each adjacency in a (..., n, n) stack."""
-    if kind == "normalized-laplacian":
-        return laplacian(A)
-    if kind == "adjacency":
-        return A
-    raise ValueError(f"unknown basis kind {kind!r}")
-
-
 def stacked_supports(
     A: np.ndarray, spec: SupportSpec = SupportSpec()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,31 +104,16 @@ def stacked_supports(
     (edgeless graphs, n = 1) repeats its single center and every graph
     has S supports.
     """
-    basis = _eig_sym(basis_matrix(A, spec.basis_kind))
+    lam, U = _eig_sym(laplacian(A) if spec.basis_kind == "normalized-laplacian" else A)
     n = A.shape[-1]
     mask = A + np.eye(n) != 0
-    centers = band_centers(basis.lam[:, :1], basis.lam[:, -1:], spec.S)
+    centers = band_centers(lam[:, :1], lam[:, -1:], spec.S)
     supports = np.zeros((len(A), spec.S, n, n))
     for s in range(spec.S - 1):
-        band = basis.reconstruct(frequency_response(basis.lam, spec.b, centers[:, s:s + 1]))
-        np.copyto(supports[:, s], band, where=mask)
+        phi = frequency_response(lam, spec.b, centers[:, s:s + 1])
+        np.copyto(supports[:, s], (U * phi[..., None, :]) @ U.mT, where=mask)
     supports[:, -1] = np.eye(n)
     return supports, centers
 
 
 _stacked_supports = stacked_supports
-
-
-def maclaurin_coefficients(b: float, f_s: float, order: int) -> np.ndarray:
-    """Maclaurin coefficients a_i of Phi(x) = exp(-b (x - f_s)^2).
-
-    Phi' = -2b (x - f_s) Phi gives the series recurrence
-    (i + 1) a_{i+1} = 2 b f_s a_i - 2 b a_{i-1}, with a_0 = exp(-b f_s^2).
-    """
-    a = np.zeros(order + 1)
-    a[0] = np.exp(-b * f_s**2)
-    if order >= 1:
-        a[1] = 2 * b * f_s * a[0]
-    for i in range(1, order):
-        a[i + 1] = (2 * b * f_s * a[i] - 2 * b * a[i - 1]) / (i + 1)
-    return a

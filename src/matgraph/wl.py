@@ -35,10 +35,13 @@ graphs. Nothing is kept between calls, so labels compare only within one
 row of one call.
 
 The pair tests keep their own loop, `_refine`, as merging it with
-`signatures` was slower both ways (2-core Xeon): a two-graph `signatures`
-call cost ~2.1x per 1-WL and 12-18 % or more per 2-FWL verdict on
-relabelled sr25 pairs, and `signatures` on `_refine`, which cannot drop
-settled graphs, took the graph8c 1-WL census from 0.146 to 0.420 s.
+`signatures` was slower both ways (2-core Xeon, one BLAS thread): on
+relabelled sr25 pairs, a two-graph `ladder` verdict cost 0.65 ms per
+pair for 1-WL and 2-FWL against `_pair_test`'s 0.18 ms (0.12 against
+0.03 ms for 1-WL, 0.54 against 0.16 ms for 2-FWL), as ranking the two
+graphs' sorted 2-FWL colors, two 625-column rows, costs ~140 us a round;
+and `signatures` on `_refine`, which cannot drop settled graphs, took the
+graph8c 1-WL census from 0.146 to 0.420 s.
 """
 
 from __future__ import annotations

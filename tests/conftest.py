@@ -23,6 +23,29 @@ def permute_graph(G: Graph, perm: np.ndarray) -> Graph:
     return Graph(A)
 
 
+def encode_graph6(G: Graph) -> str:
+    """The graph6 line of G (n <= 258047), bit by bit: the inverse of
+    `graphcore.parse_graph6`, for round-trip checks and test files."""
+    n = G.n
+    assert n <= 258047, "graph6 headers for n > 258047 are not supported"
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(int(G.adjacency[i, j]))
+    while len(bits) % 6:
+        bits.append(0)
+    if n <= 62:
+        chars = [chr(n + 63)]
+    else:
+        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
+    for k in range(0, len(bits), 6):
+        v = 0
+        for b in bits[k : k + 6]:
+            v = (v << 1) | b
+        chars.append(chr(v + 63))
+    return "".join(chars)
+
+
 @st.composite
 def graphs(draw, min_n: int = 2, max_n: int = 8, connected: bool = False):
     n = draw(st.integers(min_n, max_n))

@@ -13,9 +13,9 @@ import pytest
 
 from matgraph import appendix_data, cli, models
 from matgraph.cli import main
-from matgraph.graphcore import Graph, encode_graph6
+from matgraph.graphcore import Graph
 
-from .conftest import DATA_DIR, permute_graph, random_adjacency
+from .conftest import DATA_DIR, encode_graph6, permute_graph, random_adjacency
 
 GRAPH8C = DATA_DIR / "graph8c.g6"
 

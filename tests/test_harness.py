@@ -16,7 +16,7 @@ from matgraph.appendix_data import (
     SHRIKHANDE,
 )
 from matgraph import graphcore, harness, models
-from matgraph.graphcore import Dataset, Graph, encode_graph6, laplacian, load_dataset
+from matgraph.graphcore import Dataset, Graph, laplacian, load_dataset
 from matgraph.harness import (
     ExperimentConfig,
     PairReport,
@@ -33,7 +33,13 @@ from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 from matgraph.spectral import eig_sym
 from matgraph.wl import fwl2_equivalent, signatures, wl1_equivalent
 
-from .conftest import DATA_DIR, make_graph, naive_undistinguished_pairs, permute_graph
+from .conftest import (
+    DATA_DIR,
+    encode_graph6,
+    make_graph,
+    naive_undistinguished_pairs,
+    permute_graph,
+)
 
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -342,7 +348,7 @@ class TestCensus:
         graphs = self.appendix_dataset()
         rng = np.random.default_rng(5)
         graphs += [make_graph(rng, 6) for _ in range(30)]
-        lam = [eig_sym(laplacian(G)).lam[-1] for G in graphs]
+        lam = [eig_sym(laplacian(G))[0][-1] for G in graphs]
         expected = [(i, j) for i, j in combinations(range(len(graphs)), 2)
                     if wl1_equivalent(graphs[i], graphs[j]).equivalent
                     and abs(lam[i] - lam[j]) <= 1e-6]

@@ -15,7 +15,6 @@ from matgraph.matlang import (
     eval_expr,
     eval_sentence,
     fragment_check,
-    is_sentence,
     parse,
     sentence_corpus,
     shape_check,
@@ -96,9 +95,9 @@ class TestParser:
 
 class TestShapes:
     def test_sentence_shapes(self):
-        assert is_sentence(parse("ones' * A * ones"), 5)
-        assert is_sentence(parse("tr(A^2)"), 5)
-        assert not is_sentence(parse("A * ones"), 5)
+        assert shape_check(parse("ones' * A * ones"), 5) == (1, 1)
+        assert shape_check(parse("tr(A^2)"), 5) == (1, 1)
+        assert shape_check(parse("A * ones"), 5) != (1, 1)
 
     def test_mul_mismatch(self):
         with pytest.raises(ShapeError):
@@ -236,7 +235,7 @@ class TestFragmentSoundness:
         corpus = sentence_corpus("L3", max_depth=3, limit=100)
         assert corpus
         for e in corpus:
-            assert is_sentence(e, 6)
+            assert shape_check(e, 6) == (1, 1)
             assert fragment_check(e, OpSet.named("L3"))
 
 

@@ -60,21 +60,36 @@ def test_pinned_verdicts(G, H, expected):
     assert [v.test for v in verdicts] == ["WL1", "WL2", "FWL2"]
 
 
+def first_split(ladder: np.ndarray, i: int, j: int) -> int | None:
+    """The first row of a `signatures` ladder whose labels of graphs i and
+    j differ, or None if no row does."""
+    rows = np.flatnonzero(ladder[:, i] != ladder[:, j])
+    return int(rows[0]) if rows.size else None
+
+
 def test_signature_keys_match_pairwise_wl1(mixed):
     """Equal keys iff wl1_equivalent, on orders 1, 3, 8 and 25 together
-    with a relabelled copy of every graph."""
+    with a relabelled copy of every graph; and round by round, the
+    separating iteration is the first row of the ladder whose labels
+    differ (row 0 for graphs of different orders)."""
     rng = np.random.default_rng(0)
     copies = [permute_graph(G, rng.permutation(G.n)) for G in mixed]
     graphs = mixed + copies
-    keys = signatures(graphs)[-1]
+    ladder = signatures(graphs)
+    keys = ladder[-1]
     m = len(mixed)
     pairs = {(i, i + m) for i in range(m)}  # each graph and its copy
     pairs |= {(i, i + m + 1) for i in range(m - 1)}  # each graph and the next copy
     pairs |= {(i, j) for i in range(len(graphs)) for j in range(i + 1, len(graphs))
               if keys[i] == keys[j]}
     assert len(pairs) > 2 * m  # sr25[:3] adds equal keys of non-isomorphic graphs
+    splits = set()
     for i, j in sorted(pairs):
-        assert (keys[i] == keys[j]) == wl1_equivalent(graphs[i], graphs[j]).equivalent
+        verdict = wl1_equivalent(graphs[i], graphs[j])
+        assert (keys[i] == keys[j]) == verdict.equivalent
+        assert first_split(ladder, i, j) == verdict.separating_iteration, (i, j)
+        splits.add(verdict.separating_iteration)
+    assert {None, 0, 1} <= splits
 
 
 @pytest.mark.parametrize("rounds", [None, 0, 1, 3])
@@ -110,12 +125,13 @@ def cycle_edges(n, start=0):
     ("WL2", wl2_equivalent), ("FWL2", fwl2_equivalent)
 ], ids=["WL2", "FWL2"])
 def test_signature_keys_match_pairwise(sr25, test, pair_test):
-    """Equal keys iff the pairwise verdict, over every same-order pair of
-    one stack that mixes graphs settling at rounds 0, 1, 2 and later
-    with graphs that never settle: a lone order-4 path, random graphs
-    of orders 6 and 7, P10 / C4 + P6 (equal degree sequences, apart
-    only far from the leaves), C18 / 2 C9, the appendix pairs, sr25[:3]
-    and relabelled copies."""
+    """Equal keys iff the pairwise verdict, and its separating iteration
+    the first row of the ladder whose labels differ (row 0 across
+    orders), over every pair of one call that mixes graphs settling at
+    rounds 0, 1, 2 and later with graphs that never settle: a lone
+    order-4 path, random graphs of orders 6 and 7, P10 / C4 + P6 (equal
+    degree sequences, apart only far from the leaves), C18 / 2 C9, the
+    appendix pairs, sr25[:3] and relabelled copies."""
     rng = np.random.default_rng(3)
     randoms = [make_graph(rng, n, p) for n in (6, 7) for p in (0.3, 0.5, 0.7)
                for _ in range(6)]
@@ -131,7 +147,8 @@ def test_signature_keys_match_pairwise(sr25, test, pair_test):
     graphs = randoms + paths_and_cycles + appendix
     graphs += [permute_graph(G, rng.permutation(G.n))
                for G in [*randoms[::9], ROOK4X4, sr25[0]]]
-    keys = signatures(graphs, test)[-1]
+    ladder = signatures(graphs, test)
+    keys = ladder[-1]
     # a settled graph's label is unique, and it settles at the first round
     # k whose `rounds=k` labels already single it out; the graphs that
     # never settle share theirs
@@ -149,9 +166,9 @@ def test_signature_keys_match_pairwise(sr25, test, pair_test):
     assert len(np.unique(keys)) < len(keys)
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
-            if graphs[i].n == graphs[j].n:
-                equivalent = pair_test(graphs[i], graphs[j]).equivalent
-                assert (keys[i] == keys[j]) == equivalent, (i, j)
+            verdict = pair_test(graphs[i], graphs[j])
+            assert (keys[i] == keys[j]) == verdict.equivalent, (i, j)
+            assert first_split(ladder, i, j) == verdict.separating_iteration, (i, j)
 
 
 class TestWL1:

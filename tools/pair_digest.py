@@ -1,12 +1,25 @@
-"""Digest of the census outputs and of every model's embeddings and pair
-lists, for comparing two trees.
+"""Digest of the appendix graphs, their supports and the golden suite, of
+the census outputs and of every model's embeddings and pair lists, for
+comparing two trees.
 
     PYTHONPATH=src python tools/pair_digest.py > digest.txt
 
 Run from the repository root on each tree and diff the outputs: a change
 that reorders floating-point work must leave every pair list unchanged
 (ROADMAP aim 3), while its embedding hashes may move; census output is
-exact and never moves. First, one line per census output:
+exact and never moves. First, the built-in appendix graphs:
+
+  graph <name> <sha256>
+      sha256 of each `appendix_data.GRAPHS` adjacency's bytes;
+  supports <name> <basis> <sha256> <sha256>
+      `stacked_supports` of the same graph as a stack of one, for each
+      basis kind at the default `SupportSpec`: the sha256 of its supports,
+      then of its band centres;
+  golden <format> <exit code> <sha256>
+      `matgraph --format <format> golden` for text and json: its exit
+      code and the sha256 of what it prints.
+
+Then one line per census output:
 
   census <dataset> <output> <count> <sha256>
       `wl_census` (its 1-WL and 2-FWL pairs), then `lambda_census` (its
@@ -41,7 +54,9 @@ that the digests of two trees diff cleanly.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import operator
 import sys
 import time
@@ -49,6 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
+from matgraph import appendix_data, cli
 from matgraph.graphcore import load_dataset
 from matgraph.harness import (
     CENSUS,
@@ -59,7 +75,9 @@ from matgraph.harness import (
     wl_census,
 )
 from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
+from matgraph.spectral import SupportSpec, stacked_supports
 
+BASES = ("normalized-laplacian", "adjacency")
 DATA = Path(__file__).resolve().parent.parent / "data"
 DATASETS = ("graph8c", "sr25")
 EMBED_SEEDS = (7, 0)
@@ -74,6 +92,20 @@ def sha(a: np.ndarray) -> str:
 
 def rows(pairs) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def appendix_lines() -> None:
+    """The appendix graphs, their supports and the golden suite's output."""
+    for name, G in appendix_data.GRAPHS.items():
+        print(f"graph {name} {sha(G.adjacency)}")
+        for basis in BASES:
+            supports, centers = stacked_supports(G.adjacency[None], SupportSpec(basis))
+            print(f"supports {name} {basis} {sha(supports)} {sha(centers)}")
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--format", fmt, "golden"])
+        print(f"golden {fmt} {code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}")
 
 
 def census_lines(name: str, graphs) -> None:
@@ -91,6 +123,7 @@ def census_lines(name: str, graphs) -> None:
 
 
 def main() -> None:
+    appendix_lines()
     data = {name: load_dataset(str(DATA / f"{name}.g6")) for name in DATASETS}
     graph8c = data["graph8c"]
     shuffled = [graph8c[i] for i in np.random.default_rng(7).permutation(len(graph8c))]
