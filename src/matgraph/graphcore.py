@@ -53,10 +53,6 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         A = np.zeros((n, n))

@@ -2,44 +2,59 @@
 
 One engine refines a stack of same-order graphs as their disjoint
 union: each round gives every vertex (1-WL) or vertex pair (2-WL, 2-FWL)
-of every graph in the stack one integer row - its color plus the sorted
+of every graph in the stack one integer row - its color plus the
 multiset of colors the test looks at - and the new color is the row's
 rank among the distinct rows of the whole stack. Ranks on the union
 induce the same partition as exact signatures interned into one shared
 table, so colors of different graphs in one stack are comparable and
 no lossy hashing is involved. This sort-and-relabel step is the cost
-centre of WL refinement (Shervashidze et al., JMLR 2011); a rank packs
-runs of a row's columns into as few int64 words as their value range
-allows and sorts the words, which keeps the lexicographic order. 1-WL's
-round from one color ranks the degrees, the paper's H^(1) = A 1, and
-colors left with gaps when graphs leave a stack are renumbered by
-counting. A 2-FWL round with few colors, k**2 <= n, skips the sort of
-its n pair codes per cell: the multiset of (C[v,w], C[w,u]) over w is
-the vector of color-pair walk counts (M_a M_c)[v,u] of the color
-indicator matrices (Geerts, ICDT 2019), which BLAS products count. Every
-strongly regular pair (sr25, rook/Shrikhande) refines that way, as its 3
-initial colors are stable; see `_next_colors` for the bound. Refinement
-stops at the stable partition, the first round whose class count does
-not grow (every later round repeats it).
+centre of WL refinement (Shervashidze et al., JMLR 2011), so where the
+colors are few the engine counts instead of sorting, by three rules on
+the stack's order n and color count k alone:
+
+- A 1-WL round with (n + 1)**k <= 2**63 writes the multiset as one
+  integer, the sum over v's neighbours u of (n + 1)**C[u]: the paper's
+  H^(t+1) = (H^(t) | A H^(t)) with base-(n + 1) powers for the colors,
+  which makes the sum injective. From one color that is the degree, the
+  paper's H^(1) = A 1. Otherwise the row holds v's neighbours' colors,
+  sorted.
+- A 2-FWL round with k**2 <= n skips the sort of its n pair codes per
+  cell: the multiset of (C[v,w], C[w,u]) over w is the vector of
+  color-pair walk counts (M_a M_c)[v,u] of the color indicator matrices
+  (Geerts, ICDT 2019), which BLAS products count. Every strongly regular
+  pair (sr25, rook/Shrikhande) refines that way, as its 3 initial colors
+  are stable; see `_next_colors` for the bound.
+- `ladder` labels a graph by its colors as a multiset: with k below the
+  graph's cell count (n for 1-WL, n**2 for 2-WL and 2-FWL) by its color
+  histogram, one `np.bincount` over the stack, otherwise by its colors
+  sorted.
+
+Each rank (`_rank_rows`) folds a row's columns into dense ranks, as many
+columns per int64 word as their value range allows, and ranks a word
+whose values span at most its length by counting, others by an argsort:
+never `np.lexsort`. Colors left with gaps when graphs leave a stack are
+renumbered by counting. Refinement stops at the stable partition, the
+first round whose class count does not grow (every later round repeats
+it).
 
 `ladder`, and `signatures` on graphs, record every round: row t of their
-`(R + 1, N)` int64 matrix labels each graph by its sorted colors after t
-rounds, which compresses them to one integer as WL relabelling does. So
-one refinement labels every depth of a test, and an L-layer
+`(R + 1, N)` int64 matrix labels each graph by its multiset of colors
+after t rounds, which compresses it to one integer as WL relabelling
+does. So one refinement labels every depth of a test, and an L-layer
 message-passing model's bound, 1-WL at round L + 1 (Morris et al., arXiv
 1810.02244), is a row of it. A graph leaves its stack as soon as its
-sorted colors are unique there (or at round `rounds`): it is a singleton
-in every later row, and the graphs left are refined without it. A stack
-that stops repeats its last row, so every row is a partition of all the
-graphs. Nothing is kept between calls, so labels compare only within one
-row of one call.
+multiset of colors is unique there (or at round `rounds`): it is a
+singleton in every later row, and the graphs left are refined without
+it. A stack that stops repeats its last row, so every row is a partition
+of all the graphs. Nothing is kept between calls, so labels compare only
+within one row of one call.
 
 The pair tests keep their own loop, `_refine`, as merging it with
 `signatures` was slower both ways (2-core Xeon, one BLAS thread): on
-relabelled sr25 pairs, a two-graph `ladder` verdict cost 0.65 ms per
-pair for 1-WL and 2-FWL against `_pair_test`'s 0.18 ms (0.12 against
-0.03 ms for 1-WL, 0.54 against 0.16 ms for 2-FWL), as ranking the two
-graphs' sorted 2-FWL colors, two 625-column rows, costs ~140 us a round;
+relabelled sr25 pairs, a two-graph `ladder` verdict cost 0.33 ms per
+pair for 1-WL and 2-FWL against `_pair_test`'s 0.17 ms (0.10 against
+0.03 ms for 1-WL, 0.22 against 0.13 ms for 2-FWL), as labelling the
+graphs each round costs more than comparing two sorted color vectors;
 and `signatures` on `_refine`, which cannot drop settled graphs, took the
 graph8c 1-WL census from 0.146 to 0.420 s.
 """
@@ -70,36 +85,54 @@ class PairVerdict:
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
     """Lexicographic rank of each row of `rows` among its distinct rows.
 
-    Runs of columns are packed into int64 words as base-(max - min + 1)
-    digits, as many per word as keep it below 2**63, all words by one
-    integer product of the rows with a matrix of digit powers, so the
-    words order the rows as the columns do: one word is argsorted, more
-    are lexsorted.
+    The columns are folded into dense ranks from left to right. With r the
+    ranks of the columns so far, k their count and base = max - min + 1,
+    the next run of columns, as many as keep k * base**run below 2**63,
+    is packed as base-`base` digits w below base**run, and the rows' new
+    ranks are those of the one int64 word r * base**run + w. When not even
+    one column fits, the column is ranked on its own, its d dense ranks s,
+    and the word is r * d + s, below N**2 for N rows. A word whose bound,
+    k * base**run or k * d, is at most N is ranked by counting, as
+    `_compact` does, any other by an argsort, so no `np.lexsort` runs.
     """
     (N, m), lo, hi = rows.shape, int(rows.min()), int(rows.max())
     base = hi - lo + 1
-    digits = 1  # columns per word
-    while digits < m and base ** (digits + 1) <= 1 << 63:
-        digits += 1
-    if digits == 1:
-        words = rows
-    else:
-        # P[k, j]: column k's digit power in word j, the last run may be
-        # shorter. rows @ P is the words (rows - lo) @ P plus lo * P.sum(0);
-        # every word is below 2**63, so the int64 product may wrap but the
-        # subtraction wraps back to it exactly
-        P = np.zeros((m, -(-m // digits)), dtype=np.int64)
-        for j, first in enumerate(range(0, m, digits)):
-            run = min(digits, m - first)
-            P[first:first + run, j] = [base ** e for e in range(run - 1, -1, -1)]
-        words = rows.astype(np.int64, copy=False) @ P - lo * P.sum(axis=0)
-    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
-    ordered = words[order]
-    step = np.ones(N, dtype=np.int64)
-    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ranks = np.empty_like(step)
-    ranks[order] = np.cumsum(step) - 1
+    ranks, k = np.zeros(N, dtype=np.int64), 1
+    first = 0
+    while first < m:
+        run = 0
+        while first + run < m and k * base ** (run + 1) < 1 << 63:
+            run += 1
+        if run:
+            powers = np.array([base ** e for e in range(run - 1, -1, -1)], dtype=np.int64)
+            word, size = np.einsum("ij,j->i", rows[:, first:first + run], powers), base ** run
+            if lo:  # rows @ powers may wrap, but the word, below 2**63, wraps back
+                word -= (lo * powers).sum()
+            if k > 1:
+                word += ranks * size
+            ranks, k = _rank_word(word, k * size)
+        else:  # base > 2**63 / k >= N
+            run = 1
+            column, size = _rank_word(rows[:, first].astype(np.int64), base)
+            ranks, k = (column, size) if k == 1 else _rank_word(ranks * size + column, k * size)
+        first += run
     return ranks
+
+
+def _rank_word(word: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Dense rank of each entry of the int64 vector `word` among its
+    distinct values, and their count. When `bound` is at most the entry
+    count the values lie in 0..bound-1 and are ranked by counting, else
+    by an argsort."""
+    if bound <= len(word):
+        return _compact(word, bound)
+    order = word.argsort()
+    ordered = word[order]
+    step = np.zeros(len(word), dtype=np.int64)
+    step[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty_like(step)
+    ranks[order] = step.cumsum()
+    return ranks, int(ranks[order[-1]]) + 1
 
 
 def _compact(C: np.ndarray, classes: int) -> tuple[np.ndarray, int]:
@@ -154,10 +187,43 @@ def _walk_counts(C: np.ndarray, classes: int) -> np.ndarray:
     return rows
 
 
+def _sorted_neighbours(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """`(B, n, n + 1)` rows of 1-WL vertex colors `C`: C[v], then the
+    colors C[u] of v's neighbours and -1 per non-neighbour, sorted."""
+    B, n = C.shape
+    rows = np.empty((B, n, n + 1), dtype=np.int64)
+    rows[..., 0] = C
+    rows[..., 1:] = np.where(A, C[:, None, :], -1)
+    rows[..., 1:].sort(axis=2)
+    return rows
+
+
+def _neighbour_counts(A: np.ndarray, C: np.ndarray, classes: int) -> np.ndarray:
+    """`(B, n, 2)` rows of 1-WL vertex colors `C`: C[v], then the sum over
+    v's neighbours u of (n + 1)**C[u]. A color is counted at most n times,
+    so the sum is v's neighbour color counts as base-(n + 1) digits, below
+    (n + 1)**classes, which must fit in int64: one integer product of the
+    stack with its powers."""
+    B, n = C.shape
+    power = (n + 1) ** np.arange(classes, dtype=np.int64)
+    rows = np.empty((B, n, 2), dtype=np.int64)
+    rows[..., 0] = C
+    rows[..., 1:] = np.matmul(A.astype(np.int64), power[C][:, :, None])
+    return rows
+
+
 def _next_colors(A: np.ndarray, C: np.ndarray, classes: int, test: str) -> np.ndarray:
     """One refinement round of colors `C` numbered 0..classes-1: each
     cell's rank, among the distinct rows of the stack, of its color
     followed by the multiset of colors `test` looks at.
+
+    A 1-WL round's row is C[v] and the multiset of v's neighbours'
+    colors, in one of two encodings of one partition. With k = classes
+    and (n + 1)**k <= 2**63, it is the one integer of `_neighbour_counts`,
+    one integer product per stack, and the stack's 2-column rows pack into
+    one word: on graph8c's round from 7 colors, ~4 ms against the sorted
+    rows' 15-20 ms (2-core Xeon, one BLAS thread). Otherwise it is the n
+    sorted entries of `_sorted_neighbours`.
 
     A 2-FWL round's row is C[v,u] and the multiset of (C[v,w], C[w,u])
     over w, in one of two encodings of one partition. With k = classes
@@ -175,20 +241,17 @@ def _next_colors(A: np.ndarray, C: np.ndarray, classes: int, test: str) -> np.nd
         rows = _walk_counts if classes * classes <= C.shape[-1] else _sorted_codes
         return _rank_rows(rows(C, classes).reshape(C.size, -1)).reshape(C.shape)
     if test == "WL1":
-        if classes == 1:
-            # one color: a vertex's row is 0, then -1 per non-neighbour and
-            # 0 per neighbour, so rows order as the degrees do
-            return _rank_rows(A.sum(axis=2).reshape(-1, 1)).reshape(C.shape)
-        multiset = np.sort(np.where(A, C[:, None, :], -1), axis=2)
-    else:
-        # the sorted row depends only on v and the sorted column only on u:
-        # their ranks among the stack's rows order cells as the vectors do
-        B, n, _ = C.shape
-        rows = _rank_rows(np.sort(C, axis=2).reshape(B * n, n)).reshape(B, n, 1)
-        cols = _rank_rows(np.sort(C, axis=1).transpose(0, 2, 1).reshape(B * n, n))
-        multiset = np.stack(np.broadcast_arrays(rows, cols.reshape(B, 1, n)), axis=3)
-    flat = np.concatenate([C.reshape(-1, 1), multiset.reshape(C.size, -1)], axis=1)
-    return _rank_rows(flat).reshape(C.shape)
+        # (n + 1)**k <= 2**63 needs k < 64, which spares a huge power
+        fits = classes < 64 and (C.shape[1] + 1) ** classes <= 1 << 63
+        rows = _neighbour_counts(A, C, classes) if fits else _sorted_neighbours(A, C)
+        return _rank_rows(rows.reshape(C.size, -1)).reshape(C.shape)
+    # 2-WL: the sorted row depends only on v and the sorted column only on
+    # u, so their ranks among the stack's rows order cells as the vectors do
+    B, n, _ = C.shape
+    rows = _rank_rows(np.sort(C, axis=2).reshape(B * n, n)).reshape(B, n, 1)
+    cols = _rank_rows(np.sort(C, axis=1).transpose(0, 2, 1).reshape(B * n, n)).reshape(B, 1, n)
+    cells = np.stack(np.broadcast_arrays(C, rows, cols), axis=3)
+    return _rank_rows(cells.reshape(C.size, 3)).reshape(C.shape)
 
 
 def _refine(A: np.ndarray, test: str):
@@ -207,6 +270,15 @@ def _refine(A: np.ndarray, test: str):
             return
 
 
+def _histograms(cells: np.ndarray, classes: int) -> np.ndarray:
+    """`(B, classes)` counts of each color in each row of the `(B, c)`
+    colors `cells`, numbered 0..classes-1: one `np.bincount` over the
+    stack, each row's colors offset past those of the rows before it."""
+    B = len(cells)
+    offset = (cells + classes * np.arange(B)[:, None]).ravel()
+    return np.bincount(offset, minlength=B * classes).reshape(B, classes)
+
+
 def ladder(stacks, size: int, test: str = "WL1", rounds: float = math.inf) -> np.ndarray:
     """The `(R + 1, size)` int64 class labels of graphs given as one
     `(positions, A)` per order, `positions` covering 0..size-1 and `A`
@@ -216,32 +288,41 @@ def ladder(stacks, size: int, test: str = "WL1", rounds: float = math.inf) -> np
     ("WL1" at t = 1 compares degree multisets). R is `rounds`, or the
     round at which the last stack stops, whichever comes first.
 
-    Each stack is refined as one union. A graph whose sorted colors are
-    unique in the stack at round t settles: it leaves the stack, a
-    singleton in every later row. This is exact. A cell's color class in
-    the union refinement depends only on its own graph, so dropping
-    graphs renumbers the others' colors but leaves their partition, and
-    two graphs whose sorted colors differ at round t differ at every
-    later round. The rest are re-ranked and refined until their
-    partition stops growing; the round after that, or at round `rounds`,
-    the stack stops, and its last row repeats in every later one. A
-    graph's code in row t is its rank among the stack's live graphs at
-    the last round, up to t, that ranked it, offset so that each (stack,
-    round) has codes of its own; each row renumbers its codes by
+    Each stack is refined as one union, and each round ranks its graphs
+    by their multisets of colors: with k colors, fewer than a graph's c
+    cells (n for "WL1", n**2 for "WL2" and "FWL2"), by their `(B, k)`
+    color histograms, otherwise by their `(B, c)` sorted colors, one
+    partition either way. A graph whose multiset is unique in the stack
+    at round t settles: it leaves the stack, a singleton in every later
+    row. This is exact. A cell's color class in the union refinement
+    depends only on its own graph, so dropping graphs renumbers the
+    others' colors but leaves their partition, and two graphs whose
+    multisets differ at round t differ at every later round. The rest are
+    re-ranked and refined until their partition stops growing; the round
+    after that, or at round `rounds`, the stack stops, and its last row
+    repeats in every later one. A graph's code in row t is its rank among
+    the stack's live graphs at the last round, up to t, that ranked it,
+    offset by a running count of the codes handed out, so that each
+    (stack, round) has codes of its own; each row renumbers its codes by
     counting, so `np.bincount` of a row gives its class sizes. Labels are
     comparable only within one row of one call.
     """
-    rows = np.zeros((1, size), dtype=np.int64)  # each round's codes of every graph
+    rows = [np.zeros(size, dtype=np.int64)]  # each round's codes of every graph
+    codes = 0  # the codes handed out so far
     for members, A in stacks:
         A = A != 0
         C = _initial_colors(A, test)
         classes = int(C.max()) + 1
         stable = False
         for t in count():
-            ranks = _rank_rows(np.sort(C.reshape(len(C), -1), axis=1))
+            cells = C.reshape(len(C), -1)
+            ranks = _rank_rows(_histograms(cells, classes) if classes < cells.shape[1]
+                               else np.sort(cells, axis=1))
             if t == len(rows):  # the first stack this deep: the others repeat their last row
-                rows = np.vstack([rows, rows[-1:]])
-            rows[t:, members] = rows.max() + 1 + ranks  # past every code handed out so far
+                rows.append(rows[-1].copy())
+            for row in rows[t:]:
+                row[members] = codes + ranks
+            codes += int(ranks.max()) + 1
             settled = (stable or t == rounds) | (np.bincount(ranks)[ranks] == 1)
             if settled.all():
                 break
@@ -251,7 +332,7 @@ def ladder(stacks, size: int, test: str = "WL1", rounds: float = math.inf) -> np
             C = _next_colors(A, C, classes, test)
             grown = int(C.max()) + 1
             stable, classes = grown == classes, grown
-    return np.stack([_compact(row, int(rows.max(initial=0)) + 1)[0] for row in rows])
+    return np.stack([_compact(row, max(codes, 1))[0] for row in rows])
 
 
 def signatures(graphs: Sequence[Graph], test: str = "WL1",

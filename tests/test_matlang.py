@@ -243,7 +243,7 @@ class TestPermutationInvariance:
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=2, max_n=8))
     def test_sentences_are_invariants(self, G):
-        rng = np.random.default_rng(G.num_edges + G.n)
+        rng = np.random.default_rng(int(G.adjacency.sum()) // 2 + G.n)
         perm = rng.permutation(G.n)
         H = Graph(G.adjacency[np.ix_(perm, perm)])
         for text in ["tr(A^4)", "ones' * had(A, A^2) * ones"]:

@@ -11,14 +11,17 @@ from matgraph.appendix_data import (
     ROOK4X4,
     SHRIKHANDE,
 )
-from matgraph.graphcore import Graph
+from matgraph.graphcore import Dataset, Graph
 from matgraph.wl import (
     _compact,
+    _histograms,
     _initial_colors,
+    _neighbour_counts,
     _next_colors,
     _rank_rows,
     _refine,
     _sorted_codes,
+    _sorted_neighbours,
     _walk_counts,
     fwl2_equivalent,
     fwl3_tensor_statistic,
@@ -238,45 +241,24 @@ def test_rank_rows_matches_unique(width, count, digits, offset, low, fill, seed)
     assert np.array_equal(ranks, reference_ranks(rows))
 
 
-def loop_packed_ranks(rows):
-    """`_rank_rows` with its words packed column by column, three in-place
-    operations per column: the reference for the one-product packing."""
-    (N, m), lo, hi = rows.shape, int(rows.min()), int(rows.max())
-    base = hi - lo + 1
-    digits = 1
-    while digits < m and base ** (digits + 1) <= 1 << 63:
-        digits += 1
-    if digits == 1:
-        words = rows
-    else:
-        full = m - m % digits
-        runs = [rows[:, :full].reshape(N, -1, digits)]
-        if full < m:
-            runs.append(rows[:, None, full:])
-        words = []
-        for run in runs:
-            word = run[..., 0].astype(np.int64)
-            word -= lo
-            for column in np.moveaxis(run[..., 1:], 2, 0):
-                word *= base
-                word += column
-                word -= lo
-            words.append(word)
-        words = np.concatenate(words, axis=1)
-    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
-    ordered = words[order]
-    step = np.ones(N, dtype=np.int64)
+def lexsort_ranks(rows):
+    """Rank of each row among the distinct rows, by `np.lexsort` over its
+    columns: the reference for `_rank_rows`' fold."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    step = np.ones(len(rows), dtype=np.int64)
     step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     ranks = np.empty_like(step)
     ranks[order] = np.cumsum(step) - 1
     return ranks
 
 
-def test_rank_rows_matches_column_loop():
+def test_rank_rows_matches_lexsort():
     # 3000 random row sets: least values -5..4, spans 1..2**40 (so 1 to 63
     # columns per word, the last word often shorter), small codes as
     # uint8, and duplicate rows
     rng = np.random.default_rng(29)
+    cases = []
     for case in range(3000):
         lo, span = int(rng.integers(-5, 5)), int(2 ** rng.uniform(0, 40))
         N, m = int(rng.integers(1, 60)), int(rng.integers(1, 40))
@@ -285,7 +267,18 @@ def test_rank_rows_matches_column_loop():
         rows = pool[rng.integers(0, len(pool), N)]
         if case % 4 == 0 and lo >= 0 and lo + span < 256:
             rows = rows.astype(np.uint8)
-        assert np.array_equal(_rank_rows(rows), loop_packed_ranks(rows)), case
+        cases.append(rows)
+    # rows of 1-20 columns spanning int64, so that each column is a word
+    # of its own, with duplicates and single rows; then one word of small
+    # range, which ranks by counting
+    for case in range(400):
+        N, m = (1 if case % 8 == 0 else int(rng.integers(2, 80))), case % 20 + 1
+        pool = rng.integers(-2**63, 2**63 - 1, size=(int(rng.integers(1, N + 1)), m),
+                            endpoint=True)
+        cases.append(pool[rng.integers(0, len(pool), N)])
+    cases.append(rng.integers(-3, 4, size=(50, 1)))
+    for case, rows in enumerate(cases):
+        assert np.array_equal(_rank_rows(rows), lexsort_ranks(rows)), case
 
 
 def degree_round_by_rows(A):
@@ -471,7 +464,7 @@ def test_engine_matches_interned_reference(test, pair_test):
             H = Graph(random_adjacency(rng, int(rng.integers(1, 8))))
         else:
             H = Graph(random_adjacency(rng, n))
-            same = (H.num_edges == G.num_edges if kind == 1 else
+            same = (int(H.adjacency.sum()) // 2 == int(G.adjacency.sum()) // 2 if kind == 1 else
                     sorted(H.adjacency.sum(1)) == sorted(G.adjacency.sum(1)))
             if not same:
                 continue
@@ -562,6 +555,38 @@ def test_walk_counts_and_sorted_codes_partition_alike():
         assert same_partition(by_walks, by_codes)
 
 
+def wl1_round_by_tuples(A, C):
+    """1-WL's round as each vertex's color and the sorted tuple of its
+    neighbours' colors, ranked: the reference partition."""
+    keys = [(int(C[b, v]), tuple(sorted(C[b, A[b, v]].tolist())))
+            for b in range(len(C)) for v in range(C.shape[1])]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys])
+
+
+def test_wl1_counts_and_sorted_multisets_partition_alike():
+    """Both 1-WL rows give one partition on random bool stacks of 1-5
+    colors, with self-loops and full rows, so that a vertex counts one
+    color n times; and `_next_colors` sorts, with the reference's
+    partition, a stack of 20 colors at n = 14, as 15**20 overflows int64."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        B, n, k = int(rng.integers(1, 4)), int(rng.integers(1, 13)), int(rng.integers(1, 6))
+        A = rng.random((B, n, n)) < rng.choice([0.3, 0.7, 0.9, 1.0])
+        C, classes = _compact(rng.integers(0, k, size=(B, n)), k)
+        by_counts = _rank_rows(_neighbour_counts(A, C, classes).reshape(B * n, -1))
+        by_sort = _rank_rows(_sorted_neighbours(A, C).reshape(B * n, -1))
+        assert same_partition(by_counts, by_sort)
+        assert np.array_equal(_next_colors(A, C, classes, "WL1").ravel(), by_counts)
+    A = rng.random((3, 14, 14)) < 0.5
+    C, classes = _compact(rng.permutation(np.arange(42) % 20).reshape(3, 14), 20)
+    assert 15 ** classes > 2**63
+    got = _next_colors(A, C, classes, "WL1")
+    assert np.array_equal(got, _rank_rows(_sorted_neighbours(A, C).reshape(42, -1))
+                          .reshape(3, 14))
+    assert same_partition(got, wl1_round_by_tuples(A, C))
+
+
 @pytest.mark.parametrize("test", ["WL1", "FWL2"])
 def test_signature_rounds_match_reference(test):
     """With `rounds=k`, two keys are equal iff the graphs have one order
@@ -608,6 +633,25 @@ def refines(fine, coarse):
     """Every class of the labels `fine` lies within one class of `coarse`."""
     fine, coarse = np.ravel(fine).tolist(), np.ravel(coarse).tolist()
     return len(set(zip(fine, coarse))) == len(set(fine))
+
+
+@pytest.mark.parametrize("test", ["WL1", "WL2", "FWL2"])
+def test_histograms_and_sorted_colors_partition_alike(graph8c, sr25, test):
+    """Ranking each graph's color histogram and ranking its sorted colors
+    give one partition of the graphs in every round with fewer colors
+    than cells, where `ladder` takes histograms, of graph8c[:600] and of
+    sr25, each refined as one stack: two or three rounds each."""
+    checked = 0
+    for graphs in (graph8c[:600], sr25):
+        (_, A), = Dataset.of(graphs).stacks
+        for C in _refine(A != 0, test):
+            cells = C.reshape(len(C), -1)
+            classes = int(C.max()) + 1
+            if classes < cells.shape[1]:
+                assert same_partition(_rank_rows(_histograms(cells, classes)),
+                                      _rank_rows(np.sort(cells, axis=1)))
+                checked += 1
+    assert checked == (3 if test == "WL1" else 2)
 
 
 @pytest.mark.parametrize("test", ["WL1", "WL2", "FWL2"])

@@ -1,6 +1,6 @@
 """Digest of the appendix graphs, their supports and the golden suite, of
-the census outputs and of every model's embeddings and pair lists, for
-comparing two trees.
+the census outputs and WL ladders, and of every model's embeddings and
+pair lists, for comparing two trees.
 
     PYTHONPATH=src python tools/pair_digest.py > digest.txt
 
@@ -34,6 +34,15 @@ Then one line per census output:
       evaluator, after its base rung: the pair count and the sha256 of
       every pair, as int64 (i, j) rows in the order returned.
 
+Then, on the same dataset, one line per row of each WL ladder:
+
+  ladder <dataset> <test> row<t> <sha256>
+      `signatures(graphs, test, rounds)` for "WL1" stable and at rounds
+      1..5 (`WL1@<rounds>`), then "WL2" and "FWL2" stable: the sha256 of
+      row t's labels, as int64, renumbered 0, 1, ... in the order of
+      their first appearance, so that two trees whose rows hold the same
+      partitions under other label numbers print the same line.
+
 Then, for each model kind, one line each:
 
   embed <dataset> seed=<s> <sha256>
@@ -57,6 +66,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import operator
 import sys
 import time
@@ -76,6 +86,7 @@ from matgraph.harness import (
 )
 from matgraph.models import MODEL_KINDS, DatasetBatch, ModelSpec, run_seeds
 from matgraph.spectral import SupportSpec, stacked_supports
+from matgraph.wl import signatures
 
 BASES = ("normalized-laplacian", "adjacency")
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -122,6 +133,22 @@ def census_lines(name: str, graphs) -> None:
             print(f"census {name} rung:{rung} {len(pairs)} {sha(rows(pairs))}")
 
 
+def first_appearance(labels: np.ndarray) -> np.ndarray:
+    """`labels` renumbered 0, 1, ... in the order each first appears."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def ladder_lines(name: str, graphs) -> None:
+    """Every row of each WL ladder on one dataset, labels renumbered."""
+    ladders = [("WL1", math.inf), *(("WL1", k) for k in range(1, 6)),
+               ("WL2", math.inf), ("FWL2", math.inf)]
+    for test, rounds in ladders:
+        label = test if rounds == math.inf else f"{test}@{rounds}"
+        for t, row in enumerate(signatures(graphs, test, rounds)):
+            print(f"ladder {name} {label} row{t} {sha(first_appearance(row))}")
+
+
 def main() -> None:
     appendix_lines()
     data = {name: load_dataset(str(DATA / f"{name}.g6")) for name in DATASETS}
@@ -129,6 +156,7 @@ def main() -> None:
     shuffled = [graph8c[i] for i in np.random.default_rng(7).permutation(len(graph8c))]
     for name, graphs in (*data.items(), ("graph8c-shuffled", shuffled)):
         census_lines(name, graphs)
+        ladder_lines(name, graphs)
     for kind in MODEL_KINDS:
         spec = ModelSpec(kind)
         for name, graphs in data.items():
